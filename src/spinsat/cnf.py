@@ -22,7 +22,6 @@ __all__ = [
     "parse_dimacs",
     "parse_dimacs_file",
     "write_dimacs",
-    "write_dimacs_file",
     "logical_energy",
     "clause_slack",
     "mean_slack",
@@ -214,12 +213,6 @@ def write_dimacs(f: Formula) -> str:
     for clause in f.clauses:
         lines.append(" ".join(str(lit.to_dimacs()) for lit in clause.literals) + " 0")
     return "\n".join(lines) + "\n"
-
-
-def write_dimacs_file(f: Formula, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_text(write_dimacs(f), encoding="utf-8")
 
 
 def _check_assignment(f: Formula, a: Sequence[bool]) -> None:

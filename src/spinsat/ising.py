@@ -499,6 +499,8 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
     meta_lines = [line for line in lines if line.startswith("#")]
     data_lines = [line for line in lines if not line.startswith("#")]
     meta = _parse_metadata(meta_lines)
+    if meta["gadget_mode"] not in (GADGET_CORRECTED, GADGET_PAPER_LITERAL):
+        raise ValueError(f"unknown gadget mode {meta['gadget_mode']!r}")
     if not data_lines or data_lines[0] != _NODE_HEADER:
         raise ValueError("node table missing header row")
 

@@ -4,7 +4,9 @@ The solver is a deterministic DPLL: unit propagation, pure-literal
 elimination, and branching on the lowest-index unassigned variable with the
 true branch first. Determinism matters more than heuristic strength at the
 benchmark scale (20 variables), because enumeration order and therefore all
-downstream artifacts must be reproducible.
+downstream artifacts must be reproducible. Clauses and partial assignments
+are integer bitmasks, and the search keeps an explicit stack, so its depth
+is not bounded by the interpreter's recursion limit.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cnf import Assignment, Formula, logical_energy
+from .cnf import Assignment, Formula
 
 __all__ = [
     "ModelSet",
@@ -51,91 +53,91 @@ class BackboneReport:
     exact: bool
 
 
-def _int_clauses(f: Formula) -> list[list[int]]:
-    # Signed 1-based literals, the native currency of the DPLL core.
-    return [[lit.to_dimacs() for lit in c.literals] for c in f.clauses]
+def _clause_masks(f: Formula) -> list[tuple[int, int]]:
+    # A clause (pos, neg) is satisfied iff a variable in pos is true or one
+    # in neg is false; bit v stands for variable v.
+    masks = []
+    for clause in f.clauses:
+        pos = neg = 0
+        for lit in clause.literals:
+            if lit.sign > 0:
+                pos |= 1 << lit.var
+            else:
+                neg |= 1 << lit.var
+        masks.append((pos, neg))
+    return masks
 
 
-def _propagate(clauses: list[list[int]], assign: dict[int, bool]) -> str:
+def _propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[int, int, bool] | None:
     """Apply unit propagation and pure-literal elimination to a fixpoint.
 
-    Returns "sat" when every clause is satisfied, "conflict" on an empty
-    clause, "open" otherwise. ``assign`` is mutated in place.
+    ``true`` and ``false`` are the masks of variables assigned each value.
+    Each pass visits the clauses in order, so a unit set early in a pass is
+    seen by later clauses; pure literals are taken only after a pass that
+    set no unit. Returns None on an empty clause, else the extended masks
+    and whether every clause is satisfied.
     """
     while True:
         changed = False
         all_satisfied = True
-        pos_occurs: set[int] = set()
-        neg_occurs: set[int] = set()
-        for clause in clauses:
-            satisfied = False
-            unassigned: list[int] = []
-            for lit in clause:
-                val = assign.get(abs(lit))
-                if val is None:
-                    unassigned.append(lit)
-                elif (lit > 0) == val:
-                    satisfied = True
-                    break
-            if satisfied:
+        pos_occurs = neg_occurs = 0
+        for pos, neg in clauses:
+            if pos & true or neg & false:
                 continue
             all_satisfied = False
-            if not unassigned:
-                return "conflict"
-            if len(unassigned) == 1:
-                unit = unassigned[0]
-                assign[abs(unit)] = unit > 0
+            free = ~(true | false)
+            pos_free, neg_free = pos & free, neg & free
+            width = pos_free.bit_count() + neg_free.bit_count()
+            if width == 0:
+                return None
+            if width == 1:
+                true |= pos_free
+                false |= neg_free
                 changed = True
             else:
-                for lit in unassigned:
-                    (pos_occurs if lit > 0 else neg_occurs).add(abs(lit))
+                pos_occurs |= pos_free
+                neg_occurs |= neg_free
         if all_satisfied:
-            return "sat"
+            return true, false, True
         if changed:
             continue
-        pure_true = sorted(pos_occurs - neg_occurs)
-        pure_false = sorted(neg_occurs - pos_occurs)
-        if pure_true or pure_false:
-            for v in pure_true:
-                assign[v] = True
-            for v in pure_false:
-                assign[v] = False
+        pure = pos_occurs ^ neg_occurs
+        if not pure:
+            return true, false, False
+        true |= pure & pos_occurs
+        false |= pure & neg_occurs
+
+
+def _solve_masks(clauses: list[tuple[int, int]]) -> int | None:
+    """Mask of the true variables of the first model found, or None if UNSAT.
+
+    Depth-first search with an explicit stack: branch on the lowest
+    unassigned variable, true branch first.
+    """
+    stack = [(0, 0)]
+    while stack:
+        state = _propagate(clauses, *stack.pop())
+        if state is None:
             continue
-        return "open"
+        true, false, satisfied = state
+        if satisfied:
+            # Variables left unassigned are unconstrained; complete them as False.
+            return true
+        assigned = true | false
+        branch = ~assigned & (assigned + 1)
+        stack.append((true, false | branch))
+        stack.append((true | branch, false))
+    return None
 
 
-def _dpll(clauses: list[list[int]], assign: dict[int, bool], num_vars: int) -> bool:
-    status = _propagate(clauses, assign)
-    if status == "sat":
-        return True
-    if status == "conflict":
-        return False
-    branch_var = next(v for v in range(1, num_vars + 1) if v not in assign)
-    for value in (True, False):
-        child = dict(assign)
-        child[branch_var] = value
-        if _dpll(clauses, child, num_vars):
-            assign.clear()
-            assign.update(child)
-            return True
-    return False
-
-
-def _solve_int(clauses: list[list[int]], num_vars: int) -> Assignment | None:
-    assign: dict[int, bool] = {}
-    if not _dpll(clauses, assign, num_vars):
-        return None
-    # Variables left unassigned are unconstrained; complete them as False.
-    return tuple(assign.get(v, False) for v in range(1, num_vars + 1))
+def _assignment(true: int, num_vars: int) -> Assignment:
+    return tuple(bool(true >> v & 1) for v in range(num_vars))
 
 
 def solve(f: Formula) -> Assignment | None:
     """Find one satisfying assignment, or None when the formula is UNSAT."""
-    return _solve_int(_int_clauses(f), f.num_vars)
-
-
-def _blocking_clause(model: Assignment) -> list[int]:
-    return [-(v + 1) if value else (v + 1) for v, value in enumerate(model)]
+    true = _solve_masks(_clause_masks(f))
+    return None if true is None else _assignment(true, f.num_vars)
 
 
 def enumerate_models(f: Formula, cap: int = 120) -> ModelSet:
@@ -148,15 +150,16 @@ def enumerate_models(f: Formula, cap: int = 120) -> ModelSet:
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    clauses = _int_clauses(f)
+    clauses = _clause_masks(f)
+    every_var = (1 << f.num_vars) - 1
     models: list[Assignment] = []
     while len(models) < cap:
-        model = _solve_int(clauses, f.num_vars)
-        if model is None:
+        true = _solve_masks(clauses)
+        if true is None:
             return ModelSet(tuple(models), truncated=False, cap=cap)
-        models.append(model)
-        clauses.append(_blocking_clause(model))
-    truncated = _solve_int(clauses, f.num_vars) is not None
+        models.append(_assignment(true, f.num_vars))
+        clauses.append((every_var ^ true, true))
+    truncated = _solve_masks(clauses) is not None
     return ModelSet(tuple(models), truncated=truncated, cap=cap)
 
 
@@ -178,34 +181,28 @@ def backbone(ms: ModelSet, num_vars: int) -> BackboneReport:
 
 
 def brute_force_models(f: Formula) -> ModelSet:
-    """Exact model set by exhaustive scan of all 2^n assignments.
+    """Exact model set, listed in ascending order of assignment index.
 
-    Assignment index bit v holds the value of variable v. The scan evaluates
-    every clause against all assignments at once with bit arithmetic, which
-    keeps a full 2^20 sweep under a second; the result is identical to
-    filtering assignments on a zero unsatisfied-clause count.
+    Assignment index bit v holds the value of variable v. The set is built
+    from an empty assignment by fixing variables n-1 down to 0: each step
+    doubles the frontier of partial assignments, then drops those that
+    falsify a clause whose lowest variable was just fixed, as all its
+    variables are now set. Every clause is tested once, against partial
+    assignments that satisfy all clauses tested before it.
     """
     n = f.num_vars
     if n > BRUTE_FORCE_MAX_VARS:
-        raise ValueError(f"exhaustive scan limited to {BRUTE_FORCE_MAX_VARS} variables")
-    size = 1 << n
-    indices = np.arange(size, dtype=np.uint32)
-    unsat_counts = np.zeros(size, dtype=np.int32)
-    for clause in f.clauses:
-        satisfied = np.zeros(size, dtype=bool)
-        for lit in clause.literals:
-            bit = ((indices >> np.uint32(lit.var)) & np.uint32(1)).astype(bool)
-            satisfied |= bit if lit.sign > 0 else ~bit
-        unsat_counts += ~satisfied
-    model_indices = np.nonzero(unsat_counts == 0)[0]
-    if model_indices.size:
-        bits = (model_indices[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-        models = tuple(tuple(bool(b) for b in row) for row in bits)
-    else:
-        models = ()
-    return ModelSet(models, truncated=False, cap=size)
-
-
-def model_count_check(f: Formula, ms: ModelSet) -> bool:
-    """Sanity helper: every member of ``ms`` satisfies ``f``."""
-    return all(logical_energy(f, model) == 0 for model in ms.models)
+        raise ValueError(f"exact enumeration limited to {BRUTE_FORCE_MAX_VARS} variables")
+    by_lowest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for clause, masks in zip(f.clauses, _clause_masks(f)):
+        if not clause.is_tautological:
+            by_lowest[min(clause.variables)].append(masks)
+    front = np.zeros(1, dtype=np.uint32)
+    for v in range(n - 1, -1, -1):
+        front = np.concatenate((front, front | np.uint32(1 << v)))
+        for pos, neg in by_lowest[v]:
+            front = front[((front & np.uint32(pos)) != 0) | ((~front & np.uint32(neg)) != 0)]
+    front.sort()
+    bits = (front[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+    models = tuple(tuple(bool(b) for b in row) for row in bits)
+    return ModelSet(models, truncated=False, cap=1 << n)

@@ -9,6 +9,7 @@ import pytest
 from spinsat import ising
 from spinsat.cnf import Clause, Formula, Literal, generate_random_3sat, logical_energy, parse_dimacs
 from spinsat.ising import (
+    GADGET_CORRECTED,
     GADGET_PAPER_LITERAL,
     Hamiltonian,
     assignment_to_spins,
@@ -357,6 +358,17 @@ def test_import_rejects_missing_metadata():
     stripped = "\n".join(l for l in nodes.splitlines() if not l.startswith("# offset"))
     with pytest.raises(ValueError):
         import_csv(stripped + "\n", edges)
+
+
+def test_import_rejects_unknown_gadget_mode():
+    H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"))
+    nodes, edges = export_csv(H)
+    corrupted = nodes.replace(f"# gadget_mode = {GADGET_CORRECTED}", "# gadget_mode = bogus")
+    assert corrupted != nodes
+    with pytest.raises(ValueError, match="unknown gadget mode"):
+        import_csv(corrupted, edges)
+    literal = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"), gadget_mode=GADGET_PAPER_LITERAL)
+    assert import_csv(*export_csv(literal)) == literal
 
 
 def test_import_rejects_out_of_order_nodes():

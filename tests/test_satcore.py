@@ -1,12 +1,29 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from spinsat.cnf import Formula, generate_random_3sat, logical_energy, parse_dimacs
+from spinsat.cnf import (
+    Clause,
+    Formula,
+    Literal,
+    generate_random_3sat,
+    logical_energy,
+    parse_dimacs,
+    parse_dimacs_file,
+)
 from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, solve
+
+# Recorded from the recursive dict-based DPLL that preceded the bitmask
+# solver. They pin its decisions: which model solve returns, and the order in
+# which enumerate_models lists models, which decides the capped backbone.
+SB005_DIGEST = "c0b482e896178119b65c353718effa5ae99fb84f812623d52a2f9d406e616014"
+UF20_SOLVE_DIGEST = "c9886b4ca83c500eca6f6d18a3e2b3eeb6b6e607884c014eac2cb97fa1b5fa9a"
+FAMILY_DIGEST = "852bf49eb949efd80dcf5e6cf73bccc69e4533499f852833d4f2093632e2fe3e"
 
 
 def reference_models(f: Formula) -> set[tuple[bool, ...]]:
@@ -187,3 +204,110 @@ def test_solver_handles_formula_without_variables():
     ms = enumerate_models(empty, cap=4)
     assert ms.models == ((),)
     assert not ms.truncated
+
+
+def scan_models(f: Formula) -> tuple[tuple[bool, ...], ...]:
+    """The exhaustive 2^n scan: every assignment index, in ascending order."""
+    n = f.num_vars
+    size = 1 << n
+    indices = np.arange(size, dtype=np.uint32)
+    unsat_counts = np.zeros(size, dtype=np.int32)
+    for clause in f.clauses:
+        satisfied = np.zeros(size, dtype=bool)
+        for lit in clause.literals:
+            bit = ((indices >> np.uint32(lit.var)) & np.uint32(1)).astype(bool)
+            satisfied |= bit if lit.sign > 0 else ~bit
+        unsat_counts += ~satisfied
+    model_indices = np.nonzero(unsat_counts == 0)[0]
+    bits = (model_indices[:, None] >> np.arange(n, dtype=np.uint32)) & 1
+    return tuple(tuple(bool(b) for b in row) for row in bits)
+
+
+def mixed_formula(rng: np.random.Generator, n: int, m: int) -> Formula:
+    """Random clauses of width 1-3 over n variables; some are tautological."""
+    clauses = []
+    for _ in range(m):
+        width = min(n, int(rng.choice((1, 2, 3), p=(0.05, 0.25, 0.7))))
+        variables = rng.choice(n, size=width, replace=False)
+        literals = [Literal(int(v), 1 if rng.integers(2) else -1) for v in variables]
+        if width > 1 and rng.random() < 0.05:
+            literals[1] = Literal(literals[0].var, -literals[0].sign)
+        clauses.append(Clause(tuple(literals)))
+    return Formula(n, tuple(clauses))
+
+
+def bits(model: tuple[bool, ...]) -> str:
+    return "".join("1" if value else "0" for value in model)
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def frozen_family() -> list[Formula]:
+    rng = np.random.default_rng(2024)
+    family = []
+    for _ in range(60):
+        n = int(rng.integers(1, 11))
+        family.append(mixed_formula(rng, n, int(rng.integers(1, 4 * n + 1))))
+    return family
+
+
+def test_enumerate_sb005_order_is_frozen(uf20_paths):
+    f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
+    ms = enumerate_models(f, cap=120)
+    assert len(ms.models) == 120
+    assert ms.truncated
+    assert digest([bits(m) for m in ms.models]) == SB005_DIGEST
+
+
+def test_solve_uf20_models_are_frozen(uf20_formulas):
+    assert digest([bits(solve(f)) for f in uf20_formulas]) == UF20_SOLVE_DIGEST
+
+
+def test_small_family_decisions_are_frozen():
+    lines = []
+    unsat = 0
+    for f in frozen_family():
+        model = solve(f)
+        unsat += model is None
+        lines.append("-" if model is None else bits(model))
+        for cap in (1, 3, 50):
+            ms = enumerate_models(f, cap)
+            lines.append(f"cap={cap} truncated={int(ms.truncated)} count={len(ms.models)}")
+            lines.extend(bits(m) for m in ms.models)
+    assert unsat > 0
+    assert digest(lines) == FAMILY_DIGEST
+
+
+def test_brute_force_matches_scan_in_order(uf20_formulas):
+    rng = np.random.default_rng(41)
+    cases = list(uf20_formulas[:3])
+    cases += [mixed_formula(rng, n, int(rng.integers(1, 4 * n + 1)))
+              for n in rng.integers(1, 13, size=40)]
+    cases += [generate_random_3sat(n, int(rng.integers(1, 5 * n)), seed=int(rng.integers(10**6)))
+              for n in rng.integers(3, 13, size=40)]
+    tautology = Clause((Literal(0, 1), Literal(0, -1), Literal(2, 1)))
+    cases += [
+        Formula(0, ()),
+        Formula(4, ()),
+        Formula(3, (tautology, Clause((Literal(1, -1),)))),
+    ]
+    for f in cases:
+        ms = brute_force_models(f)
+        assert ms.models == scan_models(f)
+        assert not ms.truncated
+        assert ms.cap == 1 << f.num_vars
+
+
+def test_solve_branches_deeper_than_the_recursion_limit():
+    # Each pair (x, y) needs exactly one true: x or y, and not both. No
+    # literal is pure, so the solver branches once per pair.
+    pairs = sys.getrecursionlimit() + 100
+    clauses = []
+    for k in range(pairs):
+        x, y = 2 * k, 2 * k + 1
+        clauses.append(Clause((Literal(x, 1), Literal(y, 1))))
+        clauses.append(Clause((Literal(x, -1), Literal(y, -1))))
+    model = solve(Formula(2 * pairs, tuple(clauses)))
+    assert model == (True, False) * pairs
