@@ -1,66 +1,9 @@
 """CNF-to-Ising compilation, seeded simulated annealing, and observable analysis.
 
-The operation names ``compile`` (in :mod:`spinsat.ising`) and ``anneal`` (in
-:mod:`spinsat.anneal`) match their submodules and are intentionally not
-re-exported here; call them qualified, e.g. ``spinsat.ising.compile`` and
-``spinsat.anneal.anneal``.
+The package exports its submodules only; call their functions qualified,
+e.g. ``spinsat.ising.compile`` and ``spinsat.anneal.anneal``.
 """
 
 __version__ = "0.1.0"
 
 from . import analysis, anneal, cli, cnf, ising, satcore
-from .analysis import (
-    BetaFit,
-    BinnedCurves,
-    CorrelationMatrix,
-    InstanceSummary,
-    aggregate,
-    binned_curves,
-    build_summary,
-    correlation_matrix,
-    fit_beta,
-    pearson,
-    tail_mean,
-)
-from .anneal import Schedule, Trajectory, TrajectoryPoint, batch_anneal, metropolis_step
-from .cnf import (
-    Assignment,
-    Clause,
-    DimacsError,
-    Formula,
-    Literal,
-    ParseWarning,
-    clause_ratio,
-    clause_slack,
-    generate_random_3sat,
-    logical_energy,
-    mean_slack,
-    parse_dimacs,
-    parse_dimacs_file,
-    write_dimacs,
-)
-from .ising import (
-    GADGET_CORRECTED,
-    GADGET_PAPER_LITERAL,
-    GadgetRecord,
-    Hamiltonian,
-    SpinState,
-    assignment_to_spins,
-    clause_polynomial,
-    delta_energy,
-    exhaustive_core_minima,
-    export_csv,
-    hamiltonian_energy,
-    hamiltonian_energy_exact,
-    import_csv,
-    magnetization,
-    spins_to_assignment,
-)
-from .satcore import (
-    BackboneReport,
-    ModelSet,
-    backbone,
-    brute_force_models,
-    enumerate_models,
-    solve,
-)

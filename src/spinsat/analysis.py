@@ -13,7 +13,7 @@ import numpy as np
 
 from .cnf import Formula, clause_ratio
 from .anneal import Trajectory
-from .ising import Hamiltonian
+from .ising import Hamiltonian, format_float
 from .satcore import BackboneReport
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
 ]
 
 SUMMARY_FILENAME = "paper_quickpub_summary.csv"
-_FLOAT_FMT = ".17g"
 
 
 class DegenerateSeriesError(ValueError):
@@ -199,13 +198,11 @@ class BinnedCurves:
         for b in range(len(self.bin_t)):
             count = int(self.counts[b])
             if count:
-                e_text = format(float(self.mean_energy[b]), _FLOAT_FMT)
-                m_text = format(float(self.mean_abs_magnetization[b]), _FLOAT_FMT)
+                e_text = format_float(self.mean_energy[b])
+                m_text = format_float(self.mean_abs_magnetization[b])
             else:
                 e_text = m_text = ""
-            lines.append(
-                f"{format(float(self.bin_t[b]), _FLOAT_FMT)},{e_text},{m_text},{count}"
-            )
+            lines.append(f"{format_float(self.bin_t[b])},{e_text},{m_text},{count}")
         return "\n".join(lines) + "\n"
 
 
@@ -362,7 +359,7 @@ def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format(value, _FLOAT_FMT)
+        return format_float(value)
     return str(value)
 
 

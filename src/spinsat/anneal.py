@@ -12,16 +12,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cnf import Formula
-from .ising import Hamiltonian, SpinState, delta_energy, hamiltonian_energy
+from .ising import Hamiltonian, SpinState, delta_energy, format_float, hamiltonian_energy
 
 __all__ = [
     "Schedule",
-    "TrajectoryPoint",
     "Trajectory",
     "metropolis_step",
     "anneal",
@@ -51,21 +50,12 @@ class Schedule:
         return self.t0 * self.alpha**t
 
 
-class TrajectoryPoint(NamedTuple):
-    step: int
-    temperature: float
-    energy_h: float
-    energy_logic: int
-    magnetization: float
-
-
 @dataclass
 class Trajectory:
     """Per-step record of an annealing run, including the initial state.
 
     ``energy_h`` is offset-normalized (raw Hamiltonian energy minus the
     compile-time floor constant), so it reads as residual constraint energy.
-    Columns are stored as arrays; ``points`` materializes them row-wise.
     """
 
     instance: str
@@ -77,19 +67,6 @@ class Trajectory:
     energy_logic: np.ndarray
     magnetization: np.ndarray
     final_state: SpinState
-
-    @property
-    def points(self) -> list[TrajectoryPoint]:
-        return [
-            TrajectoryPoint(
-                int(self.step_index[t]),
-                float(self.temperatures[t]),
-                float(self.energy_h[t]),
-                int(self.energy_logic[t]),
-                float(self.magnetization[t]),
-            )
-            for t in range(len(self.step_index))
-        ]
 
     def __len__(self) -> int:
         return len(self.step_index)
@@ -158,7 +135,7 @@ def anneal(
     flip_indices = rng.integers(0, num_spins, size=total_attempts).tolist()
     uniforms = rng.random(size=total_attempts).tolist()
 
-    h_flat = H.float_fields
+    h_flat = H.fields
     adjacency = H.adjacency
     occurrences = _clause_occurrences(f)
     slack = [0] * f.num_clauses
@@ -167,7 +144,7 @@ def anneal(
     unsat = sum(1 for count in slack if count == 0)
     core_sum = sum(spins[:n_core])
     energy_raw = hamiltonian_energy(H, spins)
-    floor = H.float_floor
+    floor = H.energy_floor
 
     n_points = sched.steps + 1
     rec_temperature = np.empty(n_points, dtype=np.float64)
@@ -260,9 +237,6 @@ def batch_anneal(
         return list(pool.map(_anneal_job, jobs))
 
 
-_FLOAT_FMT = ".17g"
-
-
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV (LF endings, 17-significant-digit floats)."""
     lines = ["step,temperature,energy_h,energy_logic,magnetization"]
@@ -271,10 +245,10 @@ def trajectory_csv(traj: Trajectory) -> str:
             ",".join(
                 (
                     str(int(traj.step_index[t])),
-                    format(float(traj.temperatures[t]), _FLOAT_FMT),
-                    format(float(traj.energy_h[t]), _FLOAT_FMT),
+                    format_float(traj.temperatures[t]),
+                    format_float(traj.energy_h[t]),
                     str(int(traj.energy_logic[t])),
-                    format(float(traj.magnetization[t]), _FLOAT_FMT),
+                    format_float(traj.magnetization[t]),
                 )
             )
         )

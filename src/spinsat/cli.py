@@ -22,7 +22,7 @@ from . import __version__
 from .anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from .cnf import generate_random_3sat, mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
-from .ising import export_csv
+from .ising import export_csv, format_float
 from .satcore import BRUTE_FORCE_MAX_VARS, backbone, brute_force_models, enumerate_models, solve
 from . import analysis
 
@@ -74,17 +74,33 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+class InputError(Exception):
+    """Inputs that cannot be run together; reported before any work starts."""
+
+
 def _collect_inputs(paths: list[str]) -> list[Path]:
-    files: list[Path] = []
+    """Input files in name order, one per stem.
+
+    Every output name is keyed on the file stem, so two different files with
+    the same stem would overwrite each other's artifacts: that is an error.
+    """
+    files: dict[str, Path] = {}
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            files.extend(sorted(p.glob("*.cnf")))
+            found = sorted(p.glob("*.cnf"))
         elif p.exists():
-            files.append(p)
+            found = [p]
         else:
             raise FileNotFoundError(raw)
-    return sorted(set(files), key=lambda p: p.name)
+        for path in found:
+            first = files.setdefault(path.stem, path)
+            if not first.samefile(path):
+                raise InputError(
+                    f"{first} and {path} share the stem {path.stem!r}, "
+                    "so their outputs would overwrite each other"
+                )
+    return sorted(files.values(), key=lambda p: p.name)
 
 
 def _merge_config(args: argparse.Namespace) -> RunConfig:
@@ -438,11 +454,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     outdir = Path(args.outdir or os.environ.get("SPINSAT_OUTDIR") or summary_path.parent)
     agg_lines = ["column,mean,sd"]
     for column, (mean, sd) in sorted(agg.items()):
-        agg_lines.append(f"{column},{format(mean, '.17g')},{format(sd, '.17g')}")
+        agg_lines.append(f"{column},{format_float(mean)},{format_float(sd)}")
     _atomic_write(outdir / "report_aggregate.csv", "\n".join(agg_lines) + "\n")
     corr_lines = [",".join(("", *matrix.labels))]
     for i, label in enumerate(matrix.labels):
-        cells = ",".join(format(matrix.values[i][j], ".17g") for j in range(3))
+        cells = ",".join(format_float(matrix.values[i][j]) for j in range(3))
         corr_lines.append(f"{label},{cells}")
     _atomic_write(outdir / "report_correlation.csv", "\n".join(corr_lines) + "\n")
     return 0
@@ -516,6 +532,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_run(config)
     except FileNotFoundError as exc:
         print(f"error: no such file or directory: {exc}", file=sys.stderr)
+        return 1
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError(f"unhandled command {args.command}")
 

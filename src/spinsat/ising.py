@@ -24,8 +24,12 @@ when s_i = s_p = -1), so ground states need not coincide with satisfying
 assignments. It is kept only so the defect can be demonstrated and is never
 the default.
 
-Coefficients are exact dyadic rationals (Fraction) end to end; floats appear
-only in CSV cells and in the annealing fast path.
+Coefficients are float64 and exact. ``compile`` accepts a k_factor that is a
+multiple of 1/1024 in (0, 2**20), so every coefficient is a multiple of
+2**-15 below 2**34 units, a dyadic rational that float64 holds without
+rounding. Sums of coefficients, the energy floor and every energy the
+annealer accumulates are then exact too, provided the formula has fewer than
+about 2**19 clauses.
 """
 from __future__ import annotations
 
@@ -53,10 +57,10 @@ __all__ = [
     "clause_polynomial",
     "compile",
     "hamiltonian_energy",
-    "hamiltonian_energy_exact",
     "delta_energy",
     "magnetization",
     "exhaustive_core_minima",
+    "format_float",
     "export_csv",
     "import_csv",
 ]
@@ -67,42 +71,31 @@ GADGET_PAPER_LITERAL = "paper-literal"
 # Spin vector over core + ancilla spins; entries are +1 or -1.
 SpinState = np.ndarray
 
-FLOAT_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), FLOAT_FMT)
+def format_float(x: float) -> str:
+    """CSV text of a float: 17 significant digits, which round-trip float64."""
+    return format(float(x), ".17g")
 
 
 class GadgetRecord(NamedTuple):
     ancilla_index: int
     parent_i: int
     parent_j: int
-    penalty_weight: Fraction
+    penalty_weight: float
 
 
 @dataclass(eq=True)
 class ClausePolynomial:
     """Multilinear spin polynomial of a single clause.
 
-    ``terms`` maps a sorted tuple of spin indices (degree 0..3) to its exact
-    coefficient. Spins square to 1, so products of factors sharing a
-    variable reduce by symmetric difference of index sets.
+    ``terms`` maps a sorted tuple of spin indices (degree 0..3) to its
+    coefficient, a multiple of 1/8. Spins square to 1, so products of factors
+    sharing a variable reduce by symmetric difference of index sets.
     """
 
-    terms: dict[tuple[int, ...], Fraction]
+    terms: dict[tuple[int, ...], float]
 
-    def evaluate(self, spins: Sequence[int]) -> Fraction:
-        total = Fraction(0)
-        for key, coeff in self.terms.items():
-            prod = 1
-            for idx in key:
-                prod *= spins[idx]
-            total += coeff * prod
-        return total
-
-    def degree(self) -> int:
-        return max((len(k) for k in self.terms), default=0)
+    def evaluate(self, spins: Sequence[int]) -> float:
+        return _evaluate(self.terms, spins)
 
 
 def spins_to_assignment(s: Sequence[int], core_count: int) -> Assignment:
@@ -118,7 +111,7 @@ def assignment_to_spins(a: Sequence[bool]) -> SpinState:
 
 
 def clause_polynomial(c: Clause) -> ClausePolynomial:
-    """Exact multilinear expansion of the clause-violation indicator.
+    """Multilinear expansion of the clause-violation indicator.
 
     For literals with polarities t_1..t_k over distinct variables the
     product of (1 - t_i s_i)/2 factors expands to a degree-k polynomial; for
@@ -131,21 +124,21 @@ def clause_polynomial(c: Clause) -> ClausePolynomial:
         raise ValueError(f"clause length {k} > 3 not supported")
     if len(set(c.variables)) != k:
         raise ValueError("clause repeats a variable; expansion would not be multilinear")
-    terms: dict[tuple[int, ...], Fraction] = {(): Fraction(1)}
+    terms: dict[tuple[int, ...], float] = {(): 1.0}
     for lit in c.literals:
-        factor = {(): Fraction(1, 2), (lit.var,): Fraction(-lit.sign, 2)}
-        merged: dict[tuple[int, ...], Fraction] = {}
+        factor = {(): 0.5, (lit.var,): -0.5 * lit.sign}
+        merged: dict[tuple[int, ...], float] = {}
         for key_a, coeff_a in terms.items():
             for key_b, coeff_b in factor.items():
                 key = tuple(sorted(set(key_a) ^ set(key_b)))
-                merged[key] = merged.get(key, Fraction(0)) + coeff_a * coeff_b
+                merged[key] = merged.get(key, 0.0) + coeff_a * coeff_b
         terms = {key: coeff for key, coeff in merged.items() if coeff != 0}
     return ClausePolynomial(terms)
 
 
 def _corrected_substitution(
-    c: Fraction, i: int, p: int, q: int, a: int, penalty: Fraction
-) -> dict[tuple[int, ...], Fraction]:
+    c: float, i: int, p: int, q: int, a: int, penalty: float
+) -> dict[tuple[int, ...], float]:
     """Pairwise terms replacing c * s_i s_p s_q with ancilla spin ``a``.
 
     Derived by mapping to 0/1 variables, substituting the product ancilla
@@ -170,8 +163,8 @@ def _corrected_substitution(
 
 
 def _paper_literal_substitution(
-    c: Fraction, i: int, p: int, q: int, a: int, penalty: Fraction
-) -> dict[tuple[int, ...], Fraction]:
+    c: float, i: int, p: int, q: int, a: int, penalty: float
+) -> dict[tuple[int, ...], float]:
     """Literal penalty form K*(3 - a s_i - a s_p - s_i s_p); not product-exact."""
     return {
         (): 3 * penalty,
@@ -187,8 +180,8 @@ class Hamiltonian:
     """Pairwise spin energy: offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
 
     Core spins occupy indices [0, core_count); ancilla spins follow. The
-    object is immutable by convention after compile; the float views used by
-    the annealer are cached lazily.
+    object is immutable by convention after compile; the neighbor lists used
+    by the annealer are cached lazily.
 
     ``energy_floor`` is the analytic minimum constant (sum of per-clause
     gadgetized minima), so energy - energy_floor is 0 exactly on satisfying
@@ -196,43 +189,30 @@ class Hamiltonian:
     the floor is only a lower bound and the zero test is not reliable.
     """
 
-    offset: Fraction
-    fields: tuple[Fraction, ...]
-    couplings: dict[tuple[int, int], Fraction]
+    offset: float
+    fields: tuple[float, ...]
+    couplings: dict[tuple[int, int], float]
     core_count: int
     ancillas: tuple[GadgetRecord, ...]
     source: str = ""
-    energy_floor: Fraction = Fraction(0)
+    energy_floor: float = 0.0
     gadget_mode: str = GADGET_CORRECTED
-    k_factor: Fraction = Fraction(20)
+    k_factor: float = 20.0
 
     @property
     def num_spins(self) -> int:
         return len(self.fields)
 
     @cached_property
-    def float_offset(self) -> float:
-        return float(self.offset)
-
-    @cached_property
-    def float_floor(self) -> float:
-        return float(self.energy_floor)
-
-    @cached_property
-    def float_fields(self) -> tuple[float, ...]:
-        return tuple(float(h) for h in self.fields)
-
-    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
         """Per-spin (neighbor, J) pairs in ascending neighbor order."""
         neighbors: list[list[tuple[int, float]]] = [[] for _ in range(self.num_spins)]
         for (i, j), coeff in self.couplings.items():
-            jf = float(coeff)
-            neighbors[i].append((j, jf))
-            neighbors[j].append((i, jf))
+            neighbors[i].append((j, coeff))
+            neighbors[j].append((i, coeff))
         return tuple(tuple(sorted(entry)) for entry in neighbors)
 
-    def sorted_couplings(self) -> list[tuple[tuple[int, int], Fraction]]:
+    def sorted_couplings(self) -> list[tuple[tuple[int, int], float]]:
         return sorted(self.couplings.items())
 
 
@@ -243,7 +223,7 @@ def _check_spins(H: Hamiltonian, s: Sequence[int]) -> None:
 
 def compile(
     f: Formula,
-    k_factor: float | Fraction = 20,
+    k_factor: float = 20,
     gadget_mode: str = GADGET_CORRECTED,
 ) -> Hamiltonian:
     """Compile a formula (clause lengths <= 3) into a pairwise Hamiltonian.
@@ -253,13 +233,20 @@ def compile(
     k_factor times the cubic coefficient magnitude (k_factor/8 per
     three-literal clause). Tautological clauses expand to the zero
     polynomial and contribute nothing.
+
+    ``k_factor`` must be a multiple of 1/1024 in (0, 2**20); any other value
+    raises ValueError, because its coefficients would not all be exact in
+    float64. Energies are exact for formulas with fewer than about 2**19
+    clauses.
     """
     if gadget_mode not in (GADGET_CORRECTED, GADGET_PAPER_LITERAL):
         raise ValueError(f"unknown gadget mode {gadget_mode!r}")
-    k_frac = Fraction(k_factor)
-    if k_frac <= 0:
-        raise ValueError("k_factor must be positive")
-    if gadget_mode == GADGET_CORRECTED and k_frac < 8:
+    k = float(k_factor)
+    if not 0 < k < 2**20 or (Fraction(k_factor) * 1024).denominator != 1:
+        raise ValueError(
+            f"k_factor must be a multiple of 1/1024 in (0, 2**20), got {k_factor!r}"
+        )
+    if gadget_mode == GADGET_CORRECTED and k < 8:
         warnings.warn(
             "k_factor below 8 cannot pin ancillas to the spin product; "
             "ground states may no longer match satisfying assignments",
@@ -267,11 +254,11 @@ def compile(
         )
 
     n = f.num_vars
-    offset = Fraction(0)
-    fields: dict[int, Fraction] = {}
-    couplings: dict[tuple[int, int], Fraction] = {}
+    offset = 0.0
+    fields: dict[int, float] = {}
+    couplings: dict[tuple[int, int], float] = {}
     gadgets: list[GadgetRecord] = []
-    floor = Fraction(0)
+    floor = 0.0
     next_ancilla = n
 
     for clause in f.clauses:
@@ -289,7 +276,7 @@ def compile(
             q = clause.literals[2].var
             a = next_ancilla
             next_ancilla += 1
-            penalty = k_frac * abs(c)
+            penalty = k * abs(c)
             gadgets.append(GadgetRecord(a, i, p, penalty))
             substitute = (
                 _corrected_substitution
@@ -297,7 +284,7 @@ def compile(
                 else _paper_literal_substitution
             )
             for key, coeff in substitute(c, i, p, q, a, penalty).items():
-                local[key] = local.get(key, Fraction(0)) + coeff
+                local[key] = local.get(key, 0.0) + coeff
         floor += _local_minimum(local)
         for key, coeff in local.items():
             if coeff == 0:
@@ -305,12 +292,12 @@ def compile(
             if len(key) == 0:
                 offset += coeff
             elif len(key) == 1:
-                fields[key[0]] = fields.get(key[0], Fraction(0)) + coeff
+                fields[key[0]] = fields.get(key[0], 0.0) + coeff
             else:
-                couplings[key] = couplings.get(key, Fraction(0)) + coeff
+                couplings[key] = couplings.get(key, 0.0) + coeff
 
     num_spins = next_ancilla
-    field_vec = tuple(fields.get(i, Fraction(0)) for i in range(num_spins))
+    field_vec = tuple(fields.get(i, 0.0) for i in range(num_spins))
     couplings = {key: coeff for key, coeff in couplings.items() if coeff != 0}
     return Hamiltonian(
         offset=offset,
@@ -321,54 +308,43 @@ def compile(
         source=f.source_name,
         energy_floor=floor,
         gadget_mode=gadget_mode,
-        k_factor=k_frac,
+        k_factor=k,
     )
 
 
-def _local_minimum(terms: dict[tuple[int, ...], Fraction]) -> Fraction:
-    """Exact minimum of a small spin polynomial over its own variables."""
-    variables = sorted({idx for key in terms for idx in key})
-    if not variables:
-        return terms.get((), Fraction(0))
-    best: Fraction | None = None
-    for values in product((-1, 1), repeat=len(variables)):
-        local = dict(zip(variables, values))
-        total = Fraction(0)
-        for key, coeff in terms.items():
-            prod = 1
-            for idx in key:
-                prod *= local[idx]
-            total += coeff * prod
-        if best is None or total < best:
-            best = total
-    return best
-
-
-def hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
-    """Raw energy offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j as a float.
-
-    Terms are summed in ascending index order so repeated evaluation is
-    bit-identical regardless of coupling storage order.
-    """
-    _check_spins(H, s)
-    total = H.float_offset
-    for i, h in enumerate(H.float_fields):
-        if h:
-            total += h * s[i]
-    for (i, j), coeff in sorted(H.couplings.items()):
-        total += float(coeff) * s[i] * s[j]
+def _evaluate(terms: dict[tuple[int, ...], float], spins) -> float:
+    total = 0.0
+    for key, coeff in terms.items():
+        prod = 1
+        for idx in key:
+            prod *= spins[idx]
+        total += coeff * prod
     return total
 
 
-def hamiltonian_energy_exact(H: Hamiltonian, s: Sequence[int]) -> Fraction:
-    """Exact rational energy of a spin state."""
+def _local_minimum(terms: dict[tuple[int, ...], float]) -> float:
+    """Minimum of a small spin polynomial over its own variables."""
+    variables = sorted({idx for key in terms for idx in key})
+    return min(
+        _evaluate(terms, dict(zip(variables, values)))
+        for values in product((-1, 1), repeat=len(variables))
+    )
+
+
+def hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
+    """Raw energy offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
+
+    Exact for a compiled Hamiltonian (see the module docstring). Terms are
+    summed in ascending index order so repeated evaluation is bit-identical
+    regardless of coupling storage order.
+    """
     _check_spins(H, s)
     total = H.offset
     for i, h in enumerate(H.fields):
         if h:
             total += h * s[i]
-    for (i, j), coeff in H.couplings.items():
-        total += coeff * (s[i] * s[j])
+    for (i, j), coeff in sorted(H.couplings.items()):
+        total += coeff * s[i] * s[j]
     return total
 
 
@@ -380,7 +356,7 @@ def delta_energy(H: Hamiltonian, s: Sequence[int], i: int) -> float:
     """
     if not 0 <= i < H.num_spins:
         raise ValueError(f"spin index {i} out of range")
-    acc = H.float_fields[i]
+    acc = H.fields[i]
     for j, jf in H.adjacency[i]:
         acc += jf * s[j]
     return -2.0 * s[i] * acc
@@ -395,44 +371,37 @@ def magnetization(s: Sequence[int], core_count: int) -> float:
     return sum(int(s[i]) for i in range(core_count)) / core_count
 
 
-def exhaustive_core_minima(H: Hamiltonian, max_spins: int = 22) -> list[Fraction]:
+def exhaustive_core_minima(H: Hamiltonian, max_spins: int = 22) -> list[float]:
     """Exact min-over-ancillas energy for every core configuration.
 
     Entry k is the minimum of the raw Hamiltonian energy over all ancilla
     settings when core spin v is +1 iff bit v of k is set. All arithmetic is
-    integer (coefficients are rescaled by their common denominator), so the
-    returned Fractions are exact.
+    integer: every coefficient is rescaled by the common denominator of the
+    floats' exact ratios, so no term or partial sum is rounded.
     """
     N = H.num_spins
     if N > max_spins:
         raise ValueError(f"exhaustive evaluation limited to {max_spins} spins")
-    denoms = [H.offset.denominator]
-    denoms += [h.denominator for h in H.fields]
-    denoms += [c.denominator for c in H.couplings.values()]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
-    magnitude = abs(H.offset) + sum(abs(h) for h in H.fields)
-    magnitude += sum(abs(c) for c in H.couplings.values())
-    if magnitude * scale >= 1 << 62:
-        raise ValueError(
-            "coefficients do not fit the integer evaluation grid; "
-            "use a dyadic k_factor"
-        )
+    ratios = [float(x).as_integer_ratio() for x in (H.offset, *H.fields, *H.couplings.values())]
+    scale = math.lcm(*(d for _, d in ratios))
+    units = [n * (scale // d) for n, d in ratios]
+    if sum(map(abs, units)) >= 1 << 62:
+        raise ValueError("coefficients do not fit the 64-bit integer evaluation grid")
+    offset, fields, couplings = units[0], units[1 : N + 1], units[N + 1 :]
 
     size = 1 << N
     indices = np.arange(size, dtype=np.int64)
     spins = [np.where((indices >> v) & 1 == 1, 1, -1).astype(np.int64) for v in range(N)]
-    energies = np.full(size, int(H.offset * scale), dtype=np.int64)
-    for v, h in enumerate(H.fields):
+    energies = np.full(size, offset, dtype=np.int64)
+    for v, h in enumerate(fields):
         if h:
-            energies += int(h * scale) * spins[v]
-    for (i, j), coeff in H.couplings.items():
-        energies += int(coeff * scale) * (spins[i] * spins[j])
+            energies += h * spins[v]
+    for (i, j), coeff in zip(H.couplings, couplings):
+        energies += coeff * (spins[i] * spins[j])
 
     n_core = H.core_count
     per_core = energies.reshape(1 << (N - n_core), 1 << n_core).min(axis=0)
-    return [Fraction(int(value), scale) for value in per_core]
+    return [int(value) / scale for value in per_core]
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +424,15 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
     The node table carries offset, core count, floor, gadget mode, k_factor
     and source as '#' metadata comments; offset-like values are written as
     exact fraction strings, coefficient cells as floats with 17 significant
-    digits (exact for dyadic rationals).
+    digits, which round-trip float64.
     """
     by_ancilla = {g.ancilla_index: g for g in H.ancillas}
     node_lines = [
-        f"# offset = {H.offset}",
+        f"# offset = {Fraction(H.offset)}",
         f"# core_count = {H.core_count}",
-        f"# energy_floor = {H.energy_floor}",
+        f"# energy_floor = {Fraction(H.energy_floor)}",
         f"# gadget_mode = {H.gadget_mode}",
-        f"# k_factor = {H.k_factor}",
+        f"# k_factor = {Fraction(H.k_factor)}",
         f"# source = {H.source}",
         _NODE_HEADER,
     ]
@@ -472,10 +441,10 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
             kind, label = "core", f"x{idx + 1}"
         else:
             kind, label = "ancilla", _ancilla_label(by_ancilla[idx])
-        node_lines.append(f"{idx + 1},{kind},{label},{_fmt(float(H.fields[idx]))}")
+        node_lines.append(f"{idx + 1},{kind},{label},{format_float(H.fields[idx])}")
     edge_lines = [_EDGE_HEADER]
     for (i, j), coeff in H.sorted_couplings():
-        edge_lines.append(f"{i + 1},{j + 1},{_fmt(float(coeff))}")
+        edge_lines.append(f"{i + 1},{j + 1},{format_float(coeff)}")
     return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"
 
 
@@ -505,8 +474,8 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
         raise ValueError("node table missing header row")
 
     core_count = int(meta["core_count"])
-    k_factor = Fraction(meta["k_factor"])
-    fields: list[Fraction] = []
+    k_factor = float(Fraction(meta["k_factor"]))
+    fields: list[float] = []
     ancillas: list[GadgetRecord] = []
     for row_no, line in enumerate(data_lines[1:]):
         parts = line.split(",")
@@ -532,11 +501,11 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
             ancillas.append(GadgetRecord(index, parent_i, parent_j, k_factor / 8))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
-        fields.append(Fraction(float(h_text)))
+        fields.append(float(h_text))
     if len(fields) < core_count:
         raise ValueError("fewer node rows than core_count")
 
-    couplings: dict[tuple[int, int], Fraction] = {}
+    couplings: dict[tuple[int, int], float] = {}
     edge_lines = [line for line in edges_text.splitlines() if line.strip()]
     if not edge_lines or edge_lines[0] != _EDGE_HEADER:
         raise ValueError("edge table missing header row")
@@ -554,16 +523,16 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
             i, j = j, i
         if (i, j) in couplings:
             raise ValueError(f"duplicate edge ({i + 1},{j + 1})")
-        couplings[(i, j)] = Fraction(float(parts[2]))
+        couplings[(i, j)] = float(parts[2])
 
     return Hamiltonian(
-        offset=Fraction(meta["offset"]),
+        offset=float(Fraction(meta["offset"])),
         fields=tuple(fields),
         couplings=couplings,
         core_count=core_count,
         ancillas=tuple(ancillas),
         source=meta["source"],
-        energy_floor=Fraction(meta["energy_floor"]),
+        energy_floor=float(Fraction(meta["energy_floor"])),
         gadget_mode=meta["gadget_mode"],
         k_factor=k_factor,
     )

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,8 +17,8 @@ from spinsat.cnf import logical_energy
 from spinsat.ising import Hamiltonian, hamiltonian_energy, magnetization, spins_to_assignment
 
 
-def single_spin_hamiltonian(h: Fraction) -> Hamiltonian:
-    return Hamiltonian(offset=Fraction(0), fields=(h,), couplings={}, core_count=1, ancillas=())
+def single_spin_hamiltonian(h: float) -> Hamiltonian:
+    return Hamiltonian(offset=0.0, fields=(h,), couplings={}, core_count=1, ancillas=())
 
 
 @pytest.fixture(scope="module")
@@ -58,7 +57,7 @@ def test_recorded_temperature_matches_closed_form(uf20_compiled):
 
 
 def test_downhill_always_accepted():
-    H = single_spin_hamiltonian(Fraction(1))
+    H = single_spin_hamiltonian(1.0)
     rng = np.random.Generator(np.random.PCG64(1))
     for _ in range(200):
         s = np.array([1], dtype=np.int8)  # flipping gives dE = -2
@@ -69,7 +68,7 @@ def test_downhill_always_accepted():
 def test_acceptance_frequency_at_de_equal_t():
     # dE = +1 at T = 1: acceptance probability e^-1, estimated over 10^5
     # trials with a frozen stream.
-    H = single_spin_hamiltonian(Fraction(-1, 2))
+    H = single_spin_hamiltonian(-0.5)
     rng = np.random.Generator(np.random.PCG64(2024))
     trials = 100_000
     accepted = 0
@@ -82,7 +81,7 @@ def test_acceptance_frequency_at_de_equal_t():
 
 
 def test_high_temperature_accepts_nearly_everything():
-    H = single_spin_hamiltonian(Fraction(-1, 2))
+    H = single_spin_hamiltonian(-0.5)
     rng = np.random.Generator(np.random.PCG64(7))
     accepted = sum(
         metropolis_step(H, np.array([1], dtype=np.int8), 1e9, rng)[0] for _ in range(2000)
@@ -91,7 +90,7 @@ def test_high_temperature_accepts_nearly_everything():
 
 
 def test_metropolis_requires_positive_temperature():
-    H = single_spin_hamiltonian(Fraction(1))
+    H = single_spin_hamiltonian(1.0)
     rng = np.random.Generator(np.random.PCG64(0))
     with pytest.raises(ValueError):
         metropolis_step(H, np.array([1], dtype=np.int8), 0.0, rng)
@@ -116,7 +115,7 @@ def test_anneal_zero_steps(uf20_compiled):
     H, f = uf20_compiled
     traj = anneal(H, f, Schedule(steps=0), seed=5)
     assert len(traj) == 1
-    assert traj.points[0].step == 0
+    assert traj.step_index[0] == 0
     assert traj.temperatures[0] == 2.5
 
 

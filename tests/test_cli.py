@@ -88,6 +88,25 @@ def test_compile_bad_file_continues_batch(tmp_path, uf20_paths, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_compile_rejects_k_factor_without_exact_coefficients(tmp_path, uf20_paths, capsys):
+    out = tmp_path / "out"
+    code = run_cli(["compile", str(uf20_paths[0]), "--k-factor", "20.3", "--outdir", str(out)])
+    assert code == 1
+    assert "k_factor must be a multiple of 1/1024" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_rejects_inputs_sharing_a_stem(tmp_path, uf20_paths, capsys):
+    for name, source in (("a", uf20_paths[0]), ("b", uf20_paths[1])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x.cnf").write_bytes(source.read_bytes())
+    out = tmp_path / "out"
+    code = run_cli(["run", str(tmp_path / "a"), str(tmp_path / "b"), "--outdir", str(out)])
+    assert code == 1
+    assert "share the stem 'x'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_reports_sat(uf20_paths, capsys):
     assert run_cli(["solve", str(uf20_paths[0])]) == 0
     assert "sat=true" in capsys.readouterr().out

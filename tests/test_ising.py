@@ -18,7 +18,6 @@ from spinsat.ising import (
     exhaustive_core_minima,
     export_csv,
     hamiltonian_energy,
-    hamiltonian_energy_exact,
     import_csv,
     magnetization,
     spins_to_assignment,
@@ -35,14 +34,14 @@ def violation_indicator(clause: Clause, spins) -> int:
 
 
 def random_hamiltonian(rng, n=8) -> Hamiltonian:
-    fields = tuple(Fraction(int(rng.integers(-8, 9)), 8) for _ in range(n))
+    fields = tuple(int(rng.integers(-8, 9)) / 8 for _ in range(n))
     couplings = {}
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < 0.5:
-                couplings[(i, j)] = Fraction(int(rng.integers(-8, 9)), 8)
+                couplings[(i, j)] = int(rng.integers(-8, 9)) / 8
     return Hamiltonian(
-        offset=Fraction(int(rng.integers(-8, 9)), 8),
+        offset=int(rng.integers(-8, 9)) / 8,
         fields=fields,
         couplings=couplings,
         core_count=n,
@@ -83,12 +82,12 @@ def test_spins_to_assignment_length_check():
 
 def test_negated_unit_clause_polynomial():
     poly = clause_polynomial(clause_from_signs([-1]))
-    assert poly.terms == {(): Fraction(1, 2), (0,): Fraction(1, 2)}
+    assert poly.terms == {(): 0.5, (0,): 0.5}
 
 
 def test_three_clause_cubic_coefficient():
     poly = clause_polynomial(clause_from_signs([1, 1, 1]))
-    assert poly.terms[(0, 1, 2)] == Fraction(-1, 8)
+    assert poly.terms[(0, 1, 2)] == -0.125
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -131,7 +130,7 @@ def test_compile_single_clause_matches_violation_indicator():
     assert H.energy_floor == 0
     for core in itertools.product((-1, 1), repeat=3):
         best = min(
-            hamiltonian_energy_exact(H, list(core) + [a]) for a in (-1, 1)
+            hamiltonian_energy(H, list(core) + [a]) for a in (-1, 1)
         )
         expected = violation_indicator(f.clauses[0], core)
         assert best == expected
@@ -160,6 +159,20 @@ def test_compile_k_factor_validation():
         ising.compile(f, k_factor=4)
 
 
+@pytest.mark.parametrize("k_factor", [20.3, Fraction(61, 3), 2**20])
+def test_compile_rejects_k_factor_without_exact_coefficients(k_factor):
+    f = parse_dimacs("p cnf 3 1\n1 2 3 0")
+    with pytest.raises(ValueError, match="multiple of 1/1024"):
+        ising.compile(f, k_factor=k_factor)
+
+
+def test_compile_accepts_dyadic_k_factor():
+    H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"), k_factor=12.25)
+    assert H.k_factor == 12.25
+    assert H.ancillas[0].penalty_weight == 12.25 / 8
+    assert exhaustive_core_minima(H) == [0.0 if k else 1.0 for k in range(8)]
+
+
 def test_compile_unknown_mode():
     with pytest.raises(ValueError):
         ising.compile(Formula(3, ()), gadget_mode="other")
@@ -184,7 +197,7 @@ def test_paper_literal_gadget_is_not_exact():
     f = parse_dimacs("p cnf 3 1\n1 2 3 0")
     H = ising.compile(f, gadget_mode=GADGET_PAPER_LITERAL)
     core = [-1, -1, 1]
-    best = min(hamiltonian_energy_exact(H, core + [a]) for a in (-1, 1))
+    best = min(hamiltonian_energy(H, core + [a]) for a in (-1, 1))
     assert best - H.energy_floor > 0
     assert logical_energy(f, (False, False, True)) == 0
 
@@ -198,7 +211,7 @@ def test_corrected_gadget_gap_favors_true_parents():
         H = ising.compile(Formula(3, (clause_from_signs(signs),)))
         k = H.ancillas[0].penalty_weight
         for core in itertools.product((-1, 1), repeat=3):
-            low, high = sorted(hamiltonian_energy_exact(H, [*core, a]) for a in (-1, 1))
+            low, high = sorted(hamiltonian_energy(H, [*core, a]) for a in (-1, 1))
             both_false = core[0] == core[1] == -1
             assert abs(high - low - (3 * k if both_false else k)) <= 1
 
@@ -210,7 +223,7 @@ def test_corrected_gadget_gap_favors_true_parents():
 
 def test_energy_offset_only():
     H = Hamiltonian(
-        offset=Fraction(7, 2), fields=(Fraction(0),) * 3, couplings={}, core_count=3, ancillas=()
+        offset=3.5, fields=(0.0,) * 3, couplings={}, core_count=3, ancillas=()
     )
     assert hamiltonian_energy(H, [1, -1, 1]) == 3.5
 
@@ -226,7 +239,6 @@ def test_energy_matches_dense_matrix_oracle():
         h_vec = np.array([float(h) for h in H.fields])
         expected = float(H.offset) + h_vec @ s + s @ dense @ s
         assert hamiltonian_energy(H, s.tolist()) == pytest.approx(expected, abs=1e-12)
-        assert float(hamiltonian_energy_exact(H, s.tolist())) == pytest.approx(expected, abs=1e-12)
 
 
 def test_energy_invariant_under_coupling_storage_order():
@@ -239,13 +251,13 @@ def test_energy_invariant_under_coupling_storage_order():
 
 
 def test_energy_length_mismatch():
-    H = Hamiltonian(Fraction(0), (Fraction(1),), {}, 1, ())
+    H = Hamiltonian(0.0, (1.0,), {}, 1, ())
     with pytest.raises(ValueError):
         hamiltonian_energy(H, [1, 1])
 
 
 def test_delta_energy_isolated_spin():
-    H = Hamiltonian(Fraction(0), (Fraction(1),), {}, 1, ())
+    H = Hamiltonian(0.0, (1.0,), {}, 1, ())
     assert delta_energy(H, [1], 0) == -2.0
 
 
@@ -274,7 +286,7 @@ def test_delta_energy_matches_full_reevaluation():
 
 
 def test_delta_energy_index_check():
-    H = Hamiltonian(Fraction(0), (Fraction(1),), {}, 1, ())
+    H = Hamiltonian(0.0, (1.0,), {}, 1, ())
     with pytest.raises(ValueError):
         delta_energy(H, [1], 1)
 
@@ -403,8 +415,8 @@ def test_exhaustive_minima_spin_limit():
 
 def test_exhaustive_minima_rejects_oversized_integer_grid():
     H = Hamiltonian(
-        offset=Fraction(1, 3**40),
-        fields=(Fraction(1), Fraction(1)),
+        offset=1 / 3**40,
+        fields=(1.0, 1.0),
         couplings={},
         core_count=2,
         ancillas=(),
