@@ -9,6 +9,7 @@ trajectory CSVs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -237,22 +238,40 @@ def batch_anneal(
         return list(pool.map(_anneal_job, jobs))
 
 
+def _column_texts(values: np.ndarray) -> list[str]:
+    """``format_float`` of each value, called once per distinct bit pattern.
+
+    Keying on the int64 view keeps -0.0 and 0.0 apart, as the text does.
+    """
+    patterns, inverse = np.unique(
+        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
+    )
+    texts = np.array([format_float(x) for x in patterns.view(np.float64).tolist()], dtype=object)
+    return texts[inverse].tolist()
+
+
+@functools.lru_cache(maxsize=1)
+def _temperature_texts(raw: bytes) -> tuple[str, ...]:
+    # Every trajectory of one schedule has the same temperature column.
+    return tuple(map(format_float, np.frombuffer(raw, dtype=np.float64).tolist()))
+
+
 def trajectory_csv(traj: Trajectory) -> str:
-    """Render a trajectory as CSV (LF endings, 17-significant-digit floats)."""
-    lines = ["step,temperature,energy_h,energy_logic,magnetization"]
-    for t in range(len(traj)):
-        lines.append(
-            ",".join(
-                (
-                    str(int(traj.step_index[t])),
-                    format_float(traj.temperatures[t]),
-                    format_float(traj.energy_h[t]),
-                    str(int(traj.energy_logic[t])),
-                    format_float(traj.magnetization[t]),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
+    """Render a trajectory as CSV (LF endings, 17-significant-digit floats).
+
+    Floats go through ``format_float``, once per distinct value of a column;
+    the rendered temperature column is reused while consecutive trajectories
+    share a schedule.
+    """
+    rows = zip(
+        map(str, np.asarray(traj.step_index, dtype=np.int64).tolist()),
+        _temperature_texts(np.asarray(traj.temperatures, dtype=np.float64).tobytes()),
+        _column_texts(traj.energy_h),
+        map(str, np.asarray(traj.energy_logic, dtype=np.int64).tolist()),
+        _column_texts(traj.magnetization),
+    )
+    header = "step,temperature,energy_h,energy_logic,magnetization"
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
 def trajectory_filename(instance: str, seed: int) -> str:

@@ -253,7 +253,10 @@ def cmd_backbone(config: RunConfig, exact: bool) -> int:
     for path in files:
         try:
             formula = parse_dimacs_file(path, lenient=config.lenient)
-            models = enumerate_models(formula, config.cap)
+            exact_models = None
+            if exact and formula.num_vars <= BRUTE_FORCE_MAX_VARS:
+                exact_models = brute_force_models(formula)
+            models = enumerate_models(formula, config.cap, exact_models)
             if not models.models:
                 print(f"{formula.source_name}: sat=false")
                 continue
@@ -263,8 +266,8 @@ def cmd_backbone(config: RunConfig, exact: bool) -> int:
                 f" truncated={str(report.exact is False).lower()}"
                 f" backbone={report.size} normalized={report.normalized:.3f}"
             )
-            if exact and formula.num_vars <= BRUTE_FORCE_MAX_VARS:
-                exact_report = backbone(brute_force_models(formula), formula.num_vars)
+            if exact_models is not None:
+                exact_report = backbone(exact_models, formula.num_vars)
                 line += f" backbone_exact={exact_report.size}"
             print(line)
         except Exception as exc:
@@ -312,13 +315,13 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
     capped_report = exact_report = None
     slack_value = None
     if sat:
-        capped_models = enumerate_models(formula, config.cap)
-        capped_report = backbone(capped_models, formula.num_vars)
-        slack_models = capped_models.models
+        exact_models = None
         if formula.num_vars <= BRUTE_FORCE_MAX_VARS:
             exact_models = brute_force_models(formula)
             exact_report = backbone(exact_models, formula.num_vars)
-            slack_models = exact_models.models
+        capped_models = enumerate_models(formula, config.cap, exact_models)
+        capped_report = backbone(capped_models, formula.num_vars)
+        slack_models = (capped_models if exact_models is None else exact_models).models
         slack_value = sum(mean_slack(formula, m) for m in slack_models) / len(slack_models)
 
     seed = derive_seed(config.seed, formula.source_name)

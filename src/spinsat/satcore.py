@@ -108,15 +108,22 @@ def _propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[i
         false |= pure & neg_occurs
 
 
-def _solve_masks(clauses: list[tuple[int, int]]) -> int | None:
+def _solve_masks(clauses: list[tuple[int, int]], live: set[int] | None = None) -> int | None:
     """Mask of the true variables of the first model found, or None if UNSAT.
 
     Depth-first search with an explicit stack: branch on the lowest
-    unassigned variable, true branch first.
+    unassigned variable, true branch first. ``live``, when given, holds the
+    true-masks of every model of ``clauses``; a state that none of them
+    extends is dropped before propagation. A subtree returns only a model
+    that extends its state, so every dropped subtree would have returned
+    None, and the search finds the same first model.
     """
     stack = [(0, 0)]
     while stack:
-        state = _propagate(clauses, *stack.pop())
+        true, false = stack.pop()
+        if live is not None and not any(m & true == true and not m & false for m in live):
+            continue
+        state = _propagate(clauses, true, false)
         if state is None:
             continue
         true, false, satisfied = state
@@ -140,26 +147,38 @@ def solve(f: Formula) -> Assignment | None:
     return None if true is None else _assignment(true, f.num_vars)
 
 
-def enumerate_models(f: Formula, cap: int = 120) -> ModelSet:
+def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) -> ModelSet:
     """Enumerate up to ``cap`` distinct models via blocking clauses.
 
     After each model the clause forbidding exactly that assignment is added
     and the solver reruns, so enumeration order follows the deterministic
     branching order. ``truncated`` is True iff a further model exists beyond
     the cap.
+
+    ``exact``, the complete model set of ``f`` (``brute_force_models``),
+    prunes the search: a partial assignment that extends no model not yet
+    found is skipped, and ``truncated`` is read off the models left over.
+    The result is the same as without it.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
+    live = None
+    if exact is not None:
+        if exact.truncated:
+            raise ValueError("exact model set must not be truncated")
+        live = {sum(1 << v for v, value in enumerate(model) if value) for model in exact.models}
     clauses = _clause_masks(f)
     every_var = (1 << f.num_vars) - 1
     models: list[Assignment] = []
     while len(models) < cap:
-        true = _solve_masks(clauses)
+        true = _solve_masks(clauses, live)
         if true is None:
             return ModelSet(tuple(models), truncated=False, cap=cap)
         models.append(_assignment(true, f.num_vars))
         clauses.append((every_var ^ true, true))
-    truncated = _solve_masks(clauses) is not None
+        if live is not None:
+            live.discard(true)
+    truncated = bool(live) if live is not None else _solve_masks(clauses) is not None
     return ModelSet(tuple(models), truncated=truncated, cap=cap)
 
 

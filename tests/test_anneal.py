@@ -8,13 +8,14 @@ import pytest
 from spinsat import ising
 from spinsat.anneal import (
     Schedule,
+    Trajectory,
     anneal,
     batch_anneal,
     metropolis_step,
     trajectory_csv,
 )
 from spinsat.cnf import logical_energy
-from spinsat.ising import Hamiltonian, hamiltonian_energy, magnetization, spins_to_assignment
+from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization, spins_to_assignment
 
 
 def single_spin_hamiltonian(h: float) -> Hamiltonian:
@@ -220,6 +221,58 @@ def test_trajectory_csv_shape(uf20_compiled):
     assert lines[0] == "step,temperature,energy_h,energy_logic,magnetization"
     assert len(lines) == 12
     assert lines[1].startswith("0,2.5,")
+
+
+def rendered_rows(traj: Trajectory) -> str:
+    """The per-row renderer trajectory_csv replaced: three format_float calls a row."""
+    lines = ["step,temperature,energy_h,energy_logic,magnetization"]
+    for t in range(len(traj)):
+        lines.append(
+            ",".join(
+                (
+                    str(int(traj.step_index[t])),
+                    format_float(traj.temperatures[t]),
+                    format_float(traj.energy_h[t]),
+                    str(int(traj.energy_logic[t])),
+                    format_float(traj.magnetization[t]),
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_per_row_renderer(uf20_compiled):
+    H, f = uf20_compiled
+    short = Schedule(steps=300)
+    runs = [
+        anneal(H, f, Schedule(), seed=3),
+        anneal(H, f, Schedule(), seed=4),
+        anneal(H, f, short, seed=3, sweeps=True),
+        anneal(H, f, Schedule(t0=1.0, steps=300), seed=3),
+        anneal(H, f, Schedule(steps=0), seed=3),
+        anneal(H, f, short, seed=6),
+    ]
+    # Back to back: two of one schedule reuse the cached temperature column,
+    # and a schedule of the same length but other temperatures must not.
+    for traj in runs:
+        assert trajectory_csv(traj) == rendered_rows(traj)
+
+
+def test_trajectory_csv_keeps_signed_zeros_and_subnormals():
+    traj = Trajectory(
+        instance="hand",
+        seed=0,
+        schedule=Schedule(steps=4),
+        step_index=np.arange(5, dtype=np.int64),
+        temperatures=np.array([2.5, 1.25, 1.25, 5e-324, 0.1]),
+        energy_h=np.array([0.0, -0.0, 5e-324, -0.0, 0.0]),
+        energy_logic=np.array([3, 0, 0, 1, 0], dtype=np.int32),
+        magnetization=np.array([-0.0, 0.0, -0.0, 2.2250738585072014e-309, 0.0]),
+        final_state=np.array([1], dtype=np.int8),
+    )
+    text = trajectory_csv(traj)
+    assert text == rendered_rows(traj)
+    assert text.splitlines()[2] == "1,1.25,-0,0,0"
 
 
 def test_anneal_rejects_empty_hamiltonian():

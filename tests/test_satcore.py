@@ -16,6 +16,7 @@ from spinsat.cnf import (
     parse_dimacs,
     parse_dimacs_file,
 )
+from spinsat import satcore
 from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, solve
 
 # Recorded from the recursive dict-based DPLL that preceded the bitmask
@@ -255,10 +256,11 @@ def frozen_family() -> list[Formula]:
 
 def test_enumerate_sb005_order_is_frozen(uf20_paths):
     f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
-    ms = enumerate_models(f, cap=120)
-    assert len(ms.models) == 120
-    assert ms.truncated
-    assert digest([bits(m) for m in ms.models]) == SB005_DIGEST
+    for exact in (None, brute_force_models(f)):
+        ms = enumerate_models(f, cap=120, exact=exact)
+        assert len(ms.models) == 120
+        assert ms.truncated
+        assert digest([bits(m) for m in ms.models]) == SB005_DIGEST
 
 
 def test_solve_uf20_models_are_frozen(uf20_formulas):
@@ -266,18 +268,55 @@ def test_solve_uf20_models_are_frozen(uf20_formulas):
 
 
 def test_small_family_decisions_are_frozen():
-    lines = []
-    unsat = 0
-    for f in frozen_family():
-        model = solve(f)
-        unsat += model is None
-        lines.append("-" if model is None else bits(model))
-        for cap in (1, 3, 50):
-            ms = enumerate_models(f, cap)
-            lines.append(f"cap={cap} truncated={int(ms.truncated)} count={len(ms.models)}")
-            lines.extend(bits(m) for m in ms.models)
-    assert unsat > 0
-    assert digest(lines) == FAMILY_DIGEST
+    for pruned in (False, True):
+        lines = []
+        unsat = 0
+        for f in frozen_family():
+            model = solve(f)
+            unsat += model is None
+            lines.append("-" if model is None else bits(model))
+            exact = brute_force_models(f) if pruned else None
+            for cap in (1, 3, 50):
+                ms = enumerate_models(f, cap, exact)
+                lines.append(f"cap={cap} truncated={int(ms.truncated)} count={len(ms.models)}")
+                lines.extend(bits(m) for m in ms.models)
+        assert unsat > 0
+        assert digest(lines) == FAMILY_DIGEST
+
+
+def test_pruned_enumeration_matches_unpruned(uf20_formulas):
+    cases = [(f, cap) for f in uf20_formulas for cap in (1, 3, 50, 120, 200)]
+    cases += [(f, cap) for f in frozen_family() for cap in (1, 3, 50)]
+    cases += [(Formula(0, ()), cap) for cap in (1, 3)]
+    cases += [(Formula(4, ()), cap) for cap in (5, 16)]
+    for f, cap in cases:
+        assert enumerate_models(f, cap, brute_force_models(f)) == enumerate_models(f, cap)
+
+
+def test_pruned_enumeration_never_backtracks(uf20_paths, monkeypatch):
+    # Every state the pruned search propagates extends a model not yet
+    # found, so no propagation hits a conflict and each model costs at most
+    # one propagation per variable plus the root.
+    f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
+    results = []
+
+    def counted(*args):
+        result = propagate(*args)
+        results.append(result)
+        return result
+
+    propagate = satcore._propagate
+    monkeypatch.setattr(satcore, "_propagate", counted)
+    ms = enumerate_models(f, cap=120, exact=brute_force_models(f))
+    assert len(ms.models) == 120 and ms.truncated
+    assert results and None not in results
+    assert len(results) <= (f.num_vars + 1) * len(ms.models)
+
+
+def test_enumerate_rejects_truncated_exact_set():
+    f = Formula(4, ())
+    with pytest.raises(ValueError):
+        enumerate_models(f, cap=3, exact=enumerate_models(f, cap=3))
 
 
 def test_brute_force_matches_scan_in_order(uf20_formulas):
