@@ -3,9 +3,16 @@
 Reproducibility contract: a trajectory is fully determined by the
 Hamiltonian, the schedule, and the seed. Randomness comes from a single
 PCG64 stream consumed in a fixed layout (initial spins, then all flip
-indices, then all uniforms), and every float reduction inside the step loop
-runs in a fixed order, so two runs with equal inputs produce byte-identical
-trajectory CSVs.
+indices, then all uniforms), so two runs with equal inputs produce
+byte-identical trajectory CSVs.
+
+The kernel keeps each spin's local field h_i + sum_j J_ij s_j and updates
+the neighbours' fields on every accepted flip, so a rejected proposal costs
+O(1). Compiled Hamiltonians, and their ``export_csv``/``import_csv`` round
+trips, have dyadic coefficients (see ``spinsat.ising``), so every kept field
+equals the sum recomputed from scratch bit for bit, in any order. A
+hand-built Hamiltonian with inexact floats still anneals deterministically,
+but its kept fields may round differently from a recomputation.
 """
 from __future__ import annotations
 
@@ -18,12 +25,11 @@ from typing import Sequence
 import numpy as np
 
 from .cnf import Formula
-from .ising import Hamiltonian, SpinState, delta_energy, format_float, hamiltonian_energy
+from .ising import Hamiltonian, SpinState, format_float, hamiltonian_energy
 
 __all__ = [
     "Schedule",
     "Trajectory",
-    "metropolis_step",
     "anneal",
     "batch_anneal",
     "trajectory_csv",
@@ -46,6 +52,12 @@ class Schedule:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        # The temperature only falls, so a positive last one covers every step.
+        if not self.temperature(self.steps) > 0:
+            raise ValueError(
+                f"temperature underflows to 0: t0 * alpha**steps = "
+                f"{self.t0!r} * {self.alpha!r}**{self.steps} is not > 0"
+            )
 
     def temperature(self, t: int) -> float:
         return self.t0 * self.alpha**t
@@ -71,27 +83,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.step_index)
-
-
-def metropolis_step(
-    H: Hamiltonian, s: SpinState, T: float, rng: np.random.Generator
-) -> tuple[bool, float]:
-    """One single-spin-flip proposal at temperature ``T``.
-
-    Picks one index uniformly over all spins (ancillas included), computes
-    the flip cost, and accepts with probability min(1, exp(-dE/T)). The flip
-    is applied in place on acceptance. Each call consumes exactly one index
-    draw and one uniform draw from ``rng``.
-    """
-    if not T > 0:
-        raise ValueError("temperature must be positive")
-    i = int(rng.integers(0, H.num_spins))
-    d_e = delta_energy(H, s, i)
-    u = float(rng.random())
-    accepted = d_e <= 0.0 or u < math.exp(-d_e / T)
-    if accepted:
-        s[i] = -s[i]
-    return accepted, d_e
 
 
 def _clause_occurrences(f: Formula) -> list[list[tuple[int, int]]]:
@@ -136,8 +127,12 @@ def anneal(
     flip_indices = rng.integers(0, num_spins, size=total_attempts).tolist()
     uniforms = rng.random(size=total_attempts).tolist()
 
-    h_flat = H.fields
     adjacency = H.adjacency
+    # field[i] = h_i + sum_j J_ij s_j; flipping spin i costs -2 s_i field[i].
+    field = list(H.fields)
+    for i, neighbors in enumerate(adjacency):
+        for j, jf in neighbors:
+            field[i] += jf * spins[j]
     occurrences = _clause_occurrences(f)
     slack = [0] * f.num_clauses
     for j, clause in enumerate(f.clauses):
@@ -147,16 +142,10 @@ def anneal(
     energy_raw = hamiltonian_energy(H, spins)
     floor = H.energy_floor
 
-    n_points = sched.steps + 1
-    rec_temperature = np.empty(n_points, dtype=np.float64)
-    rec_energy_h = np.empty(n_points, dtype=np.float64)
-    rec_energy_logic = np.empty(n_points, dtype=np.int32)
-    rec_magnetization = np.empty(n_points, dtype=np.float64)
-
-    rec_temperature[0] = sched.t0
-    rec_energy_h[0] = energy_raw - floor
-    rec_energy_logic[0] = unsat
-    rec_magnetization[0] = core_sum / n_core
+    rec_temperature = [sched.t0]
+    rec_energy_h = [energy_raw - floor]
+    rec_energy_logic = [unsat]
+    rec_core_sum = [core_sum]
 
     exp = math.exp
     draw = 0
@@ -166,16 +155,16 @@ def anneal(
             i = flip_indices[draw]
             u = uniforms[draw]
             draw += 1
-            acc = h_flat[i]
-            for j, jf in adjacency[i]:
-                acc += jf * spins[j]
-            d_e = -2.0 * spins[i] * acc
+            new_value = -spins[i]
+            d_e = 2.0 * new_value * field[i]
             if d_e <= 0.0 or u < exp(-d_e / temperature):
-                new_value = -spins[i]
                 spins[i] = new_value
                 energy_raw += d_e
+                shift = 2 * new_value
+                for j, jf in adjacency[i]:
+                    field[j] += shift * jf
                 if i < n_core:
-                    core_sum += 2 * new_value
+                    core_sum += shift
                     for cj, sign in occurrences[i]:
                         if sign == new_value:
                             slack[cj] += 1
@@ -185,20 +174,20 @@ def anneal(
                             slack[cj] -= 1
                             if slack[cj] == 0:
                                 unsat += 1
-        rec_temperature[t] = temperature
-        rec_energy_h[t] = energy_raw - floor
-        rec_energy_logic[t] = unsat
-        rec_magnetization[t] = core_sum / n_core
+        rec_temperature.append(temperature)
+        rec_energy_h.append(energy_raw - floor)
+        rec_energy_logic.append(unsat)
+        rec_core_sum.append(core_sum)
 
     return Trajectory(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        step_index=np.arange(n_points, dtype=np.int64),
-        temperatures=rec_temperature,
-        energy_h=rec_energy_h,
-        energy_logic=rec_energy_logic,
-        magnetization=rec_magnetization,
+        step_index=np.arange(sched.steps + 1, dtype=np.int64),
+        temperatures=np.array(rec_temperature, dtype=np.float64),
+        energy_h=np.array(rec_energy_h, dtype=np.float64),
+        energy_logic=np.array(rec_energy_logic, dtype=np.int32),
+        magnetization=np.array(rec_core_sum, dtype=np.float64) / n_core,
         final_state=np.array(spins, dtype=np.int8),
     )
 

@@ -254,7 +254,7 @@ def cmd_backbone(config: RunConfig, exact: bool) -> int:
         try:
             formula = parse_dimacs_file(path, lenient=config.lenient)
             exact_models = None
-            if exact and formula.num_vars <= BRUTE_FORCE_MAX_VARS:
+            if formula.num_vars <= BRUTE_FORCE_MAX_VARS:
                 exact_models = brute_force_models(formula)
             models = enumerate_models(formula, config.cap, exact_models)
             if not models.models:
@@ -266,7 +266,7 @@ def cmd_backbone(config: RunConfig, exact: bool) -> int:
                 f" truncated={str(report.exact is False).lower()}"
                 f" backbone={report.size} normalized={report.normalized:.3f}"
             )
-            if exact_models is not None:
+            if exact and exact_models is not None:
                 exact_report = backbone(exact_models, formula.num_vars)
                 line += f" backbone_exact={exact_report.size}"
             print(line)

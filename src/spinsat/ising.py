@@ -27,9 +27,9 @@ the default.
 Coefficients are float64 and exact. ``compile`` accepts a k_factor that is a
 multiple of 1/1024 in (0, 2**20), so every coefficient is a multiple of
 2**-15 below 2**34 units, a dyadic rational that float64 holds without
-rounding. Sums of coefficients, the energy floor and every energy the
-annealer accumulates are then exact too, provided the formula has fewer than
-about 2**19 clauses.
+rounding. Sums of coefficients, the energy floor and every energy and local
+field the annealer accumulates are then exact too, provided the formula has
+fewer than about 2**19 clauses.
 """
 from __future__ import annotations
 
@@ -57,7 +57,6 @@ __all__ = [
     "clause_polynomial",
     "compile",
     "hamiltonian_energy",
-    "delta_energy",
     "magnetization",
     "exhaustive_core_minima",
     "format_float",
@@ -346,20 +345,6 @@ def hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
     for (i, j), coeff in sorted(H.couplings.items()):
         total += coeff * s[i] * s[j]
     return total
-
-
-def delta_energy(H: Hamiltonian, s: Sequence[int], i: int) -> float:
-    """Energy change from flipping spin ``i``: -2 s_i (h_i + sum_j J_ij s_j).
-
-    Neighbors are visited in ascending index order; the summation order is
-    fixed so trajectories replay bit-identically.
-    """
-    if not 0 <= i < H.num_spins:
-        raise ValueError(f"spin index {i} out of range")
-    acc = H.fields[i]
-    for j, jf in H.adjacency[i]:
-        acc += jf * s[j]
-    return -2.0 * s[i] * acc
 
 
 def magnetization(s: Sequence[int], core_count: int) -> float:

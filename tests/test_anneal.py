@@ -11,15 +11,103 @@ from spinsat.anneal import (
     Trajectory,
     anneal,
     batch_anneal,
-    metropolis_step,
     trajectory_csv,
 )
-from spinsat.cnf import logical_energy
+from spinsat.cnf import Formula, logical_energy
 from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization, spins_to_assignment
 
 
 def single_spin_hamiltonian(h: float) -> Hamiltonian:
     return Hamiltonian(offset=0.0, fields=(h,), couplings={}, core_count=1, ancillas=())
+
+
+def free_spins(H: Hamiltonian) -> Formula:
+    """A formula with one variable per spin and no clauses, so ``anneal`` accepts ``H``."""
+    return Formula(H.num_spins, ())
+
+
+def random_hamiltonian(rng, n: int) -> Hamiltonian:
+    """Dense random couplings and fields, all multiples of 1/8 (exact in float64)."""
+    fields = tuple(int(rng.integers(-8, 9)) / 8 for _ in range(n))
+    couplings = {
+        (i, j): int(rng.integers(-8, 9)) / 8
+        for i in range(n)
+        for j in range(i + 1, n)
+        if rng.random() < 0.5
+    }
+    return Hamiltonian(offset=0.0, fields=fields, couplings=couplings, core_count=n, ancillas=())
+
+
+def reference_anneal(
+    H: Hamiltonian, f: Formula, sched: Schedule, seed: int, sweeps: bool = False
+) -> Trajectory:
+    """The recomputing Metropolis kernel: every proposal re-sums h_i + sum_j J_ij s_j.
+
+    Same stream layout, acceptance test and records as ``anneal``, with no
+    state kept between proposals but the spins, the energy and the clause
+    slacks: the flip cost is re-summed over the adjacency each time, and the
+    unsatisfied count is recounted after each accepted core flip.
+    """
+    num_spins, n_core = H.num_spins, H.core_count
+    rng = np.random.Generator(np.random.PCG64(seed))
+    spins = [1 if b else -1 for b in rng.integers(0, 2, size=num_spins)]
+    attempts_per_step = num_spins if sweeps else 1
+    total_attempts = sched.steps * attempts_per_step
+    flip_indices = rng.integers(0, num_spins, size=total_attempts).tolist()
+    uniforms = rng.random(size=total_attempts).tolist()
+
+    occurrences = [
+        [(cj, lit.sign) for cj, c in enumerate(f.clauses) for lit in c.literals if lit.var == v]
+        for v in range(n_core)
+    ]
+    slack = [sum(1 for lit in c.literals if spins[lit.var] == lit.sign) for c in f.clauses]
+    unsat = slack.count(0)
+    core_sum = sum(spins[:n_core])
+    energy_raw = hamiltonian_energy(H, spins)
+    temperatures, energy_h = [sched.t0], [energy_raw - H.energy_floor]
+    energy_logic, mags = [unsat], [core_sum / n_core]
+    draw = 0
+    for t in range(1, sched.steps + 1):
+        temperature = sched.t0 * sched.alpha**t
+        for _ in range(attempts_per_step):
+            i, u = flip_indices[draw], uniforms[draw]
+            draw += 1
+            acc = H.fields[i]
+            for j, jf in H.adjacency[i]:
+                acc += jf * spins[j]
+            d_e = -2.0 * spins[i] * acc
+            if d_e <= 0.0 or u < math.exp(-d_e / temperature):
+                spins[i] = -spins[i]
+                energy_raw += d_e
+                if i < n_core:
+                    core_sum += 2 * spins[i]
+                    for cj, sign in occurrences[i]:
+                        slack[cj] += 1 if sign == spins[i] else -1
+                    unsat = slack.count(0)
+        temperatures.append(temperature)
+        energy_h.append(energy_raw - H.energy_floor)
+        energy_logic.append(unsat)
+        mags.append(core_sum / n_core)
+    return Trajectory(
+        instance=f.source_name,
+        seed=seed,
+        schedule=sched,
+        step_index=np.arange(sched.steps + 1, dtype=np.int64),
+        temperatures=np.array(temperatures),
+        energy_h=np.array(energy_h),
+        energy_logic=np.array(energy_logic, dtype=np.int32),
+        magnetization=np.array(mags),
+        final_state=np.array(spins, dtype=np.int8),
+    )
+
+
+def assert_same_run(a: Trajectory, b: Trajectory) -> None:
+    """Byte-equal CSV and final state; a failure names the first differing row."""
+    rows_a, rows_b = trajectory_csv(a).splitlines(), trajectory_csv(b).splitlines()
+    first = next((k for k, pair in enumerate(zip(rows_a, rows_b)) if pair[0] != pair[1]), None)
+    assert first is None, f"row {first}: {rows_a[first]!r} != {rows_b[first]!r}"
+    assert len(rows_a) == len(rows_b)
+    assert a.final_state.tobytes() == b.final_state.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -53,48 +141,156 @@ def test_recorded_temperature_matches_closed_form(uf20_compiled):
 
 
 # ---------------------------------------------------------------------------
-# metropolis step
+# Metropolis acceptance, seen on one free spin: each step proposes flipping it
 # ---------------------------------------------------------------------------
 
 
 def test_downhill_always_accepted():
+    # E = h s with h = 1: flipping s = +1 costs -2, accepted even at T = 0.01.
     H = single_spin_hamiltonian(1.0)
-    rng = np.random.Generator(np.random.PCG64(1))
-    for _ in range(200):
-        s = np.array([1], dtype=np.int8)  # flipping gives dE = -2
-        accepted, d_e = metropolis_step(H, s, 0.01, rng)
-        assert accepted and d_e == -2.0 and s[0] == -1
+    f = free_spins(H)
+    downhill = 0
+    for seed in range(200):
+        traj = anneal(H, f, Schedule(t0=0.01, steps=1), seed=seed)
+        if traj.energy_h[0] == 1.0:
+            downhill += 1
+            assert traj.energy_h[1] == -1.0 and traj.final_state[0] == -1
+    assert downhill >= 50
 
 
 def test_acceptance_frequency_at_de_equal_t():
-    # dE = +1 at T = 1: acceptance probability e^-1, estimated over 10^5
-    # trials with a frozen stream.
+    # h = -1/2: flipping s = +1 costs dE = +1 at T ~ 1 (alpha**steps ~ 1 - 1e-7),
+    # so e^-1 of those proposals should pass; s = -1 always flips back.
     H = single_spin_hamiltonian(-0.5)
-    rng = np.random.Generator(np.random.PCG64(2024))
-    trials = 100_000
-    accepted = 0
-    for _ in range(trials):
-        s = np.array([1], dtype=np.int8)
-        ok, d_e = metropolis_step(H, s, 1.0, rng)
-        assert d_e == 1.0
-        accepted += ok
-    assert abs(accepted / trials - math.exp(-1)) <= 0.01
+    traj = anneal(H, free_spins(H), Schedule(t0=1.0, alpha=1 - 1e-12, steps=100_000), seed=2024)
+    before, after = traj.energy_h[:-1], traj.energy_h[1:]
+    uphill = before == -0.5
+    accepted = uphill & (after == 0.5)
+    assert np.all(after[~uphill] == -0.5)
+    assert uphill.sum() > 50_000
+    assert abs(accepted.sum() / uphill.sum() - math.exp(-1)) <= 0.01
 
 
 def test_high_temperature_accepts_nearly_everything():
     H = single_spin_hamiltonian(-0.5)
-    rng = np.random.Generator(np.random.PCG64(7))
-    accepted = sum(
-        metropolis_step(H, np.array([1], dtype=np.int8), 1e9, rng)[0] for _ in range(2000)
-    )
-    assert accepted / 2000 > 0.999
+    traj = anneal(H, free_spins(H), Schedule(t0=1e9, steps=2000), seed=7)
+    flips = np.count_nonzero(np.diff(traj.energy_h))
+    assert flips / 2000 > 0.999
 
 
 def test_metropolis_requires_positive_temperature():
+    # The kernel divides by T, so a schedule whose last temperature underflows
+    # to 0 is refused when it is built, before any step runs.
+    for kwargs in (dict(t0=1e-300, alpha=0.5, steps=100), dict(alpha=0.001, steps=200)):
+        with pytest.raises(ValueError, match="temperature underflows to 0"):
+            Schedule(**kwargs)
+    with pytest.raises(ValueError, match="temperature underflows to 0"):
+        Schedule(t0=1.0, alpha=0.5, steps=1075)
+    # 0.5**1074 is the smallest subnormal: still positive, and the kernel runs.
+    H = single_spin_hamiltonian(-0.5)
+    traj = anneal(H, free_spins(H), Schedule(t0=1.0, alpha=0.5, steps=1074), seed=0)
+    assert traj.temperatures[-1] == 5e-324
+
+
+# ---------------------------------------------------------------------------
+# flip cost
+# ---------------------------------------------------------------------------
+
+
+def test_flip_cost_isolated_spin():
+    # Every step at T = 1e9 flips the lone spin; with h = 1 it costs -2 s exactly.
     H = single_spin_hamiltonian(1.0)
-    rng = np.random.Generator(np.random.PCG64(0))
-    with pytest.raises(ValueError):
-        metropolis_step(H, np.array([1], dtype=np.int8), 0.0, rng)
+    traj = anneal(H, free_spins(H), Schedule(t0=1e9, steps=50), seed=3)
+    assert np.array_equal(np.diff(traj.energy_h), -2.0 * traj.energy_h[:-1])
+
+
+def replay_layout(n: int, steps: int, seed: int) -> tuple[list[int], list[int], list[float]]:
+    """The single-flip stream of ``anneal``: initial spins, flip indices, uniforms."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    spins = [1 if b else -1 for b in rng.integers(0, 2, size=n)]
+    return spins, rng.integers(0, n, size=steps).tolist(), rng.random(size=steps).tolist()
+
+
+def test_flip_cost_involution():
+    # At T = 1e9 every flip is taken, so a spin proposed twice in a row
+    # returns the energy to where it was.
+    rng = np.random.default_rng(57)
+    repeats = 0
+    for seed in range(20):
+        H = random_hamiltonian(rng, 8)
+        traj = anneal(H, free_spins(H), Schedule(t0=1e9, steps=200), seed=seed)
+        _, indices, _ = replay_layout(8, 200, seed)
+        for t in range(1, 200):
+            if indices[t - 1] == indices[t]:
+                repeats += 1
+                assert traj.energy_h[t + 1] == traj.energy_h[t - 1]
+    assert repeats > 100
+
+
+def test_flip_cost_matches_full_reevaluation():
+    # Replays the stream with each flip cost taken as E(after) - E(before)
+    # over the whole Hamiltonian; every recorded energy and decision agrees.
+    rng = np.random.default_rng(59)
+    sched = Schedule(t0=1.0, steps=100)
+    for seed in range(100):
+        H = random_hamiltonian(rng, 6)
+        traj = anneal(H, free_spins(H), sched, seed=seed)
+        s, indices, uniforms = replay_layout(6, 100, seed)
+        for t, (i, u) in enumerate(zip(indices, uniforms), start=1):
+            before = hamiltonian_energy(H, s)
+            s[i] = -s[i]
+            d_e = hamiltonian_energy(H, s) - before
+            if not (d_e <= 0.0 or u < math.exp(-d_e / sched.temperature(t))):
+                s[i] = -s[i]
+            assert traj.energy_h[t] == hamiltonian_energy(H, s)
+        assert traj.final_state.tolist() == s
+
+
+# ---------------------------------------------------------------------------
+# the kept-field kernel against the recomputing one
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("gadget_mode", [ising.GADGET_CORRECTED, ising.GADGET_PAPER_LITERAL])
+def test_kernel_matches_reference_on_uf20(uf20_formulas, gadget_mode):
+    for f in uf20_formulas:
+        H = ising.compile(f, gadget_mode=gadget_mode)
+        for seed in (0, 1, 2):
+            assert_same_run(anneal(H, f, Schedule(), seed), reference_anneal(H, f, Schedule(), seed))
+
+
+def test_kernel_matches_reference_in_sweeps(uf20_formulas):
+    sched = Schedule(steps=150)
+    for f in uf20_formulas[:4]:
+        for gadget_mode in (ising.GADGET_CORRECTED, ising.GADGET_PAPER_LITERAL):
+            H = ising.compile(f, gadget_mode=gadget_mode)
+            assert_same_run(
+                anneal(H, f, sched, 4, sweeps=True), reference_anneal(H, f, sched, 4, sweeps=True)
+            )
+
+
+def test_kernel_matches_reference_at_fractional_k_factor(uf20_formulas):
+    for f in uf20_formulas[:6]:
+        H = ising.compile(f, k_factor=12.25)
+        for seed in (0, 1):
+            assert_same_run(anneal(H, f, Schedule(), seed), reference_anneal(H, f, Schedule(), seed))
+
+
+def test_kernel_matches_reference_after_csv_round_trip(uf20_formulas):
+    f = uf20_formulas[3]
+    H = ising.import_csv(*ising.export_csv(ising.compile(f, k_factor=12.25)))
+    for seed, sweeps in ((5, False), (6, True)):
+        sched = Schedule(steps=300) if sweeps else Schedule()
+        assert_same_run(anneal(H, f, sched, seed, sweeps), reference_anneal(H, f, sched, seed, sweeps))
+
+
+def test_kernel_matches_reference_on_random_hamiltonians():
+    rng = np.random.default_rng(61)
+    for seed in range(30):
+        H = random_hamiltonian(rng, 12)
+        f = free_spins(H)
+        sched = Schedule(t0=3.0, alpha=0.99, steps=400)
+        assert_same_run(anneal(H, f, sched, seed), reference_anneal(H, f, sched, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +302,7 @@ def test_anneal_bit_exact_reproducibility(uf20_compiled):
     H, f = uf20_compiled
     a = anneal(H, f, Schedule(), seed=42)
     b = anneal(H, f, Schedule(), seed=42)
-    assert trajectory_csv(a) == trajectory_csv(b)
-    assert np.array_equal(a.final_state, b.final_state)
+    assert_same_run(a, b)
     c = anneal(H, f, Schedule(), seed=43)
     assert trajectory_csv(a) != trajectory_csv(c)
 
@@ -184,7 +379,7 @@ def test_batch_order_preserved(uf20_formulas):
     out = batch_anneal(pairs, sched, seeds=[1, 2, 3])
     permuted = batch_anneal(pairs[::-1], sched, seeds=[3, 2, 1])
     for traj, traj_rev in zip(out, permuted[::-1]):
-        assert trajectory_csv(traj) == trajectory_csv(traj_rev)
+        assert_same_run(traj, traj_rev)
 
 
 def test_batch_base_seed_expansion(uf20_formulas):
@@ -206,7 +401,7 @@ def test_batch_parallel_equals_serial(uf20_formulas):
     serial = batch_anneal(pairs, sched, seeds=5, workers=1)
     parallel = batch_anneal(pairs, sched, seeds=5, workers=3)
     for a, b in zip(serial, parallel):
-        assert trajectory_csv(a) == trajectory_csv(b)
+        assert_same_run(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +471,6 @@ def test_trajectory_csv_keeps_signed_zeros_and_subnormals():
 
 
 def test_anneal_rejects_empty_hamiltonian():
-    from spinsat.cnf import Formula
-
     f = Formula(0, ())
     with pytest.raises(ValueError):
         anneal(ising.compile(f), f, Schedule(steps=1), seed=0)
@@ -288,4 +481,4 @@ def test_batch_anneal_sweeps_passthrough(uf20_formulas):
     pairs = [(ising.compile(f), f)]
     direct = anneal(pairs[0][0], f, Schedule(steps=20), seed=8, sweeps=True)
     batched = batch_anneal(pairs, Schedule(steps=20), seeds=[8], sweeps=True)[0]
-    assert trajectory_csv(direct) == trajectory_csv(batched)
+    assert_same_run(direct, batched)

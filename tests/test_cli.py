@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spinsat import analysis
+from spinsat import analysis, cli
 from spinsat.cli import derive_seed, main
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
@@ -123,6 +123,31 @@ def test_backbone_command(uf20_paths, capsys):
     assert run_cli(["backbone", str(uf20_paths[0]), "--exact"]) == 0
     out = capsys.readouterr().out
     assert "backbone=" in out and "backbone_exact=" in out
+
+
+@pytest.mark.parametrize("cap", [1, 3, 120])
+def test_backbone_stdout_matches_unpruned_path(tmp_path, uf20_paths, monkeypatch, capsys, cap):
+    unsat = tmp_path / "unsat.cnf"
+    unsat.write_text(UNSAT_CNF)
+    args = ["backbone", *map(str, uf20_paths), str(unsat), "--cap", str(cap)]
+    assert run_cli(args) == 0
+    pruned = capsys.readouterr().out
+    # With no formula small enough for an exact model set, enumeration runs unpruned.
+    monkeypatch.setattr(cli, "BRUTE_FORCE_MAX_VARS", -1)
+    assert run_cli(args) == 0
+    assert pruned == capsys.readouterr().out
+    assert "backbone_exact=" not in pruned
+    assert pruned.count("\n") == len(uf20_paths) + 1
+    assert "unsat: sat=false\n" in pruned
+
+
+def test_anneal_rejects_underflowing_schedule(tmp_path, uf20_paths, capsys):
+    out = tmp_path / "out"
+    assert run_cli([
+        "anneal", str(uf20_paths[0]), "--outdir", str(out), "--alpha", "0.001", "--steps", "200",
+    ]) == 1
+    assert "temperature underflows to 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_anneal_command_writes_trajectory(tmp_path, uf20_paths):

@@ -14,7 +14,6 @@ from spinsat.ising import (
     Hamiltonian,
     assignment_to_spins,
     clause_polynomial,
-    delta_energy,
     exhaustive_core_minima,
     export_csv,
     hamiltonian_energy,
@@ -254,41 +253,6 @@ def test_energy_length_mismatch():
     H = Hamiltonian(0.0, (1.0,), {}, 1, ())
     with pytest.raises(ValueError):
         hamiltonian_energy(H, [1, 1])
-
-
-def test_delta_energy_isolated_spin():
-    H = Hamiltonian(0.0, (1.0,), {}, 1, ())
-    assert delta_energy(H, [1], 0) == -2.0
-
-
-def test_delta_energy_involution():
-    rng = np.random.default_rng(57)
-    H = random_hamiltonian(rng)
-    s = [1] * H.num_spins
-    d1 = delta_energy(H, s, 3)
-    s[3] = -s[3]
-    d2 = delta_energy(H, s, 3)
-    assert d1 + d2 == 0.0
-
-
-def test_delta_energy_matches_full_reevaluation():
-    rng = np.random.default_rng(59)
-    for _ in range(100):
-        H = random_hamiltonian(rng, n=6)
-        s = (2 * rng.integers(0, 2, size=6) - 1).tolist()
-        for _ in range(100):
-            i = int(rng.integers(0, 6))
-            before = hamiltonian_energy(H, s)
-            predicted = delta_energy(H, s, i)
-            s[i] = -s[i]
-            after = hamiltonian_energy(H, s)
-            assert after - before == pytest.approx(predicted, abs=1e-12)
-
-
-def test_delta_energy_index_check():
-    H = Hamiltonian(0.0, (1.0,), {}, 1, ())
-    with pytest.raises(ValueError):
-        delta_energy(H, [1], 1)
 
 
 def test_magnetization_examples():
