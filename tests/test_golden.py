@@ -1,10 +1,15 @@
-"""Frozen sha256 digests of every artifact of three fixed CLI invocations.
+"""Frozen sha256 digests of every artifact of five fixed CLI invocations.
 
 The digests were recorded from the code before the Hamiltonian moved from
 Fraction to float64 coefficients, so any change to the bytes of the node/edge
 CSVs, trajectories, summary, binned curves or manifest fails here, across
 processes and not only within one. The runs use relative paths inside
 ``tmp_path`` so ``run_manifest.json`` does not depend on where the test runs.
+
+The published uf20 files list each clause's literals in one fixed order. Two
+more compiles, under both gadgets, pin inputs outside it: a copy of
+uf20-sb-001 with every clause's literals permuted by a fixed PCG64 stream, and
+a small formula mixing 1-, 2- and 3-literal clauses with tautological ones.
 
 To regenerate after an intended change of the artifacts, print the digests
 with ``PYTHONPATH=src python tests/test_golden.py`` from the repository root
@@ -20,7 +25,10 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from spinsat.cli import main
+from spinsat.cnf import Clause, Formula, parse_dimacs_file, write_dimacs
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data" / "uf20"
 INSTANCES = ("uf20-sb-001", "uf20-sb-002", "uf20-sb-003")
@@ -28,7 +36,22 @@ RUNS = (
     ("run", "in", "--outdir", "out"),
     ("run", "in", "--paper-literal-gadget", "--outdir", "out_literal"),
     ("compile", "in", "--k-factor", "12.25", "--outdir", "out_k"),
+    ("compile", "in_order", "--outdir", "out_order"),
+    ("compile", "in_order", "--paper-literal-gadget", "--outdir", "out_order_literal"),
 )
+INPUT_DIRS = ("in", "in_order")
+SHUFFLE_SEED = 20251101
+MIXED_CNF = """p cnf 6 9
+1 0
+-2 3 0
+4 -5 6 0
+2 -2 5 0
+-6 -1 0
+3 -3 0
+-4 -5 -6 0
+5 1 -3 0
+-2 0
+"""
 
 GOLDEN = {
     "out/binned_curves.csv": "777579159d1d8aa3aeefb48f026ec7274a0c4b3237061344b7e9a3609862475a",
@@ -61,14 +84,44 @@ GOLDEN = {
     "out_literal/traj_uf20-sb-001_6850372879401828887.csv": "75aae5dce8dcca3a620ce6f936ff9d46f24836e3de02d9ddf9f341c5e26304f1",
     "out_literal/traj_uf20-sb-002_5850926556316708003.csv": "a29bee4aadd441882daaa310cb93bd6b38e5d19e6db0cf2bb9d4146949c770bf",
     "out_literal/traj_uf20-sb-003_5141025556837952335.csv": "6a2a66e77ef9e732dc1cb8dff7a583dc7933d30f2ecd871505941d82e942c6e3",
+    "out_order/ising_edges_mixed-width.csv": "02aacbb20588e5a6b15aa6ebef0b269facdef07e9c771eff1b4b08b54876ff76",
+    "out_order/ising_edges_uf20-sb-001-shuffled.csv": "930fe1ac3fb2419e8809626e4abe1f0cac4bb2829b2aca72fb99f5b8cbe6397c",
+    "out_order/ising_nodes_mixed-width.csv": "77aba238d6f8af4e33ff705bcdf724c39090a52159f544c7da68e3e2595cd82d",
+    "out_order/ising_nodes_uf20-sb-001-shuffled.csv": "f8d036430a0fa957e6253a6f06023755e85f93514dc5d49ae4279e2cdfa1bea7",
+    "out_order_literal/ising_edges_mixed-width.csv": "32966c9fbac5fe038bd4652503972a12fd854b23e3871e4f5728fdeeaaf116e0",
+    "out_order_literal/ising_edges_uf20-sb-001-shuffled.csv": "3e4140e7ed431a2f73fdac50a9a3682ba02edae85f29758cf6788c670b9c4e09",
+    "out_order_literal/ising_nodes_mixed-width.csv": "ce76ea15460509a616eeaca2175050976c2bd21af3dfa6dd6af0a1844d6a25da",
+    "out_order_literal/ising_nodes_uf20-sb-001-shuffled.csv": "046840abd303b2380c449f63e039733fbb6d07c05e4b6429f0c624f59d24706f",
 }
 
 
-def artifact_digests(workdir: Path) -> dict[str, str]:
-    """Run the three invocations inside ``workdir``; sha256 of every file written."""
+def shuffled_literals(f: Formula, seed: int) -> Formula:
+    """``f`` with each clause's literals permuted by one PCG64 stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return Formula(
+        f.num_vars,
+        tuple(
+            Clause(tuple(c.literals[int(i)] for i in rng.permutation(len(c.literals))))
+            for c in f.clauses
+        ),
+    )
+
+
+def write_inputs(workdir: Path) -> None:
     (workdir / "in").mkdir()
     for stem in INSTANCES:
         shutil.copyfile(DATA_DIR / f"{stem}.cnf", workdir / "in" / f"{stem}.cnf")
+    (workdir / "in_order").mkdir()
+    shuffled = shuffled_literals(parse_dimacs_file(DATA_DIR / f"{INSTANCES[0]}.cnf"), SHUFFLE_SEED)
+    (workdir / "in_order" / f"{INSTANCES[0]}-shuffled.cnf").write_text(
+        write_dimacs(shuffled), encoding="utf-8"
+    )
+    (workdir / "in_order" / "mixed-width.cnf").write_text(MIXED_CNF, encoding="utf-8")
+
+
+def artifact_digests(workdir: Path) -> dict[str, str]:
+    """Run the fixed invocations inside ``workdir``; sha256 of every file written."""
+    write_inputs(workdir)
     previous = os.getcwd()
     os.chdir(workdir)
     try:
@@ -80,7 +133,7 @@ def artifact_digests(workdir: Path) -> dict[str, str]:
     return {
         path.relative_to(workdir).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(workdir.rglob("*"))
-        if path.is_file() and path.parent.name != "in"
+        if path.is_file() and path.parent.name not in INPUT_DIRS
     }
 
 
