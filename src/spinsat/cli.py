@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .anneal import Schedule, anneal, trajectory_csv, trajectory_filename
-from .cnf import generate_random_3sat, mean_slack, parse_dimacs_file, write_dimacs
+from .cnf import generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
 from .ising import export_csv, format_float
 from .satcore import BRUTE_FORCE_MAX_VARS, backbone, brute_force_models, enumerate_models, solve
@@ -75,7 +75,15 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 class InputError(Exception):
-    """Inputs that cannot be run together; reported before any work starts."""
+    """Inputs or settings that cannot be run; reported before any work starts."""
+
+
+def _checked_schedule(config: RunConfig) -> Schedule:
+    """The annealing schedule, built once before any per-file work."""
+    try:
+        return config.schedule()
+    except ValueError as exc:
+        raise InputError(exc) from exc
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
@@ -277,6 +285,7 @@ def cmd_backbone(config: RunConfig, exact: bool) -> int:
 
 
 def cmd_anneal(config: RunConfig) -> int:
+    schedule = _checked_schedule(config)
     files = _collect_inputs(list(config.inputs))
     if not files:
         print("no input files", file=sys.stderr)
@@ -288,7 +297,7 @@ def cmd_anneal(config: RunConfig) -> int:
             formula = parse_dimacs_file(path, lenient=config.lenient)
             H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
             seed = derive_seed(config.seed, formula.source_name)
-            traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
+            traj = anneal(H, formula, schedule, seed, sweeps=config.sweeps)
             name = trajectory_filename(formula.source_name, seed)
             _atomic_write(outdir / name, trajectory_csv(traj))
             print(
@@ -321,8 +330,8 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
             exact_report = backbone(exact_models, formula.num_vars)
         capped_models = enumerate_models(formula, config.cap, exact_models)
         capped_report = backbone(capped_models, formula.num_vars)
-        slack_models = (capped_models if exact_models is None else exact_models).models
-        slack_value = sum(mean_slack(formula, m) for m in slack_models) / len(slack_models)
+        slack_models = capped_models if exact_models is None else exact_models
+        slack_value = models_mean_slack(formula, slack_models.models)
 
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
@@ -351,6 +360,7 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
 
 
 def cmd_run(config: RunConfig) -> int:
+    _checked_schedule(config)
     files = _collect_inputs(list(config.inputs))
     if not files:
         print("no input files", file=sys.stderr)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "logical_energy",
     "clause_slack",
     "mean_slack",
+    "models_mean_slack",
     "clause_ratio",
     "generate_random_3sat",
 ]
@@ -248,6 +250,33 @@ def mean_slack(f: Formula, a: Sequence[bool]) -> float:
     if f.num_clauses == 0:
         raise ValueError("mean slack undefined for a formula with no clauses")
     return sum(clause_slack(c, a) for c in f.clauses) / f.num_clauses
+
+
+def models_mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:
+    """``sum(mean_slack(f, a) for a in models) / len(models)``, bit for bit.
+
+    An assignment's satisfied-literal total is linear in its values: every
+    negative literal counts when all variables are false, and setting v true
+    adds pos_count[v] - neg_count[v]. Each total is an exact integer, divided
+    by m as ``mean_slack`` divides it, and the quotients are summed left to
+    right in model order, so no clause is walked once per model.
+    """
+    if not models:
+        raise ValueError("mean slack undefined for an empty model list")
+    if f.num_clauses == 0:
+        raise ValueError("mean slack undefined for a formula with no clauses")
+    gain = [0] * f.num_vars
+    base = 0
+    for clause in f.clauses:
+        for lit in clause.literals:
+            gain[lit.var] += lit.sign
+            if lit.sign < 0:
+                base += 1
+    per_model = []
+    for a in models:
+        _check_assignment(f, a)
+        per_model.append((base + sum(compress(gain, a))) / f.num_clauses)
+    return sum(per_model) / len(models)
 
 
 def clause_ratio(f: Formula) -> float:

@@ -30,9 +30,23 @@ multiple of 1/1024 in (0, 2**20), so every coefficient is a multiple of
 rounding. Sums of coefficients, the energy floor and every energy and local
 field the annealer accumulates are then exact too, provided the formula has
 fewer than about 2**19 clauses.
+
+Clause templates
+----------------
+A clause's contribution depends only on its literals' signs in literal
+order, k_factor and the gadget mode; its variables only name the spins. So
+``compile`` expands, gadgetizes and minimizes each such pattern once, on a
+canonical clause whose literals are roles 0, 1, 2 and whose ancilla is role
+3, and then renames the roles to the clause's variables and its ancilla.
+Roles follow literal order because the ancilla binds to the first two
+literals. Renaming keeps every term's coefficient, the order the terms are
+added in, and the clause floor (the same minimum over a relabelled set of
+configurations), and every coefficient is dyadic, so the Hamiltonian equals
+the one a per-clause expansion builds bit for bit.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,7 +57,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cnf import Assignment, Clause, Formula
+from .cnf import Assignment, Clause, Formula, Literal
 
 __all__ = [
     "GADGET_CORRECTED",
@@ -220,6 +234,33 @@ def _check_spins(H: Hamiltonian, s: Sequence[int]) -> None:
         raise ValueError(f"spin state length {len(s)} != {H.num_spins} spins")
 
 
+@functools.lru_cache(maxsize=256)
+def _clause_template(
+    signs: tuple[int, ...], k: float, gadget_mode: str
+) -> tuple[tuple[tuple[tuple[int, ...], float], ...], float, float | None]:
+    """Gadgetized terms of the clause with literal signs ``signs``, over roles.
+
+    Literal r of the clause is role r and its ancilla, if any, role 3.
+    Returns the nonzero ``(roles, coefficient)`` terms in insertion order,
+    the clause floor, and the gadget penalty (None without a cubic term).
+    """
+    clause = Clause(tuple(Literal(role, sign) for role, sign in enumerate(signs)))
+    local = dict(clause_polynomial(clause).terms)
+    penalty = None
+    c = local.pop((0, 1, 2), None)
+    if c is not None:
+        penalty = k * abs(c)
+        substitute = (
+            _corrected_substitution
+            if gadget_mode == GADGET_CORRECTED
+            else _paper_literal_substitution
+        )
+        for key, coeff in substitute(c, 0, 1, 2, 3, penalty).items():
+            local[key] = local.get(key, 0.0) + coeff
+    terms = tuple((key, coeff) for key, coeff in local.items() if coeff != 0)
+    return terms, _local_minimum(local), penalty
+
+
 def compile(
     f: Formula,
     k_factor: float = 20,
@@ -232,6 +273,11 @@ def compile(
     k_factor times the cubic coefficient magnitude (k_factor/8 per
     three-literal clause). Tautological clauses expand to the zero
     polynomial and contribute nothing.
+
+    Each clause's terms come from the template of its sign pattern (see the
+    module docstring), renamed from roles to its variables and ancilla, with
+    each pair key ordered (min, max). Terms are added in the order a
+    per-clause expansion adds them, so the coupling order is the same too.
 
     ``k_factor`` must be a multiple of 1/1024 in (0, 2**20); any other value
     raises ValueError, because its coefficients would not all be exact in
@@ -261,38 +307,29 @@ def compile(
     next_ancilla = n
 
     for clause in f.clauses:
-        if len(clause.literals) > 3:
-            raise ValueError(f"clause length {len(clause.literals)} > 3 not supported")
+        literals = clause.literals
+        if len(literals) > 3:
+            raise ValueError(f"clause length {len(literals)} > 3 not supported")
         if clause.is_tautological:
             continue
-        poly = clause_polynomial(clause)
-        local = dict(poly.terms)
-        cubic_key = next((key for key in local if len(key) == 3), None)
-        if cubic_key is not None:
-            c = local.pop(cubic_key)
-            i = clause.literals[0].var
-            p = clause.literals[1].var
-            q = clause.literals[2].var
-            a = next_ancilla
+        terms, clause_floor, penalty = _clause_template(
+            tuple(lit.sign for lit in literals), k, gadget_mode
+        )
+        spins = [lit.var for lit in literals]
+        if penalty is not None:
+            gadgets.append(GadgetRecord(next_ancilla, spins[0], spins[1], penalty))
+            spins.append(next_ancilla)
             next_ancilla += 1
-            penalty = k * abs(c)
-            gadgets.append(GadgetRecord(a, i, p, penalty))
-            substitute = (
-                _corrected_substitution
-                if gadget_mode == GADGET_CORRECTED
-                else _paper_literal_substitution
-            )
-            for key, coeff in substitute(c, i, p, q, a, penalty).items():
-                local[key] = local.get(key, 0.0) + coeff
-        floor += _local_minimum(local)
-        for key, coeff in local.items():
-            if coeff == 0:
-                continue
-            if len(key) == 0:
+        floor += clause_floor
+        for roles, coeff in terms:
+            if len(roles) == 0:
                 offset += coeff
-            elif len(key) == 1:
-                fields[key[0]] = fields.get(key[0], 0.0) + coeff
+            elif len(roles) == 1:
+                i = spins[roles[0]]
+                fields[i] = fields.get(i, 0.0) + coeff
             else:
+                i, j = spins[roles[0]], spins[roles[1]]
+                key = (i, j) if i < j else (j, i)
                 couplings[key] = couplings.get(key, 0.0) + coeff
 
     num_spins = next_ancilla

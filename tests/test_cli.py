@@ -150,6 +150,21 @@ def test_anneal_rejects_underflowing_schedule(tmp_path, uf20_paths, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "anneal"])
+@pytest.mark.parametrize(
+    "schedule_flags", [["--alpha", "0.001", "--steps", "200"], ["--t0", "0"]]
+)
+def test_invalid_schedule_fails_once_before_any_work(
+    tmp_path, uf20_paths, capsys, command, schedule_flags
+):
+    out = tmp_path / "out"
+    corpus = str(uf20_paths[0].parent)
+    assert run_cli([command, corpus, "--outdir", str(out), *schedule_flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_anneal_command_writes_trajectory(tmp_path, uf20_paths):
     out = tmp_path / "out"
     assert run_cli([

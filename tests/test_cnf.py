@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spinsat import cnf
+from spinsat import cnf, satcore
 from spinsat.cnf import (
     DimacsError,
     Formula,
@@ -16,6 +16,7 @@ from spinsat.cnf import (
     generate_random_3sat,
     logical_energy,
     mean_slack,
+    models_mean_slack,
     parse_dimacs,
     write_dimacs,
 )
@@ -196,6 +197,42 @@ def test_mean_slack_small_formula_vs_hand_enumeration():
         first = int(a[0]) + int(a[1]) + int(a[2])
         second = int(not a[0]) + int(a[1])
         assert mean_slack(f, a) == pytest.approx((first + second) / 2, abs=1e-15)
+
+
+def per_model_mean_slack(f: Formula, models) -> float:
+    return sum(mean_slack(f, a) for a in models) / len(models)
+
+
+def test_models_mean_slack_matches_per_model_sum_on_exact_sets(uf20_formulas):
+    for f in uf20_formulas:
+        models = satcore.brute_force_models(f).models
+        assert models_mean_slack(f, models) == per_model_mean_slack(f, models)
+
+
+def test_models_mean_slack_matches_per_model_sum_on_truncated_set(uf20_formulas):
+    f = next(f for f in uf20_formulas if f.source_name == "uf20-sb-005")
+    capped = satcore.enumerate_models(f, 120)
+    assert capped.truncated and len(capped.models) == 120
+    assert models_mean_slack(f, capped.models) == per_model_mean_slack(f, capped.models)
+
+
+def test_models_mean_slack_counts_tautologies_and_short_clauses():
+    f = parse_dimacs("p cnf 4 5\n1 -1 2 0\n-3 0\n2 4 0\n-2 3 -4 0\n4 -4 0\n")
+    models = [a for a in all_assignments(4) if reference_unsat_count(f, a) == 0]
+    assert models
+    assert models_mean_slack(f, models) == per_model_mean_slack(f, models)
+    everything = all_assignments(4)
+    assert models_mean_slack(f, everything) == per_model_mean_slack(f, everything)
+
+
+def test_models_mean_slack_rejects_empty_inputs():
+    f = parse_dimacs("p cnf 2 1\n1 2 0")
+    with pytest.raises(ValueError):
+        models_mean_slack(f, [])
+    with pytest.raises(ValueError):
+        models_mean_slack(Formula(2, ()), [(True, False)])
+    with pytest.raises(ValueError):
+        models_mean_slack(f, [(True,)])
 
 
 def test_clause_ratio(uf20_formulas):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +26,96 @@ from spinsat.ising import (
 
 def clause_from_signs(signs) -> Clause:
     return Clause(tuple(Literal(v, sign) for v, sign in enumerate(signs)))
+
+
+def reference_compile(f: Formula, k_factor: float, gadget_mode: str) -> Hamiltonian:
+    """The per-clause compiler: expand, gadgetize and minimize every clause anew.
+
+    It skips the argument checks of ``ising.compile`` and otherwise adds the
+    terms in the order a compile without per-pattern templates adds them.
+    """
+    k = float(k_factor)
+    offset = 0.0
+    fields: dict[int, float] = {}
+    couplings: dict[tuple[int, int], float] = {}
+    gadgets = []
+    floor = 0.0
+    next_ancilla = f.num_vars
+    for clause in f.clauses:
+        assert len(clause.literals) <= 3
+        if clause.is_tautological:
+            continue
+        local = dict(clause_polynomial(clause).terms)
+        cubic_key = next((key for key in local if len(key) == 3), None)
+        if cubic_key is not None:
+            c = local.pop(cubic_key)
+            i, p, q = (lit.var for lit in clause.literals)
+            a = next_ancilla
+            next_ancilla += 1
+            penalty = k * abs(c)
+            gadgets.append(ising.GadgetRecord(a, i, p, penalty))
+            substitute = (
+                ising._corrected_substitution
+                if gadget_mode == GADGET_CORRECTED
+                else ising._paper_literal_substitution
+            )
+            for key, coeff in substitute(c, i, p, q, a, penalty).items():
+                local[key] = local.get(key, 0.0) + coeff
+        floor += ising._local_minimum(local)
+        for key, coeff in local.items():
+            if coeff == 0:
+                continue
+            if len(key) == 0:
+                offset += coeff
+            elif len(key) == 1:
+                fields[key[0]] = fields.get(key[0], 0.0) + coeff
+            else:
+                couplings[key] = couplings.get(key, 0.0) + coeff
+    return Hamiltonian(
+        offset=offset,
+        fields=tuple(fields.get(i, 0.0) for i in range(next_ancilla)),
+        couplings={key: coeff for key, coeff in couplings.items() if coeff != 0},
+        core_count=f.num_vars,
+        ancillas=tuple(gadgets),
+        source=f.source_name,
+        energy_floor=floor,
+        gadget_mode=gadget_mode,
+        k_factor=k,
+    )
+
+
+def assert_compiles_like_reference(f: Formula, k_factor: float, gadget_mode: str) -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        H = ising.compile(f, k_factor, gadget_mode)
+    expected = reference_compile(f, k_factor, gadget_mode)
+    assert H == expected
+    assert list(H.couplings) == list(expected.couplings)
+    assert repr(H.energy_floor) == repr(expected.energy_floor)
+    assert H.ancillas == expected.ancillas
+    assert export_csv(H) == export_csv(expected)
+
+
+def permuted_literals(f: Formula, rng) -> Formula:
+    clauses = tuple(
+        Clause(tuple(c.literals[int(i)] for i in rng.permutation(len(c.literals))))
+        for c in f.clauses
+    )
+    return Formula(f.num_vars, clauses, f.source_name)
+
+
+def mixed_width_formula(rng) -> Formula:
+    """1-, 2- and 3-literal clauses over a few variables, some tautological."""
+    n = int(rng.integers(3, 8))
+    clauses = []
+    for _ in range(int(rng.integers(1, 16))):
+        width = int(rng.integers(1, 4))
+        variables = rng.choice(n, size=width, replace=False).tolist()
+        literals = [Literal(v, 1 if rng.random() < 0.5 else -1) for v in variables]
+        if width > 1 and rng.random() < 0.2:
+            literals[-1] = Literal(literals[0].var, -literals[0].sign)
+        clauses.append(Clause(tuple(literals)))
+    return Formula(n, tuple(clauses))
 
 
 def violation_indicator(clause: Clause, spins) -> int:
@@ -175,6 +266,58 @@ def test_compile_accepts_dyadic_k_factor():
 def test_compile_unknown_mode():
     with pytest.raises(ValueError):
         ising.compile(Formula(3, ()), gadget_mode="other")
+
+
+@pytest.mark.parametrize("gadget_mode", [GADGET_CORRECTED, GADGET_PAPER_LITERAL])
+@pytest.mark.parametrize("k_factor", [20, 12.25, 8, 1 / 1024])
+def test_compile_matches_per_clause_reference(uf20_formulas, gadget_mode, k_factor):
+    for f in uf20_formulas:
+        assert_compiles_like_reference(f, k_factor, gadget_mode)
+
+
+@pytest.mark.parametrize("gadget_mode", [GADGET_CORRECTED, GADGET_PAPER_LITERAL])
+def test_compile_matches_reference_under_permuted_literal_order(uf20_formulas, gadget_mode):
+    # The ancilla binds to the first two literals, so roles must follow
+    # literal order and not variable order.
+    rng = np.random.Generator(np.random.PCG64(71))
+    for f in uf20_formulas:
+        shuffled = permuted_literals(f, rng)
+        assert shuffled.clauses != f.clauses
+        assert_compiles_like_reference(shuffled, 20, gadget_mode)
+
+
+def test_compile_matches_reference_on_mixed_width_formulas():
+    rng = np.random.Generator(np.random.PCG64(73))
+    seen_widths, tautologies = set(), 0
+    for _ in range(60):
+        f = mixed_width_formula(rng)
+        seen_widths.update(len(c) for c in f.clauses)
+        tautologies += sum(c.is_tautological for c in f.clauses)
+        for gadget_mode in (GADGET_CORRECTED, GADGET_PAPER_LITERAL):
+            assert_compiles_like_reference(f, 20, gadget_mode)
+    assert seen_widths == {1, 2, 3} and tautologies > 0
+
+
+def test_compile_alternating_settings_never_reuses_a_stale_template(uf20_formulas):
+    f = uf20_formulas[4]
+    settings = [
+        (20, GADGET_CORRECTED), (12.25, GADGET_CORRECTED), (20, GADGET_PAPER_LITERAL),
+        (8, GADGET_CORRECTED), (12.25, GADGET_PAPER_LITERAL), (1 / 1024, GADGET_CORRECTED),
+        (20, GADGET_CORRECTED), (1 / 1024, GADGET_PAPER_LITERAL),
+    ]
+    for k_factor, gadget_mode in settings * 2:
+        assert_compiles_like_reference(f, k_factor, gadget_mode)
+
+
+def test_compile_expands_each_clause_pattern_once(uf20_formulas, monkeypatch):
+    calls = []
+    expand = ising.clause_polynomial
+    monkeypatch.setattr(ising, "clause_polynomial", lambda c: calls.append(c) or expand(c))
+    ising._clause_template.cache_clear()
+    for f in uf20_formulas:
+        ising.compile(f, k_factor=12.5)
+    patterns = {tuple(lit.sign for lit in c.literals) for f in uf20_formulas for c in f.clauses}
+    assert len(calls) == len(patterns) == 8
 
 
 def test_ground_state_equivalence_small_random():
