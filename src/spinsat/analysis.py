@@ -333,24 +333,34 @@ def build_summary(
     )
 
 
+def _optional(parse):
+    return lambda text: parse(text) if text else None
+
+
+def _flag(text: str) -> bool:
+    return text == "true"
+
+
+# (header, InstanceSummary field, parser of the cell text), in column order.
 _SUMMARY_COLUMNS = (
-    "instance",
-    "seed",
-    "sat",
-    "alpha_ratio",
-    "final_energy_h",
-    "final_energy_logic",
-    "final_abs_M",
-    "backbone_capped",
-    "backbone_exact",
-    "backbone_exact_flag",
-    "mean_slack",
-    "beta",
-    "beta_r2",
-    "t0",
-    "alpha",
-    "steps",
+    ("instance", "instance", str),
+    ("seed", "seed", int),
+    ("sat", "sat", _flag),
+    ("alpha_ratio", "alpha_ratio", float),
+    ("final_energy_h", "final_energy_h", float),
+    ("final_energy_logic", "final_energy_logic", float),
+    ("final_abs_M", "final_abs_magnetization", float),
+    ("backbone_capped", "backbone_capped", _optional(int)),
+    ("backbone_exact", "backbone_exact", _optional(int)),
+    ("backbone_exact_flag", "backbone_exact_flag", _flag),
+    ("mean_slack", "mean_slack", _optional(float)),
+    ("beta", "beta", _optional(float)),
+    ("beta_r2", "beta_r2", _optional(float)),
+    ("t0", "t0", float),
+    ("alpha", "alpha", float),
+    ("steps", "steps", int),
 )
+_SUMMARY_HEADER = ",".join(header for header, _, _ in _SUMMARY_COLUMNS)
 
 
 def _cell(value) -> str:
@@ -364,63 +374,23 @@ def _cell(value) -> str:
 
 
 def summary_csv(summaries: Sequence[InstanceSummary]) -> str:
-    lines = [",".join(_SUMMARY_COLUMNS)]
+    lines = [_SUMMARY_HEADER]
     for s in summaries:
-        lines.append(
-            ",".join(
-                (
-                    s.instance,
-                    str(s.seed),
-                    _cell(s.sat),
-                    _cell(s.alpha_ratio),
-                    _cell(s.final_energy_h),
-                    _cell(s.final_energy_logic),
-                    _cell(s.final_abs_magnetization),
-                    _cell(s.backbone_capped),
-                    _cell(s.backbone_exact),
-                    _cell(s.backbone_exact_flag),
-                    _cell(s.mean_slack),
-                    _cell(s.beta),
-                    _cell(s.beta_r2),
-                    _cell(s.t0),
-                    _cell(s.alpha),
-                    _cell(s.steps),
-                )
-            )
-        )
+        lines.append(",".join(_cell(getattr(s, field)) for _, field, _ in _SUMMARY_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def read_summary_csv(text: str) -> list[InstanceSummary]:
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0] != ",".join(_SUMMARY_COLUMNS):
+    if not lines or lines[0] != _SUMMARY_HEADER:
         raise ValueError("unrecognized summary CSV header")
     out: list[InstanceSummary] = []
     for line in lines[1:]:
         parts = line.split(",")
         if len(parts) != len(_SUMMARY_COLUMNS):
             raise ValueError(f"malformed summary row {line!r}")
-        row = dict(zip(_SUMMARY_COLUMNS, parts))
-        out.append(
-            InstanceSummary(
-                instance=row["instance"],
-                seed=int(row["seed"]),
-                sat=row["sat"] == "true",
-                alpha_ratio=float(row["alpha_ratio"]),
-                final_energy_h=float(row["final_energy_h"]),
-                final_energy_logic=float(row["final_energy_logic"]),
-                final_abs_magnetization=float(row["final_abs_M"]),
-                backbone_capped=int(row["backbone_capped"]) if row["backbone_capped"] else None,
-                backbone_exact=int(row["backbone_exact"]) if row["backbone_exact"] else None,
-                backbone_exact_flag=row["backbone_exact_flag"] == "true",
-                mean_slack=float(row["mean_slack"]) if row["mean_slack"] else None,
-                beta=float(row["beta"]) if row["beta"] else None,
-                beta_r2=float(row["beta_r2"]) if row["beta_r2"] else None,
-                t0=float(row["t0"]),
-                alpha=float(row["alpha"]),
-                steps=int(row["steps"]),
-            )
-        )
+        values = {field: parse(cell) for (_, field, parse), cell in zip(_SUMMARY_COLUMNS, parts)}
+        out.append(InstanceSummary(**values))
     return out
 
 

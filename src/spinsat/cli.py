@@ -16,14 +16,16 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .anneal import Schedule, anneal, trajectory_csv, trajectory_filename
-from .cnf import generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
+from .cnf import Formula, generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
 from .ising import export_csv, format_float
-from .satcore import BRUTE_FORCE_MAX_VARS, backbone, brute_force_models, enumerate_models, solve
+from .satcore import BRUTE_FORCE_MAX_VARS, ModelSet, backbone, brute_force_models
+from .satcore import enumerate_models, solve
 from . import analysis
 
 DEFAULT_OUTDIR = "out"
@@ -140,8 +142,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         "workers",
         "bins",
         "lenient",
-        "energy_column",
-        "backbone_column",
     ):
         value = getattr(args, name, None)
         if value is not None:
@@ -208,128 +208,129 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_compile(config: RunConfig) -> int:
+def _isolated(work, job: tuple[str, RunConfig]) -> tuple[bool, object]:
+    try:
+        return True, work(job)
+    except Exception as exc:  # per-file isolation: the batch continues
+        return False, f"{type(exc).__name__}: {exc}"
+
+
+def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tuple[str, str]]]:
+    """Apply ``work`` to the job ``(path, config)`` of every input file.
+
+    A file whose job raises is reported as one ``error: <path>: <Type>:
+    <message>`` line and the batch goes on. Returns the input files, the
+    results of the jobs that worked and the ``(path, "<Type>: <message>")``
+    failures, both in input order. ``config.workers > 1`` runs the jobs in
+    a process pool, so ``work`` must be a module-level function.
+    """
     files = _collect_inputs(list(config.inputs))
     if not files:
-        print("no input files", file=sys.stderr)
-        return 1
-    outdir = Path(config.outdir)
-    failures = 0
-    for path in files:
-        try:
-            formula = parse_dimacs_file(path, lenient=config.lenient)
-            H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
-            nodes, edges = export_csv(H)
-            _atomic_write(outdir / f"ising_nodes_{formula.source_name}.csv", nodes)
-            _atomic_write(outdir / f"ising_edges_{formula.source_name}.csv", edges)
-            print(f"{formula.source_name}: {H.num_spins} spins, {len(H.couplings)} couplings")
-        except Exception as exc:
-            failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
+        raise InputError("no input files")
+    jobs = [(str(path), config) for path in files]
+    isolated = partial(_isolated, work)
+    if config.workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            outcomes = list(pool.map(isolated, jobs))
+    else:
+        outcomes = [isolated(job) for job in jobs]
+    results, failures = [], []
+    for (path_text, _), (ok, value) in zip(jobs, outcomes):
+        if ok:
+            results.append(value)
+        else:
+            failures.append((path_text, value))
+            print(f"error: {path_text}: {value}", file=sys.stderr)
+    return files, results, failures
+
+
+def _print_lines(config: RunConfig, work) -> int:
+    """Print the line ``work`` returns for each file, in input order."""
+    _, lines, failures = _for_each_file(config, work)
+    for line in lines:
+        print(line)
     return 1 if failures else 0
 
 
-def cmd_solve(config: RunConfig) -> int:
-    files = _collect_inputs(list(config.inputs))
-    if not files:
-        print("no input files", file=sys.stderr)
-        return 1
-    failures = 0
-    for path in files:
-        try:
-            formula = parse_dimacs_file(path, lenient=config.lenient)
-            model = solve(formula)
-            if model is None:
-                print(f"{formula.source_name}: sat=false")
-            else:
-                literals = " ".join(
-                    str((v + 1) if value else -(v + 1)) for v, value in enumerate(model)
-                )
-                print(f"{formula.source_name}: sat=true model= {literals}")
-        except Exception as exc:
-            failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+def _model_sets(formula: Formula, cap: int) -> tuple[ModelSet | None, ModelSet]:
+    """The exact model set (None above ``BRUTE_FORCE_MAX_VARS`` variables),
+    and the first ``cap`` models found by DPLL, pruned by the exact set."""
+    exact = brute_force_models(formula) if formula.num_vars <= BRUTE_FORCE_MAX_VARS else None
+    return exact, enumerate_models(formula, cap, exact)
 
 
-def cmd_backbone(config: RunConfig, exact: bool) -> int:
-    files = _collect_inputs(list(config.inputs))
-    if not files:
-        print("no input files", file=sys.stderr)
-        return 1
-    failures = 0
-    for path in files:
-        try:
-            formula = parse_dimacs_file(path, lenient=config.lenient)
-            exact_models = None
-            if formula.num_vars <= BRUTE_FORCE_MAX_VARS:
-                exact_models = brute_force_models(formula)
-            models = enumerate_models(formula, config.cap, exact_models)
-            if not models.models:
-                print(f"{formula.source_name}: sat=false")
-                continue
-            report = backbone(models, formula.num_vars)
-            line = (
-                f"{formula.source_name}: models>={len(models.models)}"
-                f" truncated={str(report.exact is False).lower()}"
-                f" backbone={report.size} normalized={report.normalized:.3f}"
-            )
-            if exact and exact_models is not None:
-                exact_report = backbone(exact_models, formula.num_vars)
-                line += f" backbone_exact={exact_report.size}"
-            print(line)
-        except Exception as exc:
-            failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+def _compile_line(job: tuple[str, RunConfig]) -> str:
+    path, config = job
+    formula = parse_dimacs_file(path, lenient=config.lenient)
+    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
+    nodes, edges = export_csv(H)
+    _atomic_write(Path(config.outdir) / f"ising_nodes_{formula.source_name}.csv", nodes)
+    _atomic_write(Path(config.outdir) / f"ising_edges_{formula.source_name}.csv", edges)
+    return f"{formula.source_name}: {H.num_spins} spins, {len(H.couplings)} couplings"
 
 
-def cmd_anneal(config: RunConfig) -> int:
-    schedule = _checked_schedule(config)
-    files = _collect_inputs(list(config.inputs))
-    if not files:
-        print("no input files", file=sys.stderr)
-        return 1
-    outdir = Path(config.outdir)
-    failures = 0
-    for path in files:
-        try:
-            formula = parse_dimacs_file(path, lenient=config.lenient)
-            H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
-            seed = derive_seed(config.seed, formula.source_name)
-            traj = anneal(H, formula, schedule, seed, sweeps=config.sweeps)
-            name = trajectory_filename(formula.source_name, seed)
-            _atomic_write(outdir / name, trajectory_csv(traj))
-            print(
-                f"{formula.source_name}: seed={seed}"
-                f" final_E_logic={int(traj.energy_logic[-1])}"
-                f" final_|M|={abs(float(traj.magnetization[-1])):.3f}"
-            )
-        except Exception as exc:
-            failures += 1
-            print(f"error: {path}: {exc}", file=sys.stderr)
-    return 1 if failures else 0
+def _solve_line(job: tuple[str, RunConfig]) -> str:
+    path, config = job
+    formula = parse_dimacs_file(path, lenient=config.lenient)
+    model = solve(formula)
+    if model is None:
+        return f"{formula.source_name}: sat=false"
+    literals = " ".join(str((v + 1) if value else -(v + 1)) for v, value in enumerate(model))
+    return f"{formula.source_name}: sat=true model= {literals}"
+
+
+def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
+    path, config = job
+    formula = parse_dimacs_file(path, lenient=config.lenient)
+    exact_models, models = _model_sets(formula, config.cap)
+    if not models.models:
+        return f"{formula.source_name}: sat=false"
+    report = backbone(models, formula.num_vars)
+    line = (
+        f"{formula.source_name}: models>={len(models.models)}"
+        f" truncated={str(report.exact is False).lower()}"
+        f" backbone={report.size} normalized={report.normalized:.3f}"
+    )
+    if exact and exact_models is not None:
+        line += f" backbone_exact={backbone(exact_models, formula.num_vars).size}"
+    return line
+
+
+def _anneal_line(job: tuple[str, RunConfig]) -> str:
+    path, config = job
+    formula = parse_dimacs_file(path, lenient=config.lenient)
+    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
+    seed = derive_seed(config.seed, formula.source_name)
+    traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
+    name = trajectory_filename(formula.source_name, seed)
+    _atomic_write(Path(config.outdir) / name, trajectory_csv(traj))
+    return (
+        f"{formula.source_name}: seed={seed}"
+        f" final_E_logic={int(traj.energy_logic[-1])}"
+        f" final_|M|={abs(float(traj.magnetization[-1])):.3f}"
+    )
+
+
+def cmd_anneal(args: argparse.Namespace) -> int:
+    config = _merge_config(args)
+    _checked_schedule(config)
+    return _print_lines(config, _anneal_line)
 
 
 def _run_instance(job: tuple[str, RunConfig]) -> dict:
     """Full pipeline for one instance; returns summary row plus artifacts."""
-    path_text, config = job
-    path = Path(path_text)
+    path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
     H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
     nodes, edges = export_csv(H)
 
-    model = solve(formula)
-    sat = model is not None
-    capped_report = exact_report = None
-    slack_value = None
+    exact_models, capped_models = _model_sets(formula, config.cap)
+    sat = bool(capped_models.models)
+    capped_report = exact_report = slack_value = None
     if sat:
-        exact_models = None
-        if formula.num_vars <= BRUTE_FORCE_MAX_VARS:
-            exact_models = brute_force_models(formula)
-            exact_report = backbone(exact_models, formula.num_vars)
-        capped_models = enumerate_models(formula, config.cap, exact_models)
         capped_report = backbone(capped_models, formula.num_vars)
+        if exact_models is not None:
+            exact_report = backbone(exact_models, formula.num_vars)
         slack_models = capped_models if exact_models is None else exact_models
         slack_value = models_mean_slack(formula, slack_models.models)
 
@@ -359,28 +360,11 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
     }
 
 
-def cmd_run(config: RunConfig) -> int:
+def cmd_run(args: argparse.Namespace) -> int:
+    config = _merge_config(args)
     _checked_schedule(config)
-    files = _collect_inputs(list(config.inputs))
-    if not files:
-        print("no input files", file=sys.stderr)
-        return 1
+    files, results, failures = _for_each_file(config, _run_instance)
     outdir = Path(config.outdir)
-    jobs = [(str(path), config) for path in files]
-    failures: list[tuple[str, str]] = []
-    results: list[dict] = []
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_run_instance_safe, jobs))
-    else:
-        outcomes = [_run_instance_safe(job) for job in jobs]
-    for (path_text, _), outcome in zip(jobs, outcomes):
-        if isinstance(outcome, dict):
-            results.append(outcome)
-        else:
-            failures.append((path_text, outcome))
-            print(f"error: {path_text}: {outcome}", file=sys.stderr)
-
     results.sort(key=lambda r: r["instance"])
     for result in results:
         name = result["instance"]
@@ -427,13 +411,6 @@ def cmd_run(config: RunConfig) -> int:
             f" |M|={summary.final_abs_magnetization:.3f}"
         )
     return 1 if failures else 0
-
-
-def _run_instance_safe(job: tuple[str, RunConfig]):
-    try:
-        return _run_instance(job)
-    except Exception as exc:  # per-instance isolation: the batch continues
-        return f"{type(exc).__name__}: {exc}"
 
 
 def _config_json(config: RunConfig) -> dict:
@@ -525,31 +502,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+COMMANDS = {
+    "gen": cmd_gen,
+    "compile": lambda args: _print_lines(_merge_config(args), _compile_line),
+    "solve": lambda args: _print_lines(_merge_config(args), _solve_line),
+    "backbone": lambda args: _print_lines(
+        _merge_config(args), partial(_backbone_line, exact=args.exact)
+    ),
+    "anneal": cmd_anneal,
+    "run": cmd_run,
+    "report": cmd_report,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return cmd_gen(args)
-        if args.command == "report":
-            return cmd_report(args)
-        config = _merge_config(args)
-        if args.command == "compile":
-            return cmd_compile(config)
-        if args.command == "solve":
-            return cmd_solve(config)
-        if args.command == "backbone":
-            return cmd_backbone(config, exact=getattr(args, "exact", False))
-        if args.command == "anneal":
-            return cmd_anneal(config)
-        if args.command == "run":
-            return cmd_run(config)
+        return COMMANDS[args.command](args)
     except FileNotFoundError as exc:
         print(f"error: no such file or directory: {exc}", file=sys.stderr)
         return 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
+import functools
 import json
 from pathlib import Path
 
 import pytest
 
+import spinsat
 from spinsat import analysis, cli
 from spinsat.cli import derive_seed, main
 
@@ -78,14 +81,42 @@ def test_compile_empty_directory_fails(tmp_path):
     assert run_cli(["compile", str(empty), "--outdir", str(tmp_path / "out")]) == 1
 
 
-def test_compile_bad_file_continues_batch(tmp_path, uf20_paths, capsys):
+@pytest.mark.parametrize("command", ["compile", "solve", "backbone", "anneal", "run"])
+def test_bad_file_continues_batch(tmp_path, uf20_paths, capsys, command):
     bad = tmp_path / "bad.cnf"
     bad.write_text("p cnf 2 1\n1 99 0\n")
+    good = uf20_paths[0].stem
     out = tmp_path / "out"
-    code = run_cli(["compile", str(bad), str(uf20_paths[0]), "--outdir", str(out)])
-    assert code == 1
-    assert (out / f"ising_nodes_{uf20_paths[0].stem}.csv").exists()
-    assert "error" in capsys.readouterr().err
+    steps = ["--steps", "40"] if command in ("anneal", "run") else []
+    assert run_cli([command, str(bad), str(uf20_paths[0]), "--outdir", str(out), *steps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"error: {bad}: DimacsError: literal 99 exceeds declared variable count 2"
+    ]
+    assert [line.split(":")[0] for line in captured.out.splitlines()] == [good]
+    traj = f"traj_{good}_{derive_seed(0, good)}.csv"
+    tables = [f"ising_edges_{good}.csv", f"ising_nodes_{good}.csv"]
+    expected = {
+        "compile": tables,
+        "solve": [],
+        "backbone": [],
+        "anneal": [traj],
+        "run": [analysis.SUMMARY_FILENAME, "binned_curves.csv", *tables, "run_manifest.json", traj],
+    }[command]
+    assert sorted(out.iterdir() if out.exists() else []) == sorted(out / n for n in expected)
+
+
+def test_pooled_per_file_command_matches_serial(tmp_path, small_corpus, capsys):
+    (small_corpus / "broken.cnf").write_text("not a cnf\n")
+    config = tmp_path / "pooled.json"
+    config.write_text(json.dumps({"workers": 2}))
+    runs = []
+    for label, extra in (("serial", []), ("pooled", ["--config", str(config)])):
+        out = tmp_path / label
+        code = run_cli(["anneal", str(small_corpus), "--steps", "60", "--outdir", str(out), *extra])
+        runs.append((code, capsys.readouterr(), read_all_outputs(out)))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and len(runs[0][2]) == 3
 
 
 def test_compile_rejects_k_factor_without_exact_coefficients(tmp_path, uf20_paths, capsys):
@@ -211,6 +242,52 @@ def test_run_parallel_matches_serial(tmp_path, small_corpus):
     parallel = read_all_outputs(out_parallel)
     del serial["run_manifest.json"], parallel["run_manifest.json"]  # records worker count
     assert serial == parallel
+
+
+def test_run_reads_satisfiability_from_the_capped_models(tmp_path, small_corpus, monkeypatch):
+    (small_corpus / "unsat.cnf").write_text(UNSAT_CNF)
+    out = tmp_path / "out"
+    args = ["run", str(small_corpus), "--steps", "40", "--outdir", str(out)]
+    assert run_cli(args) == 0
+    unpatched = read_all_outputs(out)
+
+    def no_solve(formula):
+        raise AssertionError("run called solve")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    assert run_cli(args) == 0
+    assert read_all_outputs(out) == unpatched
+
+
+def test_run_calls_instance_hook_once_per_instance(tmp_path, small_corpus, monkeypatch):
+    # perfbench/run.py times `spinsat run` by wrapping `cli._run_instance` and
+    # reading the instance path from job[0]; it must see one call per instance.
+    calls = []
+    original = cli._run_instance
+
+    def counted(job, *args, **kwargs):
+        calls.append(Path(job[0]).stem)
+        return original(job, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_run_instance", counted)
+    out = tmp_path / "out"
+    args = ["run", str(small_corpus), "--outdir", str(out), "--workers", "1", "--steps", "40"]
+    assert run_cli(args) == 0
+    assert calls == sorted(p.stem for p in small_corpus.glob("*.cnf"))
+
+
+def test_perfbench_traced_names_exist():
+    # perfbench/run.py wraps each (owner, attribute) of its TRACED table by name.
+    source = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    table = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "TRACED"
+    )
+    assert table.elts
+    for row in table.elts:
+        owner = functools.reduce(getattr, ast.unparse(row.elts[0]).split("."), spinsat)
+        assert hasattr(owner, row.elts[1].value), ast.unparse(row)
 
 
 def test_run_unsat_degrades_gracefully(tmp_path):
