@@ -18,9 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +29,6 @@ __all__ = [
     "Schedule",
     "Trajectory",
     "anneal",
-    "batch_anneal",
     "trajectory_csv",
     "trajectory_filename",
 ]
@@ -85,6 +82,11 @@ class Trajectory:
         return len(self.step_index)
 
 
+# ``anneal`` turns about this many draws at a time (whole steps) into Python
+# numbers, so a --sweeps run never holds its whole stream as boxed floats.
+_BLOCK_DRAWS = 1 << 14
+
+
 def _clause_occurrences(f: Formula) -> list[list[tuple[int, int]]]:
     occurrences: list[list[tuple[int, int]]] = [[] for _ in range(f.num_vars)]
     for j, clause in enumerate(f.clauses):
@@ -124,8 +126,8 @@ def anneal(
 
     attempts_per_step = num_spins if sweeps else 1
     total_attempts = sched.steps * attempts_per_step
-    flip_indices = rng.integers(0, num_spins, size=total_attempts).tolist()
-    uniforms = rng.random(size=total_attempts).tolist()
+    flip_indices = rng.integers(0, num_spins, size=total_attempts)
+    uniforms = rng.random(size=total_attempts)
 
     adjacency = H.adjacency
     # field[i] = h_i + sum_j J_ij s_j; flipping spin i costs -2 s_i field[i].
@@ -148,36 +150,42 @@ def anneal(
     rec_core_sum = [core_sum]
 
     exp = math.exp
-    draw = 0
-    for t in range(1, sched.steps + 1):
-        temperature = sched.t0 * sched.alpha**t
-        for _ in range(attempts_per_step):
-            i = flip_indices[draw]
-            u = uniforms[draw]
-            draw += 1
-            new_value = -spins[i]
-            d_e = 2.0 * new_value * field[i]
-            if d_e <= 0.0 or u < exp(-d_e / temperature):
-                spins[i] = new_value
-                energy_raw += d_e
-                shift = 2 * new_value
-                for j, jf in adjacency[i]:
-                    field[j] += shift * jf
-                if i < n_core:
-                    core_sum += shift
-                    for cj, sign in occurrences[i]:
-                        if sign == new_value:
-                            slack[cj] += 1
-                            if slack[cj] == 1:
-                                unsat -= 1
-                        else:
-                            slack[cj] -= 1
-                            if slack[cj] == 0:
-                                unsat += 1
-        rec_temperature.append(temperature)
-        rec_energy_h.append(energy_raw - floor)
-        rec_energy_logic.append(unsat)
-        rec_core_sum.append(core_sum)
+    block_steps = max(1, _BLOCK_DRAWS // attempts_per_step)
+    for first in range(1, sched.steps + 1, block_steps):
+        last = min(first + block_steps, sched.steps + 1)
+        block = slice((first - 1) * attempts_per_step, (last - 1) * attempts_per_step)
+        block_indices = flip_indices[block].tolist()
+        block_uniforms = uniforms[block].tolist()
+        draw = 0
+        for t in range(first, last):
+            temperature = sched.t0 * sched.alpha**t
+            for _ in range(attempts_per_step):
+                i = block_indices[draw]
+                u = block_uniforms[draw]
+                draw += 1
+                new_value = -spins[i]
+                d_e = 2.0 * new_value * field[i]
+                if d_e <= 0.0 or u < exp(-d_e / temperature):
+                    spins[i] = new_value
+                    energy_raw += d_e
+                    shift = 2 * new_value
+                    for j, jf in adjacency[i]:
+                        field[j] += shift * jf
+                    if i < n_core:
+                        core_sum += shift
+                        for cj, sign in occurrences[i]:
+                            if sign == new_value:
+                                slack[cj] += 1
+                                if slack[cj] == 1:
+                                    unsat -= 1
+                            else:
+                                slack[cj] -= 1
+                                if slack[cj] == 0:
+                                    unsat += 1
+            rec_temperature.append(temperature)
+            rec_energy_h.append(energy_raw - floor)
+            rec_energy_logic.append(unsat)
+            rec_core_sum.append(core_sum)
 
     return Trajectory(
         instance=f.source_name,
@@ -190,41 +198,6 @@ def anneal(
         magnetization=np.array(rec_core_sum, dtype=np.float64) / n_core,
         final_state=np.array(spins, dtype=np.int8),
     )
-
-
-def _anneal_job(args: tuple[Hamiltonian, Formula, Schedule, int, bool]) -> Trajectory:
-    H, f, sched, seed, sweeps = args
-    return anneal(H, f, sched, seed, sweeps=sweeps)
-
-
-def batch_anneal(
-    instances: Sequence[tuple[Hamiltonian, Formula]],
-    sched: Schedule = Schedule(),
-    seeds: int | Sequence[int] = 0,
-    sweeps: bool = False,
-    workers: int = 1,
-) -> list[Trajectory]:
-    """Anneal several instances, serially or in a process pool.
-
-    ``seeds`` is either one seed per instance or a base seed expanded as
-    base + index. Output order follows input order and is identical under
-    serial and parallel execution (each run is independent and seeded).
-    """
-    if isinstance(seeds, int):
-        seed_list = [seeds + k for k in range(len(instances))]
-    else:
-        seed_list = list(seeds)
-        if len(seed_list) != len(instances):
-            raise ValueError(
-                f"got {len(seed_list)} seeds for {len(instances)} instances"
-            )
-    jobs = [
-        (H, f, sched, seed, sweeps) for (H, f), seed in zip(instances, seed_list)
-    ]
-    if workers <= 1 or len(jobs) <= 1:
-        return [_anneal_job(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_anneal_job, jobs))
 
 
 def _column_texts(values: np.ndarray) -> list[str]:

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from functools import partial
@@ -80,12 +81,21 @@ class InputError(Exception):
     """Inputs or settings that cannot be run; reported before any work starts."""
 
 
-def _checked_schedule(config: RunConfig) -> Schedule:
-    """The annealing schedule, built once before any per-file work."""
+def _check_settings(config: RunConfig) -> None:
+    """Raise InputError for a setting that would fail every file alike."""
     try:
-        return config.schedule()
+        config.schedule()
+        with warnings.catch_warnings(action="ignore"):  # each file's compile warns on its own
+            compile_hamiltonian(Formula(0, ()), config.k_factor, config.gadget_mode)
+        lo, hi = config.beta_window
     except ValueError as exc:
         raise InputError(exc) from exc
+    if config.cap < 1:
+        raise InputError(f"cap must be at least 1, got {config.cap}")
+    if config.bins < 1:
+        raise InputError(f"bins must be at least 1, got {config.bins}")
+    if not 0 < lo < hi:
+        raise InputError(f"beta window must satisfy 0 < lo < hi, got {lo!r} {hi!r}")
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
@@ -222,8 +232,10 @@ def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tupl
     <message>`` line and the batch goes on. Returns the input files, the
     results of the jobs that worked and the ``(path, "<Type>: <message>")``
     failures, both in input order. ``config.workers > 1`` runs the jobs in
-    a process pool, so ``work`` must be a module-level function.
+    a process pool, so ``work`` must be a module-level function. Settings
+    are checked once first, so none fails every file with the same error.
     """
+    _check_settings(config)
     files = _collect_inputs(list(config.inputs))
     if not files:
         raise InputError("no input files")
@@ -311,12 +323,6 @@ def _anneal_line(job: tuple[str, RunConfig]) -> str:
     )
 
 
-def cmd_anneal(args: argparse.Namespace) -> int:
-    config = _merge_config(args)
-    _checked_schedule(config)
-    return _print_lines(config, _anneal_line)
-
-
 def _run_instance(job: tuple[str, RunConfig]) -> dict:
     """Full pipeline for one instance; returns summary row plus artifacts."""
     path, config = job
@@ -362,7 +368,6 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
-    _checked_schedule(config)
     files, results, failures = _for_each_file(config, _run_instance)
     outdir = Path(config.outdir)
     results.sort(key=lambda r: r["instance"])
@@ -509,7 +514,7 @@ COMMANDS = {
     "backbone": lambda args: _print_lines(
         _merge_config(args), partial(_backbone_line, exact=args.exact)
     ),
-    "anneal": cmd_anneal,
+    "anneal": lambda args: _print_lines(_merge_config(args), _anneal_line),
     "run": cmd_run,
     "report": cmd_report,
 }

@@ -5,13 +5,15 @@ lines and timings.
 """
 from __future__ import annotations
 
+import json
 import math
+import shutil
 import time
 
 import numpy as np
 
 from spinsat import analysis, cnf, ising
-from spinsat.anneal import Schedule, anneal, batch_anneal, trajectory_csv
+from spinsat.anneal import Schedule, anneal
 from spinsat.cli import derive_seed, main as cli_main
 from spinsat.cnf import generate_random_3sat, parse_dimacs_file
 from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, exhaustive_core_minima
@@ -135,16 +137,22 @@ def test_criterion_06_slack_window(uf20_formulas):
           f"min={min(values):.3f}, max={max(values):.3f}")
 
 
-def test_criterion_07_annealing_determinism(uf20_formulas):
-    sched = Schedule()
-    pairs = [(ising.compile(f), f) for f in uf20_formulas[:3]]
-    seeds = [derive_seed(0, f.source_name) for _, f in pairs]
-    first = [trajectory_csv(t) for t in batch_anneal(pairs, sched, seeds, workers=1)]
-    second = [trajectory_csv(t) for t in batch_anneal(pairs, sched, seeds, workers=1)]
-    parallel = [trajectory_csv(t) for t in batch_anneal(pairs, sched, seeds, workers=3)]
-    ok = first == second == parallel
+def test_criterion_07_annealing_determinism(uf20_paths, tmp_path):
+    """`spinsat anneal` twice serially and once pooled writes the same files."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for path in uf20_paths[:3]:
+        shutil.copyfile(path, corpus / path.name)
+    pooled = tmp_path / "pooled.json"
+    pooled.write_text(json.dumps({"workers": 3}))
+    runs = []
+    for label, extra in (("first", []), ("second", []), ("pooled", ["--config", str(pooled)])):
+        out = tmp_path / label
+        assert cli_main(["anneal", str(corpus), "--outdir", str(out), *extra]) == 0
+        runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    ok = len(runs[0]) == 3 and runs[0] == runs[1] == runs[2]
     check(7, "trajectory CSVs byte-identical across runs and serial/parallel", ok,
-          f"{len(pairs)} instances, {sched.steps} steps")
+          f"{len(runs[0])} instances, {Schedule().steps} steps")
 
 
 def test_criterion_08_cooling_behavior(uf20_formulas):

@@ -5,14 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from spinsat import ising
-from spinsat.anneal import (
-    Schedule,
-    Trajectory,
-    anneal,
-    batch_anneal,
-    trajectory_csv,
-)
+from spinsat import anneal as anneal_module, ising
+from spinsat.anneal import Schedule, Trajectory, anneal, trajectory_csv
 from spinsat.cnf import Formula, logical_energy
 from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization, spins_to_assignment
 
@@ -284,6 +278,16 @@ def test_kernel_matches_reference_after_csv_round_trip(uf20_formulas):
         assert_same_run(anneal(H, f, sched, seed, sweeps), reference_anneal(H, f, sched, seed, sweeps))
 
 
+@pytest.mark.parametrize("block_draws", [1, 7, 111, 112])
+def test_kernel_matches_reference_across_draw_blocks(uf20_compiled, monkeypatch, block_draws):
+    # The stream reaches the kernel in blocks of whole steps; a step's draws
+    # never straddle two blocks, whatever the block size.
+    H, f = uf20_compiled
+    monkeypatch.setattr(anneal_module, "_BLOCK_DRAWS", block_draws)
+    for sched, sweeps in ((Schedule(steps=250), False), (Schedule(steps=5), True)):
+        assert_same_run(anneal(H, f, sched, 7, sweeps), reference_anneal(H, f, sched, 7, sweeps))
+
+
 def test_kernel_matches_reference_on_random_hamiltonians():
     rng = np.random.default_rng(61)
     for seed in range(30):
@@ -369,42 +373,6 @@ def test_anneal_sweeps_mode(uf20_compiled):
 
 
 # ---------------------------------------------------------------------------
-# batches
-# ---------------------------------------------------------------------------
-
-
-def test_batch_order_preserved(uf20_formulas):
-    pairs = [(ising.compile(f), f) for f in uf20_formulas[:3]]
-    sched = Schedule(steps=100)
-    out = batch_anneal(pairs, sched, seeds=[1, 2, 3])
-    permuted = batch_anneal(pairs[::-1], sched, seeds=[3, 2, 1])
-    for traj, traj_rev in zip(out, permuted[::-1]):
-        assert_same_run(traj, traj_rev)
-
-
-def test_batch_base_seed_expansion(uf20_formulas):
-    pairs = [(ising.compile(f), f) for f in uf20_formulas[:2]]
-    sched = Schedule(steps=50)
-    out = batch_anneal(pairs, sched, seeds=10)
-    assert [t.seed for t in out] == [10, 11]
-
-
-def test_batch_seed_length_mismatch(uf20_formulas):
-    pairs = [(ising.compile(f), f) for f in uf20_formulas[:2]]
-    with pytest.raises(ValueError):
-        batch_anneal(pairs, Schedule(steps=1), seeds=[1])
-
-
-def test_batch_parallel_equals_serial(uf20_formulas):
-    pairs = [(ising.compile(f), f) for f in uf20_formulas[:3]]
-    sched = Schedule(steps=200)
-    serial = batch_anneal(pairs, sched, seeds=5, workers=1)
-    parallel = batch_anneal(pairs, sched, seeds=5, workers=3)
-    for a, b in zip(serial, parallel):
-        assert_same_run(a, b)
-
-
-# ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------
 
@@ -474,11 +442,3 @@ def test_anneal_rejects_empty_hamiltonian():
     f = Formula(0, ())
     with pytest.raises(ValueError):
         anneal(ising.compile(f), f, Schedule(steps=1), seed=0)
-
-
-def test_batch_anneal_sweeps_passthrough(uf20_formulas):
-    f = uf20_formulas[0]
-    pairs = [(ising.compile(f), f)]
-    direct = anneal(pairs[0][0], f, Schedule(steps=20), seed=8, sweeps=True)
-    batched = batch_anneal(pairs, Schedule(steps=20), seeds=[8], sweeps=True)[0]
-    assert_same_run(direct, batched)

@@ -3,13 +3,16 @@ from __future__ import annotations
 import ast
 import functools
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 import spinsat
 from spinsat import analysis, cli
+from spinsat.anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from spinsat.cli import derive_seed, main
+from spinsat.ising import compile as compile_hamiltonian
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 
@@ -196,15 +199,46 @@ def test_invalid_schedule_fails_once_before_any_work(
     assert not out.exists()
 
 
-def test_anneal_command_writes_trajectory(tmp_path, uf20_paths):
+@pytest.mark.parametrize(
+    "command, flags, settings",
+    [
+        ("run", ["--cap", "0"], {}),
+        ("backbone", ["--cap", "0"], {}),
+        ("run", ["--bins", "0"], {}),
+        ("run", ["--beta-window", "1", "0.5"], {}),
+        ("run", ["--beta-window", "0", "1"], {}),
+        ("run", ["--k-factor", "0.3"], {}),
+        ("anneal", [], {"gadget_mode": "bogus"}),
+    ],
+    ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
+         "k-factor", "gadget-mode"],
+)
+def test_invalid_setting_fails_once_before_any_work(
+    tmp_path, uf20_paths, capsys, command, flags, settings
+):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(settings))
     out = tmp_path / "out"
+    corpus = str(uf20_paths[0].parent)
+    assert run_cli([command, corpus, "--outdir", str(out), "--config", str(config), *flags]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sweeps", [False, True], ids=["single", "sweeps"])
+def test_anneal_command_writes_trajectory(tmp_path, uf20_paths, uf20_formulas, sweeps):
+    out = tmp_path / "out"
+    flags = ["--sweeps"] if sweeps else []
     assert run_cli([
-        "anneal", str(uf20_paths[0]), "--outdir", str(out), "--steps", "50", "--seed", "3",
+        "anneal", str(uf20_paths[0]), "--outdir", str(out), "--steps", "20", "--seed", "8", *flags,
     ]) == 0
-    seed = derive_seed(3, uf20_paths[0].stem)
-    traj = out / f"traj_{uf20_paths[0].stem}_{seed}.csv"
-    assert traj.exists()
-    assert len(traj.read_text().splitlines()) == 52
+    f = uf20_formulas[0]
+    seed = derive_seed(8, f.source_name)
+    traj = anneal(compile_hamiltonian(f), f, Schedule(steps=20), seed, sweeps=sweeps)
+    assert read_all_outputs(out) == {
+        trajectory_filename(f.source_name, seed): trajectory_csv(traj).encode("utf-8")
+    }
 
 
 def test_run_pipeline_outputs(tmp_path, small_corpus):
@@ -234,14 +268,18 @@ def test_run_deterministic_and_sorted(tmp_path, small_corpus):
 
 
 def test_run_parallel_matches_serial(tmp_path, small_corpus):
-    out_serial, out_parallel = tmp_path / "s", tmp_path / "p"
-    base = ["run", str(small_corpus), "--steps", "120", "--seed", "2"]
-    assert run_cli(base + ["--outdir", str(out_serial), "--workers", "1"]) == 0
-    assert run_cli(base + ["--outdir", str(out_parallel), "--workers", "3"]) == 0
-    serial = read_all_outputs(out_serial)
-    parallel = read_all_outputs(out_parallel)
-    del serial["run_manifest.json"], parallel["run_manifest.json"]  # records worker count
-    assert serial == parallel
+    out = tmp_path / "out"
+    base = ["run", str(small_corpus), "--steps", "120", "--seed", "2", "--outdir", str(out)]
+    runs = []
+    for workers in ("1", "3"):
+        assert run_cli(base + ["--workers", workers]) == 0
+        runs.append(read_all_outputs(out))
+        shutil.rmtree(out)
+    manifests = [json.loads(run.pop("run_manifest.json")) for run in runs]
+    assert runs[0] == runs[1]
+    for manifest in manifests:
+        del manifest["config"]["workers"]  # the one setting the runs differ in
+    assert manifests[0] == manifests[1]
 
 
 def test_run_reads_satisfiability_from_the_capped_models(tmp_path, small_corpus, monkeypatch):
