@@ -85,17 +85,18 @@ def _check_settings(config: RunConfig) -> None:
     """Raise InputError for a setting that would fail every file alike."""
     try:
         config.schedule()
-        with warnings.catch_warnings(action="ignore"):  # each file's compile warns on its own
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # each file's compile warns on its own
             compile_hamiltonian(Formula(0, ()), config.k_factor, config.gadget_mode)
         lo, hi = config.beta_window
-    except ValueError as exc:
+        if config.cap < 1:
+            raise ValueError(f"cap must be at least 1, got {config.cap}")
+        if config.bins < 1:
+            raise ValueError(f"bins must be at least 1, got {config.bins}")
+        if not 0 < lo < hi:
+            raise ValueError(f"beta window must satisfy 0 < lo < hi, got {lo!r} {hi!r}")
+    except (TypeError, ValueError) as exc:
         raise InputError(exc) from exc
-    if config.cap < 1:
-        raise InputError(f"cap must be at least 1, got {config.cap}")
-    if config.bins < 1:
-        raise InputError(f"bins must be at least 1, got {config.bins}")
-    if not 0 < lo < hi:
-        raise InputError(f"beta window must satisfy 0 < lo < hi, got {lo!r} {hi!r}")
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:

@@ -184,6 +184,13 @@ def test_anneal_rejects_underflowing_schedule(tmp_path, uf20_paths, capsys):
     assert not out.exists()
 
 
+def assert_fails_once_before_any_work(args: list[str], out: Path, capsys) -> None:
+    assert run_cli([*args, "--outdir", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["run", "anneal"])
 @pytest.mark.parametrize(
     "schedule_flags", [["--alpha", "0.001", "--steps", "200"], ["--t0", "0"]]
@@ -191,12 +198,8 @@ def test_anneal_rejects_underflowing_schedule(tmp_path, uf20_paths, capsys):
 def test_invalid_schedule_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, schedule_flags
 ):
-    out = tmp_path / "out"
     corpus = str(uf20_paths[0].parent)
-    assert run_cli([command, corpus, "--outdir", str(out), *schedule_flags]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists()
+    assert_fails_once_before_any_work([command, corpus, *schedule_flags], tmp_path / "out", capsys)
 
 
 @pytest.mark.parametrize(
@@ -209,21 +212,21 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("run", ["--beta-window", "0", "1"], {}),
         ("run", ["--k-factor", "0.3"], {}),
         ("anneal", [], {"gadget_mode": "bogus"}),
+        ("run", [], {"cap": "5"}),
+        ("run", [], {"bins": "60"}),
     ],
     ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
-         "k-factor", "gadget-mode"],
+         "k-factor", "gadget-mode", "cap-string", "bins-string"],
 )
 def test_invalid_setting_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, flags, settings
 ):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(settings))
-    out = tmp_path / "out"
     corpus = str(uf20_paths[0].parent)
-    assert run_cli([command, corpus, "--outdir", str(out), "--config", str(config), *flags]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists()
+    assert_fails_once_before_any_work(
+        [command, corpus, "--config", str(config), *flags], tmp_path / "out", capsys
+    )
 
 
 @pytest.mark.parametrize("sweeps", [False, True], ids=["single", "sweeps"])
