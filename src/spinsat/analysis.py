@@ -46,13 +46,12 @@ class DegenerateSeriesError(ValueError):
 
 def tail_mean(series: Sequence[float], fraction: float = 0.2) -> float:
     """Mean of the final ceil(fraction * len) elements (at least one)."""
-    values = list(series)
-    if not values:
+    if not len(series):
         raise ValueError("tail mean of an empty series")
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
-    k = max(1, math.ceil(fraction * len(values)))
-    tail = values[-k:]
+    k = max(1, math.ceil(fraction * len(series)))
+    tail = list(series[-k:])
     return math.fsum(tail) / len(tail)
 
 

@@ -13,12 +13,18 @@ trips, have dyadic coefficients (see ``spinsat.ising``), so every kept field
 equals the sum recomputed from scratch bit for bit, in any order. A
 hand-built Hamiltonian with inexact floats still anneals deterministically,
 but its kept fields may round differently from a recomputation.
+
+Only a step that accepts a flip appends a record (step, energy, unsatisfied
+count, core spin sum); the records are expanded to one row per step at the
+end. ``trajectory_csv`` renders the step and temperature columns once per
+schedule and the other three once per run of equal rows.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -87,6 +93,14 @@ class Trajectory:
 _BLOCK_DRAWS = 1 << 14
 
 
+@functools.lru_cache(maxsize=1)
+def _temperatures(sched: Schedule) -> np.ndarray:
+    """``sched.temperature(t)`` for t = 0..steps, read-only, reused while runs share ``sched``."""
+    temperatures = np.array(list(map(sched.temperature, range(sched.steps + 1))))
+    temperatures.flags.writeable = False
+    return temperatures
+
+
 def _clause_occurrences(f: Formula) -> list[list[tuple[int, int]]]:
     occurrences: list[list[tuple[int, int]]] = [[] for _ in range(f.num_vars)]
     for j, clause in enumerate(f.clauses):
@@ -106,9 +120,9 @@ def anneal(
 
     Spins initialize uniformly at random from the seeded stream. At step t
     (1-based) the temperature is t0 * alpha**t and one flip is attempted
-    (``sweeps=True`` attempts one flip per spin instead); energy, the
-    unsatisfied-clause count of the current core assignment, and core
-    magnetization are recorded after every step.
+    (``sweeps=True`` attempts one flip per spin instead). Each row holds the
+    energy, the unsatisfied-clause count of the current core assignment, and
+    the core magnetization after its step.
     """
     if H.core_count != f.num_vars:
         raise ValueError(
@@ -142,30 +156,24 @@ def anneal(
     unsat = sum(1 for count in slack if count == 0)
     core_sum = sum(spins[:n_core])
     energy_raw = hamiltonian_energy(H, spins)
-    floor = H.energy_floor
 
-    rec_temperature = [sched.t0]
-    rec_energy_h = [energy_raw - floor]
-    rec_energy_logic = [unsat]
-    rec_core_sum = [core_sum]
+    # The state after step 0 and after each step that accepted a flip.
+    rec_step, rec_energy, rec_unsat, rec_core_sum = [0], [energy_raw], [unsat], [core_sum]
+    temperatures = _temperatures(sched)
 
     exp = math.exp
     block_steps = max(1, _BLOCK_DRAWS // attempts_per_step)
     for first in range(1, sched.steps + 1, block_steps):
         last = min(first + block_steps, sched.steps + 1)
         block = slice((first - 1) * attempts_per_step, (last - 1) * attempts_per_step)
-        block_indices = flip_indices[block].tolist()
-        block_uniforms = uniforms[block].tolist()
-        draw = 0
-        for t in range(first, last):
-            temperature = sched.t0 * sched.alpha**t
-            for _ in range(attempts_per_step):
-                i = block_indices[draw]
-                u = block_uniforms[draw]
-                draw += 1
+        draws = zip(flip_indices[block].tolist(), uniforms[block].tolist())
+        for t, temperature in zip(range(first, last), temperatures[first:last].tolist()):
+            accepted = False
+            for i, u in islice(draws, attempts_per_step):
                 new_value = -spins[i]
                 d_e = 2.0 * new_value * field[i]
                 if d_e <= 0.0 or u < exp(-d_e / temperature):
+                    accepted = True
                     spins[i] = new_value
                     energy_raw += d_e
                     shift = 2 * new_value
@@ -182,58 +190,70 @@ def anneal(
                                 slack[cj] -= 1
                                 if slack[cj] == 0:
                                     unsat += 1
-            rec_temperature.append(temperature)
-            rec_energy_h.append(energy_raw - floor)
-            rec_energy_logic.append(unsat)
-            rec_core_sum.append(core_sum)
+            if accepted:
+                rec_step.append(t)
+                rec_energy.append(energy_raw)
+                rec_unsat.append(unsat)
+                rec_core_sum.append(core_sum)
 
+    # Row t repeats the last record at or before step t.
+    step_index = np.arange(sched.steps + 1, dtype=np.int64)
+    row = np.searchsorted(rec_step, step_index, side="right") - 1
     return Trajectory(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        step_index=np.arange(sched.steps + 1, dtype=np.int64),
-        temperatures=np.array(rec_temperature, dtype=np.float64),
-        energy_h=np.array(rec_energy_h, dtype=np.float64),
-        energy_logic=np.array(rec_energy_logic, dtype=np.int32),
-        magnetization=np.array(rec_core_sum, dtype=np.float64) / n_core,
+        step_index=step_index,
+        temperatures=temperatures.copy(),
+        energy_h=(np.array(rec_energy, dtype=np.float64) - H.energy_floor)[row],
+        energy_logic=np.array(rec_unsat, dtype=np.int32)[row],
+        magnetization=(np.array(rec_core_sum, dtype=np.float64) / n_core)[row],
         final_state=np.array(spins, dtype=np.int8),
     )
 
 
-def _column_texts(values: np.ndarray) -> list[str]:
-    """``format_float`` of each value, called once per distinct bit pattern.
-
-    Keying on the int64 view keeps -0.0 and 0.0 apart, as the text does.
-    """
-    patterns, inverse = np.unique(
-        np.ascontiguousarray(values, dtype=np.float64).view(np.int64), return_inverse=True
-    )
-    texts = np.array([format_float(x) for x in patterns.view(np.float64).tolist()], dtype=object)
+def _column_texts(patterns: np.ndarray) -> list[str]:
+    """``format_float`` of each float64 bit pattern, called once per distinct one."""
+    distinct, inverse = np.unique(patterns, return_inverse=True)
+    texts = np.array(list(map(format_float, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 
 
 @functools.lru_cache(maxsize=1)
-def _temperature_texts(raw: bytes) -> tuple[str, ...]:
-    # Every trajectory of one schedule has the same temperature column.
-    return tuple(map(format_float, np.frombuffer(raw, dtype=np.float64).tolist()))
+def _row_prefixes(steps: bytes, temperatures: bytes) -> tuple[str, ...]:
+    # Every trajectory of one schedule has the same step and temperature columns.
+    pairs = zip(np.frombuffer(steps, dtype=np.int64).tolist(), np.frombuffer(temperatures).tolist())
+    return tuple(f"{step},{format_float(temperature)}," for step, temperature in pairs)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV (LF endings, 17-significant-digit floats).
 
-    Floats go through ``format_float``, once per distinct value of a column;
-    the rendered temperature column is reused while consecutive trajectories
-    share a schedule.
+    The ``step,temperature,`` prefixes are reused while consecutive
+    trajectories share both columns; the rest of a row is rendered once per
+    run of rows with equal bit patterns, so -0.0 and 0.0 stay apart.
     """
-    rows = zip(
-        map(str, np.asarray(traj.step_index, dtype=np.int64).tolist()),
-        _temperature_texts(np.asarray(traj.temperatures, dtype=np.float64).tobytes()),
-        _column_texts(traj.energy_h),
-        map(str, np.asarray(traj.energy_logic, dtype=np.int64).tolist()),
-        _column_texts(traj.magnetization),
+    prefixes = _row_prefixes(
+        np.asarray(traj.step_index, dtype=np.int64).tobytes(),
+        np.asarray(traj.temperatures, dtype=np.float64).tobytes(),
     )
-    header = "step,temperature,energy_h,energy_logic,magnetization"
-    return "\n".join([header, *map(",".join, rows)]) + "\n"
+    columns = np.stack([
+        np.ascontiguousarray(traj.energy_h, dtype=np.float64).view(np.int64),
+        np.asarray(traj.energy_logic, dtype=np.int64),
+        np.ascontiguousarray(traj.magnetization, dtype=np.float64).view(np.int64),
+    ])
+    changed = np.ones(columns.shape[1], dtype=bool)
+    changed[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(changed)
+    energy, logic, magnetization = columns[:, starts]
+    texts = (_column_texts(energy), map(str, logic.tolist()), _column_texts(magnetization))
+    # A run covering rows a..b-1 is their prefixes joined by "<suffix>\n".
+    bounds = [*starts.tolist(), columns.shape[1]]
+    runs = [
+        (suffix + "\n").join(prefixes[a:b]) + suffix
+        for suffix, a, b in zip(map(",".join, zip(*texts)), bounds, bounds[1:])
+    ]
+    return "\n".join(["step,temperature,energy_h,energy_logic,magnetization", *runs]) + "\n"
 
 
 def trajectory_filename(instance: str, seed: int) -> str:

@@ -24,7 +24,7 @@ from . import __version__
 from .anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from .cnf import Formula, generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
-from .ising import export_csv, format_float
+from .ising import Hamiltonian, export_csv, format_float
 from .satcore import BRUTE_FORCE_MAX_VARS, ModelSet, backbone, brute_force_models
 from .satcore import enumerate_models, solve
 from . import analysis
@@ -82,11 +82,15 @@ class InputError(Exception):
 
 
 def _check_settings(config: RunConfig) -> None:
-    """Raise InputError for a setting that would fail every file alike."""
+    """Raise InputError for a setting that would fail every file alike.
+
+    Compile warnings depend on the settings alone, so they are printed here,
+    once per command, and ``_compile`` silences them for each file.
+    """
     try:
         config.schedule()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # each file's compile warns on its own
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             compile_hamiltonian(Formula(0, ()), config.k_factor, config.gadget_mode)
         lo, hi = config.beta_window
         if config.cap < 1:
@@ -97,6 +101,14 @@ def _check_settings(config: RunConfig) -> None:
             raise ValueError(f"beta window must satisfy 0 < lo < hi, got {lo!r} {hi!r}")
     except (TypeError, ValueError) as exc:
         raise InputError(exc) from exc
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
+
+
+def _compile(formula: Formula, config: RunConfig) -> Hamiltonian:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # _check_settings printed them once
+        return compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
@@ -132,10 +144,11 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         unknown = sorted(set(raw) - known)
         if unknown:
             raise SystemExit(f"error: unknown config keys: {', '.join(unknown)}")
-        if "beta_window" in raw:
-            raw["beta_window"] = tuple(raw["beta_window"])
-        if "inputs" in raw:
-            raw["inputs"] = tuple(raw["inputs"])
+        for key in ("beta_window", "inputs"):
+            if key in raw:
+                if not isinstance(raw[key], list):
+                    raise InputError(f"config key {key} must be a list, got {raw[key]!r}")
+                raw[key] = tuple(raw[key])
         config = replace(config, **raw)
     env_outdir = os.environ.get("SPINSAT_OUTDIR")
     if env_outdir:
@@ -275,7 +288,7 @@ def _model_sets(formula: Formula, cap: int) -> tuple[ModelSet | None, ModelSet]:
 def _compile_line(job: tuple[str, RunConfig]) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
+    H = _compile(formula, config)
     nodes, edges = export_csv(H)
     _atomic_write(Path(config.outdir) / f"ising_nodes_{formula.source_name}.csv", nodes)
     _atomic_write(Path(config.outdir) / f"ising_edges_{formula.source_name}.csv", edges)
@@ -312,7 +325,7 @@ def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
 def _anneal_line(job: tuple[str, RunConfig]) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
+    H = _compile(formula, config)
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
     name = trajectory_filename(formula.source_name, seed)
@@ -328,7 +341,7 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
     """Full pipeline for one instance; returns summary row plus artifacts."""
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
+    H = _compile(formula, config)
     nodes, edges = export_csv(H)
 
     exact_models, capped_models = _model_sets(formula, config.cap)

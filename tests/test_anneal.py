@@ -7,7 +7,7 @@ import pytest
 
 from spinsat import anneal as anneal_module, ising
 from spinsat.anneal import Schedule, Trajectory, anneal, trajectory_csv
-from spinsat.cnf import Formula, logical_energy
+from spinsat.cnf import Formula, logical_energy, parse_dimacs
 from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization, spins_to_assignment
 
 
@@ -288,6 +288,28 @@ def test_kernel_matches_reference_across_draw_blocks(uf20_compiled, monkeypatch,
         assert_same_run(anneal(H, f, sched, 7, sweeps), reference_anneal(H, f, sched, 7, sweeps))
 
 
+def test_kernel_matches_reference_when_a_sweep_step_cancels_out():
+    # At T = 1e9 every flip is taken. A sweep step that proposes each spin an
+    # even number of times accepts its flips and ends in the state it began
+    # in, so its recorded row equals the one before it.
+    f = parse_dimacs("p cnf 3 1\n1 -2 3 0\n")
+    H = ising.compile(f)
+    n, sched = H.num_spins, Schedule(t0=1e9, steps=400)
+    traj = anneal(H, f, sched, seed=3, sweeps=True)
+    assert_same_run(traj, reference_anneal(H, f, sched, seed=3, sweeps=True))
+    _, indices, _ = replay_layout(n, n * sched.steps, seed=3)
+    cancelled = [
+        t for t in range(1, sched.steps + 1)
+        if all(indices[n * (t - 1):n * t].count(i) % 2 == 0 for i in range(n))
+    ]
+    assert n == 4 and len(cancelled) > 30
+    for t in cancelled:
+        assert traj.energy_h[t] == traj.energy_h[t - 1]
+        assert traj.energy_logic[t] == traj.energy_logic[t - 1]
+        assert traj.magnetization[t] == traj.magnetization[t - 1]
+    assert len(set(traj.magnetization.tolist())) == 4
+
+
 def test_kernel_matches_reference_on_random_hamiltonians():
     rng = np.random.default_rng(61)
     for seed in range(30):
@@ -415,8 +437,8 @@ def test_trajectory_csv_matches_per_row_renderer(uf20_compiled):
         anneal(H, f, Schedule(steps=0), seed=3),
         anneal(H, f, short, seed=6),
     ]
-    # Back to back: two of one schedule reuse the cached temperature column,
-    # and a schedule of the same length but other temperatures must not.
+    # Back to back: two of one schedule reuse the cached row prefixes, and a
+    # schedule of the same length but other temperatures must not.
     for traj in runs:
         assert trajectory_csv(traj) == rendered_rows(traj)
 
@@ -436,6 +458,38 @@ def test_trajectory_csv_keeps_signed_zeros_and_subnormals():
     text = trajectory_csv(traj)
     assert text == rendered_rows(traj)
     assert text.splitlines()[2] == "1,1.25,-0,0,0"
+
+
+def test_trajectory_csv_matches_per_row_renderer_on_repeated_rows():
+    # Runs of equal rows, a run's values coming back after another, rows that
+    # differ only in the sign of a zero or in one column, and a step index
+    # that neither starts at 0 nor counts by one.
+    def hand_built(step_index, temperatures):
+        return Trajectory(
+            instance="hand",
+            seed=0,
+            schedule=Schedule(steps=7),
+            step_index=np.array(step_index, dtype=np.int64),
+            temperatures=np.array(temperatures),
+            energy_h=np.array([1.5, 1.5, 1.5, 0.0, -0.0, -0.0, -0.0, 1.5]),
+            energy_logic=np.array([2, 2, 2, 0, 0, 0, 1, 2], dtype=np.int32),
+            magnetization=np.array([0.25, 0.25, 0.25, 0.25, 0.25, -1.0, -1.0, 0.25]),
+            final_state=np.array([1], dtype=np.int8),
+        )
+
+    steps = [3, 4, 4, 9, 10, 11, 20, 21]
+    first = hand_built(steps, [2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.125])
+    runs = [
+        first,
+        hand_built(steps, [2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.0625]),
+        first,
+        hand_built([s + 1 for s in steps], first.temperatures),
+    ]
+    for traj in runs:
+        assert trajectory_csv(traj) == rendered_rows(traj)
+    assert trajectory_csv(first).splitlines()[4:7] == [
+        "9,1,0,0,0.25", "10,0.5,-0,0,0.25", "11,0.5,-0,0,-1"
+    ]
 
 
 def test_anneal_rejects_empty_hamiltonian():

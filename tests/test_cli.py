@@ -3,7 +3,10 @@ from __future__ import annotations
 import ast
 import functools
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -122,6 +125,26 @@ def test_pooled_per_file_command_matches_serial(tmp_path, small_corpus, capsys):
     assert runs[0][0] == 1 and len(runs[0][2]) == 3
 
 
+def test_k_factor_warning_is_one_line_in_serial_and_pooled_runs(tmp_path, small_corpus):
+    # Run as a process of its own, so pytest's warning capture cannot hide
+    # what each worker would print.
+    config = tmp_path / "pooled.json"
+    config.write_text(json.dumps({"workers": 2}))
+    env = {**os.environ, "PYTHONPATH": str(Path(spinsat.__file__).resolve().parent.parent)}
+    stderr = []
+    for label, extra in (("serial", []), ("pooled", ["--config", str(config)])):
+        argv = ["anneal", str(small_corpus), "--k-factor", "4", "--steps", "50", *extra]
+        result = subprocess.run(
+            [sys.executable, "-m", "spinsat", *argv, "--outdir", str(tmp_path / label)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        stderr.append(result.stderr)
+    assert stderr[0] == stderr[1]
+    lines = stderr[0].splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: k_factor below 8")
+    assert ".py" not in lines[0] and str(tmp_path) not in lines[0]
+
+
 def test_compile_rejects_k_factor_without_exact_coefficients(tmp_path, uf20_paths, capsys):
     out = tmp_path / "out"
     code = run_cli(["compile", str(uf20_paths[0]), "--k-factor", "20.3", "--outdir", str(out)])
@@ -214,9 +237,11 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("anneal", [], {"gadget_mode": "bogus"}),
         ("run", [], {"cap": "5"}),
         ("run", [], {"bins": "60"}),
+        ("run", [], {"beta_window": 0.5}),
+        ("anneal", [], {"inputs": 5}),
     ],
     ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
-         "k-factor", "gadget-mode", "cap-string", "bins-string"],
+         "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar"],
 )
 def test_invalid_setting_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, flags, settings

@@ -1,4 +1,4 @@
-"""Frozen sha256 digests of every artifact of five fixed CLI invocations.
+"""Frozen sha256 digests of every artifact of six fixed CLI invocations.
 
 The digests were recorded from the code before the Hamiltonian moved from
 Fraction to float64 coefficients, so any change to the bytes of the node/edge
@@ -38,6 +38,7 @@ RUNS = (
     ("compile", "in", "--k-factor", "12.25", "--outdir", "out_k"),
     ("compile", "in_order", "--outdir", "out_order"),
     ("compile", "in_order", "--paper-literal-gadget", "--outdir", "out_order_literal"),
+    ("anneal", "in/uf20-sb-001.cnf", "--sweeps", "--steps", "40", "--outdir", "out_sweeps"),
 )
 INPUT_DIRS = ("in", "in_order")
 SHUFFLE_SEED = 20251101
@@ -92,6 +93,7 @@ GOLDEN = {
     "out_order_literal/ising_edges_uf20-sb-001-shuffled.csv": "3e4140e7ed431a2f73fdac50a9a3682ba02edae85f29758cf6788c670b9c4e09",
     "out_order_literal/ising_nodes_mixed-width.csv": "ce76ea15460509a616eeaca2175050976c2bd21af3dfa6dd6af0a1844d6a25da",
     "out_order_literal/ising_nodes_uf20-sb-001-shuffled.csv": "046840abd303b2380c449f63e039733fbb6d07c05e4b6429f0c624f59d24706f",
+    "out_sweeps/traj_uf20-sb-001_6850372879401828887.csv": "9054327ac207307fbfaabe1050609639268493642a1550a8f020c10d614174c8",
 }
 
 
