@@ -1,10 +1,13 @@
 """Command-line pipeline over CNF benchmark directories.
 
 Subcommands: gen, compile, solve, backbone, anneal, run, report. Defaults
-follow the benchmark protocol (t0=2.5, alpha=0.999, 6000 steps, model cap
-120, k_factor 20). Configuration can also come from a JSON file; explicit
-flags win over the file, and SPINSAT_OUTDIR overrides the default output
-directory only.
+follow the benchmark protocol (``RunConfig``: t0=2.5, alpha=0.999, 6000
+steps, model cap 120, k_factor 20). A setting comes from its default, then
+SPINSAT_OUTDIR (output directory only), a JSON ``--config`` file and a flag;
+the later source wins. Stderr is the same serial or pooled: a warning that
+depends on the settings alone prints once as ``warning: <message>``, and
+each file's own warnings and failure print as ``warning: <path>: <message>``
+and ``error: <path>: <Type>: <message>`` lines, in input order.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ import sys
 import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields
 from functools import partial
 from pathlib import Path
 
@@ -24,7 +27,7 @@ from . import __version__
 from .anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from .cnf import Formula, generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
-from .ising import Hamiltonian, export_csv, format_float
+from .ising import export_csv, format_float
 from .satcore import BRUTE_FORCE_MAX_VARS, ModelSet, backbone, brute_force_models
 from .satcore import enumerate_models, solve
 from . import analysis
@@ -81,11 +84,11 @@ class InputError(Exception):
     """Inputs or settings that cannot be run; reported before any work starts."""
 
 
-def _check_settings(config: RunConfig) -> None:
+def _check_settings(config: RunConfig) -> set[str]:
     """Raise InputError for a setting that would fail every file alike.
 
     Compile warnings depend on the settings alone, so they are printed here,
-    once per command, and ``_compile`` silences them for each file.
+    once per command; returns their messages so no file repeats them.
     """
     try:
         config.schedule()
@@ -101,14 +104,10 @@ def _check_settings(config: RunConfig) -> None:
             raise ValueError(f"beta window must satisfy 0 < lo < hi, got {lo!r} {hi!r}")
     except (TypeError, ValueError) as exc:
         raise InputError(exc) from exc
-    for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
-
-
-def _compile(formula: Formula, config: RunConfig) -> Hamiltonian:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # _check_settings printed them once
-        return compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
+    messages = [str(warning.message) for warning in caught]
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+    return set(messages)
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
@@ -136,75 +135,56 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
     return sorted(files.values(), key=lambda p: p.name)
 
 
+def _outdir(flag: str | None, fallback):
+    """The output directory: ``flag``, else SPINSAT_OUTDIR, else ``fallback``."""
+    return flag or os.environ.get("SPINSAT_OUTDIR") or fallback
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        known = {f.name for f in dataclass_fields(RunConfig)}
-        unknown = sorted(set(raw) - known)
+    """Defaults, then SPINSAT_OUTDIR, then the ``--config`` file, then every
+    flag whose dest names a ``RunConfig`` field; the later source wins."""
+    names = {field.name for field in dataclass_fields(RunConfig)}
+    from_file = {}
+    if args.config:
+        from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        unknown = sorted(set(from_file) - names)
         if unknown:
             raise SystemExit(f"error: unknown config keys: {', '.join(unknown)}")
-        for key in ("beta_window", "inputs"):
-            if key in raw:
-                if not isinstance(raw[key], list):
-                    raise InputError(f"config key {key} must be a list, got {raw[key]!r}")
-                raw[key] = tuple(raw[key])
-        config = replace(config, **raw)
-    env_outdir = os.environ.get("SPINSAT_OUTDIR")
-    if env_outdir:
-        config = replace(config, outdir=env_outdir)
-    overrides = {}
-    for name in (
-        "t0",
-        "alpha",
-        "steps",
-        "k_factor",
-        "seed",
-        "cap",
-        "outdir",
-        "sweeps",
-        "workers",
-        "bins",
-        "lenient",
-    ):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "beta_window", None) is not None:
-        overrides["beta_window"] = tuple(args.beta_window)
-    if getattr(args, "paper_literal_gadget", False):
-        overrides["gadget_mode"] = GADGET_PAPER_LITERAL
-    if getattr(args, "inputs", None):
-        overrides["inputs"] = tuple(args.inputs)
-    return replace(config, **overrides)
+    # An absent flag parses as None, an absent nargs="*" positional as [].
+    from_flags = {k: v for k, v in vars(args).items() if k in names and v not in (None, [])}
+    settings = {"outdir": _outdir(None, DEFAULT_OUTDIR)}
+    for name, value in [*from_file.items(), *from_flags.items()]:
+        if isinstance(getattr(RunConfig, name), tuple):
+            if not isinstance(value, list):
+                raise InputError(f"config key {name} must be a list, got {value!r}")
+            value = tuple(value)
+        settings[name] = value
+    return RunConfig(**settings)
 
 
 def _add_common_flags(parser: argparse.ArgumentParser, with_schedule: bool = True) -> None:
     parser.add_argument("inputs", nargs="*", help="CNF files or directories of *.cnf files")
     parser.add_argument("--config", help="JSON config file; explicit flags win")
     parser.add_argument("--outdir", help=f"output directory (default {DEFAULT_OUTDIR})")
-    parser.add_argument("--seed", type=int, help="base seed (default 0)")
-    parser.add_argument("--k-factor", dest="k_factor", type=float, help="gadget penalty scale (default 20)")
-    parser.add_argument(
-        "--paper-literal-gadget",
-        action="store_true",
-        help="use the non-exact literal gadget penalty (for regression comparison)",
-    )
+    parser.add_argument("--seed", type=int, help=f"base seed (default {RunConfig.seed})")
+    parser.add_argument("--k-factor", dest="k_factor", type=float,
+                        help=f"gadget penalty scale (default {RunConfig.k_factor:g})")
+    parser.add_argument("--paper-literal-gadget", dest="gadget_mode", action="store_const",
+                        const=GADGET_PAPER_LITERAL,
+                        help="use the non-exact literal gadget penalty (for regression comparison)")
     parser.add_argument("--lenient", action="store_true", default=None,
                         help="downgrade clause-count mismatches to warnings")
     if with_schedule:
-        parser.add_argument("--t0", type=float, help="initial temperature (default 2.5)")
-        parser.add_argument("--alpha", type=float, help="cooling factor (default 0.999)")
-        parser.add_argument("--steps", type=int, help="annealing steps (default 6000)")
+        parser.add_argument("--t0", type=float, help=f"initial temperature (default {RunConfig.t0:g})")
+        parser.add_argument("--alpha", type=float, help=f"cooling factor (default {RunConfig.alpha:g})")
+        parser.add_argument("--steps", type=int, help=f"annealing steps (default {RunConfig.steps})")
         parser.add_argument("--sweeps", action="store_true", default=None,
                             help="attempt one flip per spin each step instead of a single flip")
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    outdir = Path(args.outdir or os.environ.get("SPINSAT_OUTDIR") or DEFAULT_OUTDIR)
-    written = 0
-    seed = args.seed if args.seed is not None else 0
-    attempts = 0
+    outdir = Path(_outdir(args.outdir, DEFAULT_OUTDIR))
+    written = attempts = 0
     max_attempts = max(1000, 200 * args.count)
     while written < args.count:
         if attempts >= max_attempts:
@@ -214,8 +194,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 1
-        formula = generate_random_3sat(args.n, args.m, seed + attempts)
+        generator_seed = args.seed + attempts
         attempts += 1
+        try:
+            formula = generate_random_3sat(args.n, args.m, generator_seed)
+        except ValueError as exc:
+            raise InputError(exc) from exc
         if args.satisfiable_only and solve(formula) is None:
             continue
         written += 1
@@ -223,33 +207,37 @@ def cmd_gen(args: argparse.Namespace) -> int:
         body = write_dimacs(formula)
         if args.satlib_footer:
             body += "%\n0\n"
-        header = (
-            f"c random 3-SAT instance: n={args.n} m={args.m} "
-            f"generator_seed={seed + attempts - 1}\n"
-        )
+        header = f"c random 3-SAT instance: n={args.n} m={args.m} generator_seed={generator_seed}\n"
         _atomic_write(outdir / name, header + body)
         print(f"wrote {outdir / name}")
     return 0
 
 
-def _isolated(work, job: tuple[str, RunConfig]) -> tuple[bool, object]:
-    try:
-        return True, work(job)
-    except Exception as exc:  # per-file isolation: the batch continues
-        return False, f"{type(exc).__name__}: {exc}"
+def _isolated(work, job: tuple[str, RunConfig]) -> tuple[bool, object, list[str]]:
+    """Whether ``work(job)`` returned, its result or ``"<Type>: <message>"``,
+    and the messages of the warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            ok, value = True, work(job)
+        except Exception as exc:  # per-file isolation: the batch continues
+            ok, value = False, f"{type(exc).__name__}: {exc}"
+    return ok, value, [str(warning.message) for warning in caught]
 
 
 def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tuple[str, str]]]:
     """Apply ``work`` to the job ``(path, config)`` of every input file.
 
-    A file whose job raises is reported as one ``error: <path>: <Type>:
+    Each warning a job raises is reported as one ``warning: <path>:
+    <message>`` line, unless the settings check already printed it. A file
+    whose job raises is then reported as one ``error: <path>: <Type>:
     <message>`` line and the batch goes on. Returns the input files, the
     results of the jobs that worked and the ``(path, "<Type>: <message>")``
     failures, both in input order. ``config.workers > 1`` runs the jobs in
     a process pool, so ``work`` must be a module-level function. Settings
     are checked once first, so none fails every file with the same error.
     """
-    _check_settings(config)
+    printed = _check_settings(config)
     files = _collect_inputs(list(config.inputs))
     if not files:
         raise InputError("no input files")
@@ -261,7 +249,10 @@ def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tupl
     else:
         outcomes = [isolated(job) for job in jobs]
     results, failures = [], []
-    for (path_text, _), (ok, value) in zip(jobs, outcomes):
+    for (path_text, _), (ok, value, messages) in zip(jobs, outcomes):
+        for message in messages:
+            if message not in printed:
+                print(f"warning: {path_text}: {message}", file=sys.stderr)
         if ok:
             results.append(value)
         else:
@@ -270,9 +261,9 @@ def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tupl
     return files, results, failures
 
 
-def _print_lines(config: RunConfig, work) -> int:
+def _print_lines(args: argparse.Namespace, work) -> int:
     """Print the line ``work`` returns for each file, in input order."""
-    _, lines, failures = _for_each_file(config, work)
+    _, lines, failures = _for_each_file(_merge_config(args), work)
     for line in lines:
         print(line)
     return 1 if failures else 0
@@ -288,7 +279,7 @@ def _model_sets(formula: Formula, cap: int) -> tuple[ModelSet | None, ModelSet]:
 def _compile_line(job: tuple[str, RunConfig]) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    H = _compile(formula, config)
+    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
     nodes, edges = export_csv(H)
     _atomic_write(Path(config.outdir) / f"ising_nodes_{formula.source_name}.csv", nodes)
     _atomic_write(Path(config.outdir) / f"ising_edges_{formula.source_name}.csv", edges)
@@ -325,7 +316,7 @@ def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
 def _anneal_line(job: tuple[str, RunConfig]) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    H = _compile(formula, config)
+    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
     name = trajectory_filename(formula.source_name, seed)
@@ -341,7 +332,7 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
     """Full pipeline for one instance; returns summary row plus artifacts."""
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    H = _compile(formula, config)
+    H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
     nodes, edges = export_csv(H)
 
     exact_models, capped_models = _model_sets(formula, config.cap)
@@ -413,7 +404,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     manifest = {
         "command": "run",
         "version": __version__,
-        "config": _config_json(config),
+        "config": asdict(config),
         "instances": [
             {"file": str(path), "instance": path.stem, "seed": derive_seed(config.seed, path.stem)}
             for path in files
@@ -432,35 +423,24 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-def _config_json(config: RunConfig) -> dict:
-    data = asdict(config)
-    data["inputs"] = list(config.inputs)
-    data["beta_window"] = list(config.beta_window)
-    return data
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = Path(args.summary)
-    summaries = analysis.read_summary_csv(summary_path.read_text(encoding="utf-8"))
-    if len(summaries) < 3:
-        print("error: need at least three summary rows", file=sys.stderr)
-        return 1
-    energy_column = args.energy_column or "final_energy_logic"
-    backbone_column = args.backbone_column or "backbone_capped"
-    agg = analysis.aggregate(summaries)
-    matrix = analysis.correlation_matrix(
-        summaries, energy_column=energy_column, backbone_column=backbone_column
-    )
-    aggregate_table = analysis.format_aggregate_table(
-        agg, energy_column=energy_column, backbone_column=backbone_column
-    )
+    try:
+        summaries = analysis.read_summary_csv(summary_path.read_text(encoding="utf-8"))
+        if len(summaries) < 3:
+            raise InputError("need at least three summary rows")
+        agg = analysis.aggregate(summaries)
+        matrix = analysis.correlation_matrix(summaries, args.energy_column, args.backbone_column)
+    except ValueError as exc:
+        raise InputError(exc) from exc
+    aggregate_table = analysis.format_aggregate_table(agg, args.energy_column, args.backbone_column)
     correlation_table = analysis.format_correlation_table(matrix)
     print(f"Aggregate annealing statistics over {len(summaries)} runs")
     print(aggregate_table)
     print("Correlation matrix between logical and physical observables")
     print(correlation_table)
 
-    outdir = Path(args.outdir or os.environ.get("SPINSAT_OUTDIR") or summary_path.parent)
+    outdir = Path(_outdir(args.outdir, summary_path.parent))
     agg_lines = ["column,mean,sd"]
     for column, (mean, sd) in sorted(agg.items()):
         agg_lines.append(f"{column},{format_float(mean)},{format_float(sd)}")
@@ -484,9 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--n", type=int, default=20)
     gen.add_argument("--m", type=int, default=91)
     gen.add_argument("--count", type=int, default=10)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=RunConfig.seed, help="base seed (default %(default)s)")
     gen.add_argument("--prefix", default="rand3sat")
-    gen.add_argument("--outdir")
+    gen.add_argument("--outdir", help=f"output directory (default {DEFAULT_OUTDIR})")
     gen.add_argument("--satisfiable-only", action="store_true")
     gen.add_argument("--satlib-footer", action="store_true",
                      help="append the '%%' / '0' footer found in SATLIB files")
@@ -501,34 +481,37 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_common_flags(p, with_schedule=with_schedule)
         if name in ("backbone", "run"):
-            p.add_argument("--cap", type=int, help="model enumeration cap (default 120)")
+            p.add_argument("--cap", type=int, help=f"model enumeration cap (default {RunConfig.cap})")
         if name == "backbone":
             p.add_argument("--exact", action="store_true",
                            help="also report the exhaustive-scan backbone")
         if name == "run":
-            p.add_argument("--workers", type=int, help="instance-level worker pool size")
-            p.add_argument("--bins", type=int, help="temperature bins for pooled curves")
+            p.add_argument("--workers", type=int,
+                           help=f"instance-level worker pool size (default {RunConfig.workers})")
+            p.add_argument("--bins", type=int,
+                           help=f"temperature bins for pooled curves (default {RunConfig.bins})")
             p.add_argument("--beta-window", dest="beta_window", type=float, nargs=2,
-                           metavar=("T_LO", "T_HI"), help="power-law fit window")
+                           metavar=("T_LO", "T_HI"),
+                           help="power-law fit window (default %g %g)" % RunConfig.beta_window)
 
     report = sub.add_parser("report", help="aggregate and correlation tables from a summary CSV")
     report.add_argument("summary", help="path to the run summary CSV")
-    report.add_argument("--outdir")
-    report.add_argument("--energy-column", dest="energy_column",
-                        choices=("final_energy_logic", "final_energy_h"))
-    report.add_argument("--backbone-column", dest="backbone_column",
-                        choices=("backbone_capped", "backbone_exact"))
+    report.add_argument("--outdir", help="output directory (default: the summary's directory)")
+    report.add_argument("--energy-column", default=RunConfig.energy_column,
+                        choices=("final_energy_logic", "final_energy_h"),
+                        help="energy column to correlate (default %(default)s)")
+    report.add_argument("--backbone-column", default=RunConfig.backbone_column,
+                        choices=("backbone_capped", "backbone_exact"),
+                        help="backbone column to correlate (default %(default)s)")
     return parser
 
 
 COMMANDS = {
     "gen": cmd_gen,
-    "compile": lambda args: _print_lines(_merge_config(args), _compile_line),
-    "solve": lambda args: _print_lines(_merge_config(args), _solve_line),
-    "backbone": lambda args: _print_lines(
-        _merge_config(args), partial(_backbone_line, exact=args.exact)
-    ),
-    "anneal": lambda args: _print_lines(_merge_config(args), _anneal_line),
+    "compile": lambda args: _print_lines(args, _compile_line),
+    "solve": lambda args: _print_lines(args, _solve_line),
+    "backbone": lambda args: _print_lines(args, partial(_backbone_line, exact=args.exact)),
+    "anneal": lambda args: _print_lines(args, _anneal_line),
     "run": cmd_run,
     "report": cmd_report,
 }

@@ -28,6 +28,15 @@ def read_all_outputs(outdir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(outdir.iterdir()) if p.is_file()}
 
 
+def run_process(argv: list[str]) -> subprocess.CompletedProcess:
+    """``spinsat`` in a process of its own, so that pytest's capture hides
+    neither pool workers' output nor anything ``warnings`` would print."""
+    env = {**os.environ, "PYTHONPATH": str(Path(spinsat.__file__).resolve().parent.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "spinsat", *argv], capture_output=True, text=True, env=env
+    )
+
+
 @pytest.fixture()
 def small_corpus(tmp_path, uf20_paths) -> Path:
     corpus = tmp_path / "corpus"
@@ -112,17 +121,47 @@ def test_bad_file_continues_batch(tmp_path, uf20_paths, capsys, command):
     assert sorted(out.iterdir() if out.exists() else []) == sorted(out / n for n in expected)
 
 
-def test_pooled_per_file_command_matches_serial(tmp_path, small_corpus, capsys):
+@pytest.fixture()
+def warning_corpus(small_corpus) -> Path:
+    """The uf20 corpus plus files that warn under ``--lenient``, fail, or both."""
     (small_corpus / "broken.cnf").write_text("not a cnf\n")
+    (small_corpus / "dup.cnf").write_text("p cnf 3 2\n1 1 2 0\n-1 3 -1 0\n")
+    (small_corpus / "dup_bad.cnf").write_text("p cnf 2 2\n2 2 0\n1 99 0\n")
+    (small_corpus / "short.cnf").write_text("p cnf 3 3\n1 2 3 0\n-1 -2 0\n")
+    return small_corpus
+
+
+def test_pooled_per_file_command_matches_serial(tmp_path, warning_corpus):
     config = tmp_path / "pooled.json"
     config.write_text(json.dumps({"workers": 2}))
     runs = []
     for label, extra in (("serial", []), ("pooled", ["--config", str(config)])):
         out = tmp_path / label
-        code = run_cli(["anneal", str(small_corpus), "--steps", "60", "--outdir", str(out), *extra])
-        runs.append((code, capsys.readouterr(), read_all_outputs(out)))
+        argv = ["anneal", str(warning_corpus), "--lenient", "--steps", "60", "--outdir", str(out)]
+        result = run_process([*argv, *extra])
+        runs.append((result.returncode, result.stdout, result.stderr, read_all_outputs(out)))
     assert runs[0] == runs[1]
-    assert runs[0][0] == 1 and len(runs[0][2]) == 3
+    code, _, stderr, outputs = runs[0]
+    assert code == 1 and len(outputs) == 5
+    assert stderr and all(
+        line.startswith((f"warning: {warning_corpus}", f"error: {warning_corpus}"))
+        for line in stderr.splitlines()
+    )
+
+
+def test_per_file_warnings_name_their_file_in_input_order(warning_corpus):
+    result = run_process(["solve", str(warning_corpus), "--lenient"])
+    assert result.returncode == 1
+    c = warning_corpus
+    assert result.stderr.splitlines() == [
+        f"error: {c / 'broken.cnf'}: DimacsError: line 1: expected 'p cnf' header, got 'not a cnf'",
+        f"warning: {c / 'dup.cnf'}: dropped 1 duplicate literal(s) in clause [1, 1, 2]",
+        f"warning: {c / 'dup.cnf'}: dropped 1 duplicate literal(s) in clause [-1, 3, -1]",
+        f"warning: {c / 'dup_bad.cnf'}: dropped 1 duplicate literal(s) in clause [2, 2]",
+        f"error: {c / 'dup_bad.cnf'}: DimacsError: literal 99 exceeds declared variable count 2",
+        f"warning: {c / 'short.cnf'}: header declares 3 clauses, found 2",
+    ]
+    assert ".py" not in result.stderr
 
 
 def test_k_factor_warning_is_one_line_in_serial_and_pooled_runs(tmp_path, small_corpus):
@@ -395,6 +434,18 @@ def test_run_config_file_with_flag_priority(tmp_path, small_corpus):
     assert manifest["config"]["seed"] == 4  # config file beats default
 
 
+@pytest.mark.parametrize("with_flag", [True, False], ids=["flag-config-env", "config-env"])
+def test_outdir_precedence(tmp_path, uf20_paths, monkeypatch, with_flag):
+    # default < SPINSAT_OUTDIR < config file < flag
+    monkeypatch.setenv("SPINSAT_OUTDIR", str(tmp_path / "env_out"))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"outdir": str(tmp_path / "config_out")}))
+    flag = ["--outdir", str(tmp_path / "flag_out")] if with_flag else []
+    assert run_cli(["compile", str(uf20_paths[0]), "--config", str(config), *flag]) == 0
+    written = [p.name for p in tmp_path.iterdir() if p.is_dir()]
+    assert written == ["flag_out" if with_flag else "config_out"]
+
+
 def test_outdir_environment_override(tmp_path, small_corpus, monkeypatch):
     env_out = tmp_path / "env_out"
     monkeypatch.setenv("SPINSAT_OUTDIR", str(env_out))
@@ -415,27 +466,75 @@ def test_report_tables(tmp_path, small_corpus, capsys):
     assert (out / "report_correlation.csv").exists()
 
 
-def test_report_synthetic_anticorrelation(tmp_path, capsys):
+def write_synthetic_summary(tmp_path: Path, sat=(True, True, True, True)) -> Path:
+    """Four rows whose |M| is anti-correlated with the energy; UNSAT rows have
+    no backbone, and no row has an exact one."""
     summaries = [
         analysis.InstanceSummary(
-            instance=f"i{k}", seed=k, sat=True, alpha_ratio=4.55,
+            instance=f"i{k}", seed=k, sat=sat[k], alpha_ratio=4.55,
             final_energy_h=float(-m), final_energy_logic=float(-m),
-            final_abs_magnetization=m, backbone_capped=5 + k, backbone_exact=None,
-            backbone_exact_flag=False, mean_slack=1.7, beta=None, beta_r2=None,
-            t0=2.5, alpha=0.999, steps=100,
+            final_abs_magnetization=m, backbone_capped=5 + k if sat[k] else None,
+            backbone_exact=None, backbone_exact_flag=False, mean_slack=1.7, beta=None,
+            beta_r2=None, t0=2.5, alpha=0.999, steps=100,
         )
         for k, m in enumerate((0.1, 0.5, 0.9, 0.7))
     ]
     path = tmp_path / analysis.SUMMARY_FILENAME
     path.write_text(analysis.summary_csv(summaries))
+    return path
+
+
+def test_report_synthetic_anticorrelation(tmp_path, capsys):
+    path = write_synthetic_summary(tmp_path)
     assert run_cli(["report", str(path), "--outdir", str(tmp_path)]) == 0
     assert "-1.000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "sat, flags",
+    [((True, False, True, False), []), ((True,) * 4, ["--backbone-column", "backbone_exact"])],
+    ids=["unsat-rows", "no-exact-backbone"],
+)
+def test_report_without_three_backbones_fails_once(tmp_path, capsys, sat, flags):
+    path = write_synthetic_summary(tmp_path, sat)
+    assert_fails_once_before_any_work(["report", str(path), *flags], tmp_path / "out", capsys)
 
 
 def test_report_too_few_rows(tmp_path, capsys):
     path = tmp_path / analysis.SUMMARY_FILENAME
     path.write_text(analysis.summary_csv([]))
     assert run_cli(["report", str(path)]) == 1
+
+
+def test_gen_rejects_too_few_variables(tmp_path, capsys):
+    assert_fails_once_before_any_work(["gen", "--n", "2"], tmp_path / "out", capsys)
+
+
+HELP_DEFAULTS = {
+    "gen": ("seed", "outdir"),
+    "compile": ("seed", "outdir", "k_factor"),
+    "solve": ("seed", "outdir", "k_factor"),
+    "backbone": ("seed", "outdir", "k_factor", "cap"),
+    "anneal": ("seed", "outdir", "k_factor", "t0", "alpha", "steps"),
+    "run": ("seed", "outdir", "k_factor", "t0", "alpha", "steps", "cap", "workers", "bins",
+            "beta_window"),
+    "report": ("energy_column", "backbone_column"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DEFAULTS))
+def test_help_shows_run_config_defaults(capsys, command):
+    with pytest.raises(SystemExit) as exited:
+        run_cli([command, "--help"])
+    assert exited.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    for name in HELP_DEFAULTS[command]:
+        value = getattr(cli.RunConfig, name)
+        if isinstance(value, tuple):
+            value = " ".join(f"{v:g}" for v in value)
+        elif not isinstance(value, str):
+            value = f"{value:g}"
+        assert f"(default {value})" in text, name
 
 
 def test_cli_missing_input_path(tmp_path, capsys):
