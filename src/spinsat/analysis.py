@@ -244,7 +244,6 @@ class BetaFit:
     """Power-law fit |M| ~ T^(-beta) over a temperature window."""
 
     beta: float
-    window: tuple[float, float]
     r_squared: float
     n_points: int
 
@@ -282,7 +281,7 @@ def fit_beta(
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((y - y_mean) ** 2))
     r_squared = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return BetaFit(-slope, (lo, hi), r_squared, int(usable.sum()))
+    return BetaFit(-slope, r_squared, int(usable.sum()))
 
 
 def fit_beta_trajectory(
@@ -301,7 +300,6 @@ def build_summary(
     backbone_exact: BackboneReport | None = None,
     mean_slack: float | None = None,
     beta_fit: BetaFit | None = None,
-    tail_fraction: float = 0.2,
 ) -> InstanceSummary:
     """Assemble one summary row from the per-instance pipeline outputs.
 
@@ -317,9 +315,9 @@ def build_summary(
         seed=traj.seed,
         sat=sat,
         alpha_ratio=clause_ratio(f),
-        final_energy_h=tail_mean(traj.energy_h, tail_fraction),
-        final_energy_logic=tail_mean(traj.energy_logic, tail_fraction),
-        final_abs_magnetization=tail_mean(np.abs(traj.magnetization), tail_fraction),
+        final_energy_h=tail_mean(traj.energy_h),
+        final_energy_logic=tail_mean(traj.energy_logic),
+        final_abs_magnetization=tail_mean(np.abs(traj.magnetization)),
         backbone_capped=backbone_capped.size if backbone_capped else None,
         backbone_exact=backbone_exact.size if backbone_exact else None,
         backbone_exact_flag=bool(backbone_exact and backbone_exact.exact),
@@ -393,28 +391,20 @@ def read_summary_csv(text: str) -> list[InstanceSummary]:
     return out
 
 
-_TABLE_ROWS = (
-    ("final_energy", "Final Energy <E_f>", "Residual clause tension"),
-    ("final_abs_magnetization", "Final Magnetization <|M_f|>", "Near-complete ordering"),
-    ("backbone", "Backbone Size <b>", "Moderate rigidity"),
-)
-
-
 def format_aggregate_table(
     agg: dict[str, tuple[float, float]],
     energy_column: str = "final_energy_logic",
     backbone_column: str = "backbone_capped",
 ) -> str:
     """Aggregate statistics in the three-row observable/mean/sd layout."""
-    column_map = {
-        "final_energy": energy_column,
-        "final_abs_magnetization": "final_abs_magnetization",
-        "backbone": backbone_column,
-    }
+    rows = (
+        (energy_column, "Final Energy <E_f>", "Residual clause tension"),
+        ("final_abs_magnetization", "Final Magnetization <|M_f|>", "Near-complete ordering"),
+        (backbone_column, "Backbone Size <b>", "Moderate rigidity"),
+    )
     lines = [f"{'Observable':<30} {'Mean':>10} {'Std. Dev.':>10}  Interpretation"]
     lines.append("-" * len(lines[0]))
-    for key, label, interpretation in _TABLE_ROWS:
-        column = column_map[key]
+    for column, label, interpretation in rows:
         if column in agg:
             mean, sd = agg[column]
             lines.append(f"{label:<30} {mean:>10.3f} {sd:>10.3f}  {interpretation}")

@@ -14,10 +14,10 @@ equals the sum recomputed from scratch bit for bit, in any order. A
 hand-built Hamiltonian with inexact floats still anneals deterministically,
 but its kept fields may round differently from a recomputation.
 
-Only a step that accepts a flip appends a record (step, energy, unsatisfied
-count, core spin sum); the records are expanded to one row per step at the
-end. ``trajectory_csv`` renders the step and temperature columns once per
-schedule and the other three once per run of equal rows.
+Rows are steps, row 0 the initial state. Only a step that accepts a flip
+appends a record (step, energy, unsatisfied count, core spin sum), and the
+records become rows at the end. ``trajectory_csv`` renders the step and
+temperature columns once per schedule, the rest once per run of equal rows.
 """
 from __future__ import annotations
 
@@ -68,7 +68,7 @@ class Schedule:
 
 @dataclass
 class Trajectory:
-    """Per-step record of an annealing run, including the initial state.
+    """Per-step record of an annealing run: row t is the state after step t.
 
     ``energy_h`` is offset-normalized (raw Hamiltonian energy minus the
     compile-time floor constant), so it reads as residual constraint energy.
@@ -77,7 +77,6 @@ class Trajectory:
     instance: str
     seed: int
     schedule: Schedule
-    step_index: np.ndarray
     temperatures: np.ndarray
     energy_h: np.ndarray
     energy_logic: np.ndarray
@@ -85,7 +84,7 @@ class Trajectory:
     final_state: SpinState
 
     def __len__(self) -> int:
-        return len(self.step_index)
+        return len(self.temperatures)
 
 
 # ``anneal`` turns about this many draws at a time (whole steps) into Python
@@ -197,13 +196,11 @@ def anneal(
                 rec_core_sum.append(core_sum)
 
     # Row t repeats the last record at or before step t.
-    step_index = np.arange(sched.steps + 1, dtype=np.int64)
-    row = np.searchsorted(rec_step, step_index, side="right") - 1
+    row = np.searchsorted(rec_step, np.arange(sched.steps + 1), side="right") - 1
     return Trajectory(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        step_index=step_index,
         temperatures=temperatures.copy(),
         energy_h=(np.array(rec_energy, dtype=np.float64) - H.energy_floor)[row],
         energy_logic=np.array(rec_unsat, dtype=np.int32)[row],
@@ -220,23 +217,21 @@ def _column_texts(patterns: np.ndarray) -> list[str]:
 
 
 @functools.lru_cache(maxsize=1)
-def _row_prefixes(steps: bytes, temperatures: bytes) -> tuple[str, ...]:
+def _row_prefixes(temperatures: bytes) -> tuple[str, ...]:
     # Every trajectory of one schedule has the same step and temperature columns.
-    pairs = zip(np.frombuffer(steps, dtype=np.int64).tolist(), np.frombuffer(temperatures).tolist())
+    pairs = enumerate(np.frombuffer(temperatures).tolist())
     return tuple(f"{step},{format_float(temperature)}," for step, temperature in pairs)
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV (LF endings, 17-significant-digit floats).
 
-    The ``step,temperature,`` prefixes are reused while consecutive
-    trajectories share both columns; the rest of a row is rendered once per
-    run of rows with equal bit patterns, so -0.0 and 0.0 stay apart.
+    Row t's step is t. The ``step,temperature,`` prefixes are reused while
+    consecutive trajectories share the temperature column; the rest of a row
+    is rendered once per run of rows with equal bit patterns, so -0.0 and
+    0.0 stay apart.
     """
-    prefixes = _row_prefixes(
-        np.asarray(traj.step_index, dtype=np.int64).tobytes(),
-        np.asarray(traj.temperatures, dtype=np.float64).tobytes(),
-    )
+    prefixes = _row_prefixes(np.asarray(traj.temperatures, dtype=np.float64).tobytes())
     columns = np.stack([
         np.ascontiguousarray(traj.energy_h, dtype=np.float64).view(np.int64),
         np.asarray(traj.energy_logic, dtype=np.int64),

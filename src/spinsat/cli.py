@@ -17,17 +17,18 @@ import json
 import os
 import sys
 import tempfile
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields as dataclass_fields
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .anneal import Schedule, anneal, trajectory_csv, trajectory_filename
+from .anneal import Schedule, Trajectory, anneal, trajectory_csv, trajectory_filename
 from .cnf import Formula, generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
-from .ising import export_csv, format_float
+from .ising import Hamiltonian, export_csv, format_float
 from .satcore import BRUTE_FORCE_MAX_VARS, ModelSet, backbone, brute_force_models
 from .satcore import enumerate_models, solve
 from . import analysis
@@ -140,25 +141,40 @@ def _outdir(flag: str | None, fallback):
     return flag or os.environ.get("SPINSAT_OUTDIR") or fallback
 
 
+def _setting(name: str, kind, value):
+    """``value`` for the ``RunConfig`` field ``name`` of type ``kind``, a list
+    made a tuple. InputError unless it has that JSON type: an int passes for
+    a float and stays an int, as ``run_manifest.json`` shows; a bool is no int."""
+    is_tuple = typing.get_origin(kind) is tuple
+    element = typing.get_args(kind)[0] if is_tuple else kind
+    accepted = (int, float) if element is float else (element,)
+    items = value if is_tuple and isinstance(value, list) else [value]
+    if isinstance(value, list) == is_tuple and all(type(item) in accepted for item in items):
+        return tuple(value) if is_tuple else value
+    expected = "a list of " * is_tuple + element.__name__
+    raise InputError(f"config key {name} must be {expected}, got {value!r}")
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then SPINSAT_OUTDIR, then the ``--config`` file, then every
     flag whose dest names a ``RunConfig`` field; the later source wins."""
-    names = {field.name for field in dataclass_fields(RunConfig)}
+    types = typing.get_type_hints(RunConfig)
     from_file = {}
     if args.config:
-        from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        unknown = sorted(set(from_file) - names)
+        try:
+            from_file = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise InputError(f"config file {args.config}: {exc}") from exc
+        if not isinstance(from_file, dict):
+            raise InputError(f"config file {args.config} must hold a JSON object")
+        unknown = sorted(set(from_file) - set(types))
         if unknown:
-            raise SystemExit(f"error: unknown config keys: {', '.join(unknown)}")
+            raise InputError(f"unknown config keys: {', '.join(unknown)}")
     # An absent flag parses as None, an absent nargs="*" positional as [].
-    from_flags = {k: v for k, v in vars(args).items() if k in names and v not in (None, [])}
+    from_flags = {k: v for k, v in vars(args).items() if k in types and v not in (None, [])}
     settings = {"outdir": _outdir(None, DEFAULT_OUTDIR)}
     for name, value in [*from_file.items(), *from_flags.items()]:
-        if isinstance(getattr(RunConfig, name), tuple):
-            if not isinstance(value, list):
-                raise InputError(f"config key {name} must be a list, got {value!r}")
-            value = tuple(value)
-        settings[name] = value
+        settings[name] = _setting(name, types[name], value)
     return RunConfig(**settings)
 
 
@@ -276,13 +292,21 @@ def _model_sets(formula: Formula, cap: int) -> tuple[ModelSet | None, ModelSet]:
     return exact, enumerate_models(formula, cap, exact)
 
 
+def _write_hamiltonian(outdir: Path, H: Hamiltonian) -> None:
+    nodes, edges = export_csv(H)
+    _atomic_write(outdir / f"ising_nodes_{H.source}.csv", nodes)
+    _atomic_write(outdir / f"ising_edges_{H.source}.csv", edges)
+
+
+def _write_trajectory(outdir: Path, traj: Trajectory) -> None:
+    _atomic_write(outdir / trajectory_filename(traj.instance, traj.seed), trajectory_csv(traj))
+
+
 def _compile_line(job: tuple[str, RunConfig]) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
     H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
-    nodes, edges = export_csv(H)
-    _atomic_write(Path(config.outdir) / f"ising_nodes_{formula.source_name}.csv", nodes)
-    _atomic_write(Path(config.outdir) / f"ising_edges_{formula.source_name}.csv", edges)
+    _write_hamiltonian(Path(config.outdir), H)
     return f"{formula.source_name}: {H.num_spins} spins, {len(H.couplings)} couplings"
 
 
@@ -319,8 +343,7 @@ def _anneal_line(job: tuple[str, RunConfig]) -> str:
     H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
-    name = trajectory_filename(formula.source_name, seed)
-    _atomic_write(Path(config.outdir) / name, trajectory_csv(traj))
+    _write_trajectory(Path(config.outdir), traj)
     return (
         f"{formula.source_name}: seed={seed}"
         f" final_E_logic={int(traj.energy_logic[-1])}"
@@ -328,12 +351,11 @@ def _anneal_line(job: tuple[str, RunConfig]) -> str:
     )
 
 
-def _run_instance(job: tuple[str, RunConfig]) -> dict:
-    """Full pipeline for one instance; returns summary row plus artifacts."""
+def _run_instance(job: tuple[str, RunConfig]) -> tuple:
+    """Full pipeline for one instance: its summary row, Hamiltonian and trajectory."""
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
     H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
-    nodes, edges = export_csv(H)
 
     exact_models, capped_models = _model_sets(formula, config.cap)
     sat = bool(capped_models.models)
@@ -361,35 +383,23 @@ def _run_instance(job: tuple[str, RunConfig]) -> dict:
         mean_slack=slack_value,
         beta_fit=beta_fit,
     )
-    return {
-        "instance": formula.source_name,
-        "seed": seed,
-        "summary": summary,
-        "nodes_csv": nodes,
-        "edges_csv": edges,
-        "trajectory": traj,
-    }
+    return summary, H, traj
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     files, results, failures = _for_each_file(config, _run_instance)
     outdir = Path(config.outdir)
-    results.sort(key=lambda r: r["instance"])
-    for result in results:
-        name = result["instance"]
-        _atomic_write(outdir / f"ising_nodes_{name}.csv", result["nodes_csv"])
-        _atomic_write(outdir / f"ising_edges_{name}.csv", result["edges_csv"])
-        _atomic_write(
-            outdir / trajectory_filename(name, result["seed"]),
-            trajectory_csv(result["trajectory"]),
-        )
+    results.sort(key=lambda result: result[0].instance)
+    for _, H, traj in results:
+        _write_hamiltonian(outdir, H)
+        _write_trajectory(outdir, traj)
 
-    summaries = [r["summary"] for r in results]
+    summaries = [summary for summary, _, _ in results]
     pooled_beta = None
     if results:
         _atomic_write(outdir / analysis.SUMMARY_FILENAME, analysis.summary_csv(summaries))
-        curves = analysis.binned_curves([r["trajectory"] for r in results], bins=config.bins)
+        curves = analysis.binned_curves([traj for _, _, traj in results], bins=config.bins)
         _atomic_write(outdir / "binned_curves.csv", curves.to_csv())
         try:
             pooled = analysis.fit_beta(

@@ -519,6 +519,8 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
                 parent_j = int(right.lstrip("x")) - 1
             except ValueError as exc:
                 raise ValueError(f"malformed ancilla label {label!r}") from exc
+            if parent_i == parent_j or not (0 <= parent_i < core_count and 0 <= parent_j < core_count):
+                raise ValueError(f"ancilla label {label!r} must name two distinct core spins")
             # Every gadget reduces a cubic term of magnitude 1/8.
             ancillas.append(GadgetRecord(index, parent_i, parent_j, k_factor / 8))
         else:

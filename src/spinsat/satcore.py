@@ -31,11 +31,10 @@ BRUTE_FORCE_MAX_VARS = 24
 
 @dataclass(frozen=True)
 class ModelSet:
-    """A set of satisfying assignments, possibly cut off at ``cap`` models."""
+    """A set of satisfying assignments; ``truncated`` if more exist."""
 
     models: tuple[Assignment, ...]
     truncated: bool
-    cap: int
 
 
 @dataclass(frozen=True)
@@ -173,13 +172,13 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     while len(models) < cap:
         true = _solve_masks(clauses, live)
         if true is None:
-            return ModelSet(tuple(models), truncated=False, cap=cap)
+            return ModelSet(tuple(models), truncated=False)
         models.append(_assignment(true, f.num_vars))
         clauses.append((every_var ^ true, true))
         if live is not None:
             live.discard(true)
     truncated = bool(live) if live is not None else _solve_masks(clauses) is not None
-    return ModelSet(tuple(models), truncated=truncated, cap=cap)
+    return ModelSet(tuple(models), truncated=truncated)
 
 
 def backbone(ms: ModelSet, num_vars: int) -> BackboneReport:
@@ -224,4 +223,4 @@ def brute_force_models(f: Formula) -> ModelSet:
     front.sort()
     bits = (front[:, None] >> np.arange(n, dtype=np.uint32)) & 1
     models = tuple(tuple(bool(b) for b in row) for row in bits)
-    return ModelSet(models, truncated=False, cap=1 << n)
+    return ModelSet(models, truncated=False)

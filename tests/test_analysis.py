@@ -32,7 +32,6 @@ def make_trajectory(temps, energy_logic, magnetization, energy_h=None, instance=
         instance=instance,
         seed=seed,
         schedule=Schedule(t0=float(temps[0]), alpha=0.999, steps=n - 1),
-        step_index=np.arange(n),
         temperatures=temps,
         energy_h=np.asarray(energy_h if energy_h is not None else energy_logic, dtype=np.float64),
         energy_logic=np.asarray(energy_logic),
@@ -342,7 +341,7 @@ def test_build_summary_round_trips_through_csv(uf20_formulas):
         backbone_capped=capped,
         backbone_exact=exact,
         mean_slack=1.66,
-        beta_fit=BetaFit(0.01, (0.05, 1.0), 0.5, 100),
+        beta_fit=BetaFit(0.01, 0.5, 100),
     )
     text = summary_csv([summary])
     assert read_summary_csv(text) == [summary]

@@ -86,7 +86,6 @@ def reference_anneal(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        step_index=np.arange(sched.steps + 1, dtype=np.int64),
         temperatures=np.array(temperatures),
         energy_h=np.array(energy_h),
         energy_logic=np.array(energy_logic, dtype=np.int32),
@@ -337,8 +336,8 @@ def test_anneal_zero_steps(uf20_compiled):
     H, f = uf20_compiled
     traj = anneal(H, f, Schedule(steps=0), seed=5)
     assert len(traj) == 1
-    assert traj.step_index[0] == 0
     assert traj.temperatures[0] == 2.5
+    assert trajectory_csv(traj).splitlines()[1].startswith("0,2.5,")
 
 
 def test_anneal_point_count_and_fields(uf20_compiled):
@@ -415,7 +414,7 @@ def rendered_rows(traj: Trajectory) -> str:
         lines.append(
             ",".join(
                 (
-                    str(int(traj.step_index[t])),
+                    str(t),
                     format_float(traj.temperatures[t]),
                     format_float(traj.energy_h[t]),
                     str(int(traj.energy_logic[t])),
@@ -448,7 +447,6 @@ def test_trajectory_csv_keeps_signed_zeros_and_subnormals():
         instance="hand",
         seed=0,
         schedule=Schedule(steps=4),
-        step_index=np.arange(5, dtype=np.int64),
         temperatures=np.array([2.5, 1.25, 1.25, 5e-324, 0.1]),
         energy_h=np.array([0.0, -0.0, 5e-324, -0.0, 0.0]),
         energy_logic=np.array([3, 0, 0, 1, 0], dtype=np.int32),
@@ -461,15 +459,13 @@ def test_trajectory_csv_keeps_signed_zeros_and_subnormals():
 
 
 def test_trajectory_csv_matches_per_row_renderer_on_repeated_rows():
-    # Runs of equal rows, a run's values coming back after another, rows that
-    # differ only in the sign of a zero or in one column, and a step index
-    # that neither starts at 0 nor counts by one.
-    def hand_built(step_index, temperatures):
+    # Runs of equal rows, a run's values coming back after another, and rows
+    # that differ only in the sign of a zero or in one column.
+    def hand_built(temperatures):
         return Trajectory(
             instance="hand",
             seed=0,
             schedule=Schedule(steps=7),
-            step_index=np.array(step_index, dtype=np.int64),
             temperatures=np.array(temperatures),
             energy_h=np.array([1.5, 1.5, 1.5, 0.0, -0.0, -0.0, -0.0, 1.5]),
             energy_logic=np.array([2, 2, 2, 0, 0, 0, 1, 2], dtype=np.int32),
@@ -477,18 +473,12 @@ def test_trajectory_csv_matches_per_row_renderer_on_repeated_rows():
             final_state=np.array([1], dtype=np.int8),
         )
 
-    steps = [3, 4, 4, 9, 10, 11, 20, 21]
-    first = hand_built(steps, [2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.125])
-    runs = [
-        first,
-        hand_built(steps, [2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.0625]),
-        first,
-        hand_built([s + 1 for s in steps], first.temperatures),
-    ]
+    first = hand_built([2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.125])
+    runs = [first, hand_built([2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.0625]), first]
     for traj in runs:
         assert trajectory_csv(traj) == rendered_rows(traj)
     assert trajectory_csv(first).splitlines()[4:7] == [
-        "9,1,0,0,0.25", "10,0.5,-0,0,0.25", "11,0.5,-0,0,-1"
+        "3,1,0,0,0.25", "4,0.5,-0,0,0.25", "5,0.5,-0,0,-1"
     ]
 
 

@@ -278,15 +278,32 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("run", [], {"bins": "60"}),
         ("run", [], {"beta_window": 0.5}),
         ("anneal", [], {"inputs": 5}),
+        ("run", [], 5),
+        ("run", [], [1]),
+        ("run", [], '{"steps": 40'),
+        ("compile", [], {"outdir": 5}),
+        ("run", [], {"workers": "2"}),
+        ("run", [], {"seed": "x"}),
+        ("run", [], {"steps": 2.5}),
+        ("anneal", [], {"steps": True}),
+        ("run", [], {"cap": True}),
+        ("anneal", [], {"sweeps": "yes"}),
+        ("anneal", [], {"t0": True}),
+        ("run", [], {"beta_window": [0.05, "1"]}),
+        ("anneal", [], {"inputs": [5]}),
     ],
     ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
-         "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar"],
+         "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar",
+         "not-object-number", "not-object-list", "malformed-json",
+         "outdir-number", "workers-string", "seed-string", "steps-float", "steps-bool",
+         "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "inputs-number-item"],
 )
 def test_invalid_setting_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, flags, settings
 ):
+    # A str is written as is (malformed JSON); anything else as its JSON.
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(settings))
+    config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     corpus = str(uf20_paths[0].parent)
     assert_fails_once_before_any_work(
         [command, corpus, "--config", str(config), *flags], tmp_path / "out", capsys
@@ -332,6 +349,29 @@ def test_run_deterministic_and_sorted(tmp_path, small_corpus):
     summary = (out / analysis.SUMMARY_FILENAME).read_text().splitlines()
     names = [line.split(",")[0] for line in summary[1:]]
     assert names == sorted(names)
+
+
+def test_run_orders_rows_by_stem_and_writes_what_compile_and_anneal_write(tmp_path, uf20_paths):
+    # Name order puts a-b.cnf before a.cnf ("-" < "."); stem order puts a first.
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, source in zip(("a.cnf", "a-b.cnf"), uf20_paths):
+        shutil.copyfile(source, corpus / name)
+    settings = [str(corpus), "--steps", "60", "--seed", "3"]
+    outs = {command: tmp_path / command for command in ("run", "compile", "anneal")}
+    assert run_cli(["run", *settings, "--outdir", str(outs["run"])]) == 0
+    assert run_cli(["compile", str(corpus), "--outdir", str(outs["compile"])]) == 0
+    assert run_cli(["anneal", *settings, "--outdir", str(outs["anneal"])]) == 0
+    run = read_all_outputs(outs["run"])
+    summary = run[analysis.SUMMARY_FILENAME].decode().splitlines()
+    assert [line.split(",")[0] for line in summary[1:]] == ["a", "a-b"]
+    manifest = json.loads(run["run_manifest.json"])
+    assert [row["instance"] for row in manifest["instances"]] == ["a-b", "a"]
+    per_file = {**read_all_outputs(outs["compile"]), **read_all_outputs(outs["anneal"])}
+    assert len(per_file) == 6
+    assert {name: run[name] for name in per_file} == per_file
+    pooled = {analysis.SUMMARY_FILENAME, "binned_curves.csv", "run_manifest.json"}
+    assert set(run) == set(per_file) | pooled
 
 
 def test_run_parallel_matches_serial(tmp_path, small_corpus):
@@ -542,11 +582,24 @@ def test_cli_missing_input_path(tmp_path, capsys):
     assert "no such file" in capsys.readouterr().err
 
 
-def test_cli_rejects_unknown_config_keys(tmp_path, small_corpus):
+def test_cli_rejects_unknown_config_keys(tmp_path, small_corpus, capsys):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"stepz": 40}))
-    with pytest.raises(SystemExit):
-        run_cli(["run", str(small_corpus), "--config", str(config)])
+    config.write_text(json.dumps({"stepz": 40, "seed": 1}))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(small_corpus), "--config", str(config), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == "error: unknown config keys: stepz\n"
+    assert not out.exists()
+
+
+def test_config_int_for_float_field_is_kept_as_given(tmp_path, uf20_paths):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"t0": 2, "k_factor": 20, "beta_window": [0.05, 1]}))
+    out = tmp_path / "out"
+    args = ["run", str(uf20_paths[0]), "--config", str(config), "--steps", "40", "--outdir", str(out)]
+    assert run_cli(args) == 0
+    manifest = (out / "run_manifest.json").read_text()
+    assert '"t0": 2,' in manifest and '"k_factor": 20,' in manifest
+    assert json.loads(manifest)["config"]["beta_window"] == [0.05, 1]
 
 
 def test_compile_paper_literal_gadget_recorded(tmp_path, uf20_paths):

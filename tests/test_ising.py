@@ -507,6 +507,16 @@ def test_import_rejects_malformed_ancilla_label():
         import_csv(corrupted, edges)
 
 
+@pytest.mark.parametrize("label", ["x0*x2", "x1*x9", "x4*x4", "x2*x2", "x1*x-1"])
+def test_import_rejects_ancilla_label_off_the_core(label):
+    H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"))
+    nodes, edges = export_csv(H)
+    corrupted = nodes.replace("4,ancilla,x1*x2", f"4,ancilla,{label}")
+    assert corrupted != nodes
+    with pytest.raises(ValueError, match="two distinct core spins"):
+        import_csv(corrupted, edges)
+
+
 def test_import_rejects_edge_out_of_range():
     H = ising.compile(Formula(2, ()))
     nodes, _ = export_csv(H)

@@ -118,7 +118,7 @@ def test_enumerate_truncation_flag():
 
 
 def test_backbone_single_model():
-    ms = ModelSet(((True, False, True),), truncated=False, cap=10)
+    ms = ModelSet(((True, False, True),), truncated=False)
     report = backbone(ms, 3)
     assert report.size == 3
     assert report.normalized == 1.0
@@ -126,7 +126,7 @@ def test_backbone_single_model():
 
 
 def test_backbone_two_models():
-    ms = ModelSet(((True, True), (True, False)), truncated=False, cap=10)
+    ms = ModelSet(((True, True), (True, False)), truncated=False)
     report = backbone(ms, 2)
     assert report.fixed_vars == ((0, True),)
     assert report.size == 1
@@ -135,13 +135,13 @@ def test_backbone_two_models():
 
 def test_backbone_empty_errors():
     with pytest.raises(ValueError):
-        backbone(ModelSet((), truncated=False, cap=10), 3)
+        backbone(ModelSet((), truncated=False), 3)
 
 
 def test_backbone_order_invariant():
     models = [(True, False, True), (True, True, True), (True, False, False)]
-    a = backbone(ModelSet(tuple(models), False, 10), 3)
-    b = backbone(ModelSet(tuple(reversed(models)), False, 10), 3)
+    a = backbone(ModelSet(tuple(models), False), 3)
+    b = backbone(ModelSet(tuple(reversed(models)), False), 3)
     assert a.fixed_vars == b.fixed_vars
 
 
@@ -154,7 +154,7 @@ def test_backbone_truncation_overestimates():
         if len(bf.models) < 3:
             continue
         full = backbone(bf, 7)
-        cut = ModelSet(bf.models[:2], truncated=True, cap=2)
+        cut = ModelSet(bf.models[:2], truncated=True)
         partial = backbone(cut, 7)
         assert set(full.fixed_vars) <= set(partial.fixed_vars)
         assert not partial.exact
@@ -339,7 +339,6 @@ def test_brute_force_matches_scan_in_order(uf20_formulas):
         ms = brute_force_models(f)
         assert ms.models == scan_models(f)
         assert not ms.truncated
-        assert ms.cap == 1 << f.num_vars
 
 
 def test_solve_branches_deeper_than_the_recursion_limit():
