@@ -13,8 +13,7 @@ import numpy as np
 
 from .cnf import Formula, clause_ratio
 from .anneal import Trajectory
-from .ising import Hamiltonian, format_float
-from .satcore import BackboneReport
+from .ising import format_float
 
 __all__ = [
     "InstanceSummary",
@@ -292,12 +291,11 @@ def fit_beta_trajectory(
 
 def build_summary(
     f: Formula,
-    H: Hamiltonian,
     traj: Trajectory,
     *,
     sat: bool,
-    backbone_capped: BackboneReport | None = None,
-    backbone_exact: BackboneReport | None = None,
+    backbone_capped: int | None = None,
+    backbone_exact: int | None = None,
     mean_slack: float | None = None,
     beta_fit: BetaFit | None = None,
 ) -> InstanceSummary:
@@ -307,9 +305,8 @@ def build_summary(
     statistic averages per-step |M_t| (absolute value first) so symmetric
     ordered states do not cancel.
     """
-    labels = {name for name in (f.source_name, H.source, traj.instance) if name}
-    if len(labels) > 1:
-        raise ValueError(f"instance labels disagree: {sorted(labels)}")
+    if f.source_name and traj.instance and f.source_name != traj.instance:
+        raise ValueError(f"instance labels disagree: {f.source_name!r} vs {traj.instance!r}")
     return InstanceSummary(
         instance=f.source_name,
         seed=traj.seed,
@@ -318,9 +315,9 @@ def build_summary(
         final_energy_h=tail_mean(traj.energy_h),
         final_energy_logic=tail_mean(traj.energy_logic),
         final_abs_magnetization=tail_mean(np.abs(traj.magnetization)),
-        backbone_capped=backbone_capped.size if backbone_capped else None,
-        backbone_exact=backbone_exact.size if backbone_exact else None,
-        backbone_exact_flag=bool(backbone_exact and backbone_exact.exact),
+        backbone_capped=backbone_capped,
+        backbone_exact=backbone_exact,
+        backbone_exact_flag=backbone_exact is not None,
         mean_slack=mean_slack,
         beta=beta_fit.beta if beta_fit else None,
         beta_r2=beta_fit.r_squared if beta_fit else None,

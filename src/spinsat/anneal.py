@@ -72,6 +72,7 @@ class Trajectory:
 
     ``energy_h`` is offset-normalized (raw Hamiltonian energy minus the
     compile-time floor constant), so it reads as residual constraint energy.
+    ``temperatures`` is read-only: consecutive runs of one schedule share it.
     """
 
     instance: str
@@ -201,7 +202,7 @@ def anneal(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        temperatures=temperatures.copy(),
+        temperatures=temperatures,
         energy_h=(np.array(rec_energy, dtype=np.float64) - H.energy_floor)[row],
         energy_logic=np.array(rec_unsat, dtype=np.int32)[row],
         magnetization=(np.array(rec_core_sum, dtype=np.float64) / n_core)[row],

@@ -7,7 +7,7 @@ SPINSAT_OUTDIR (output directory only), a JSON ``--config`` file and a flag;
 the later source wins. Stderr is the same serial or pooled: a warning that
 depends on the settings alone prints once as ``warning: <message>``, and
 each file's own warnings and failure print as ``warning: <path>: <message>``
-and ``error: <path>: <Type>: <message>`` lines, in input order.
+and ``error: <path>: <Type>: <message>`` lines, in file stem order.
 """
 from __future__ import annotations
 
@@ -112,7 +112,7 @@ def _check_settings(config: RunConfig) -> set[str]:
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
-    """Input files in name order, one per stem.
+    """Input files in stem order, one per stem.
 
     Every output name is keyed on the file stem, so two different files with
     the same stem would overwrite each other's artifacts: that is an error.
@@ -133,7 +133,7 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
                     f"{first} and {path} share the stem {path.stem!r}, "
                     "so their outputs would overwrite each other"
                 )
-    return sorted(files.values(), key=lambda p: p.name)
+    return [files[stem] for stem in sorted(files)]
 
 
 def _outdir(flag: str | None, fallback):
@@ -249,7 +249,7 @@ def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tupl
     whose job raises is then reported as one ``error: <path>: <Type>:
     <message>`` line and the batch goes on. Returns the input files, the
     results of the jobs that worked and the ``(path, "<Type>: <message>")``
-    failures, both in input order. ``config.workers > 1`` runs the jobs in
+    failures, both in stem order. ``config.workers > 1`` runs the jobs in
     a process pool, so ``work`` must be a module-level function. Settings
     are checked once first, so none fails every file with the same error.
     """
@@ -278,7 +278,7 @@ def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tupl
 
 
 def _print_lines(args: argparse.Namespace, work) -> int:
-    """Print the line ``work`` returns for each file, in input order."""
+    """Print the line ``work`` returns for each file, in stem order."""
     _, lines, failures = _for_each_file(_merge_config(args), work)
     for line in lines:
         print(line)
@@ -326,14 +326,14 @@ def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
     exact_models, models = _model_sets(formula, config.cap)
     if not models.models:
         return f"{formula.source_name}: sat=false"
-    report = backbone(models, formula.num_vars)
+    size = len(backbone(models))
     line = (
         f"{formula.source_name}: models>={len(models.models)}"
-        f" truncated={str(report.exact is False).lower()}"
-        f" backbone={report.size} normalized={report.normalized:.3f}"
+        f" truncated={str(models.truncated).lower()}"
+        f" backbone={size} normalized={size / formula.num_vars:.3f}"
     )
     if exact and exact_models is not None:
-        line += f" backbone_exact={backbone(exact_models, formula.num_vars).size}"
+        line += f" backbone_exact={len(backbone(exact_models))}"
     return line
 
 
@@ -359,11 +359,11 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
 
     exact_models, capped_models = _model_sets(formula, config.cap)
     sat = bool(capped_models.models)
-    capped_report = exact_report = slack_value = None
+    capped_size = exact_size = slack_value = None
     if sat:
-        capped_report = backbone(capped_models, formula.num_vars)
+        capped_size = len(backbone(capped_models))
         if exact_models is not None:
-            exact_report = backbone(exact_models, formula.num_vars)
+            exact_size = len(backbone(exact_models))
         slack_models = capped_models if exact_models is None else exact_models
         slack_value = models_mean_slack(formula, slack_models.models)
 
@@ -375,11 +375,10 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
         beta_fit = None
     summary = analysis.build_summary(
         formula,
-        H,
         traj,
         sat=sat,
-        backbone_capped=capped_report,
-        backbone_exact=exact_report,
+        backbone_capped=capped_size,
+        backbone_exact=exact_size,
         mean_slack=slack_value,
         beta_fit=beta_fit,
     )
@@ -390,7 +389,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     files, results, failures = _for_each_file(config, _run_instance)
     outdir = Path(config.outdir)
-    results.sort(key=lambda result: result[0].instance)
     for _, H, traj in results:
         _write_hamiltonian(outdir, H)
         _write_trajectory(outdir, traj)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,10 +91,10 @@ def format_float(x: float) -> str:
 
 
 class GadgetRecord(NamedTuple):
-    ancilla_index: int
+    """Parents of an ancilla: ancilla k is spin ``core_count + k``."""
+
     parent_i: int
     parent_j: int
-    penalty_weight: float
 
 
 @dataclass(eq=True)
@@ -237,28 +238,26 @@ def _check_spins(H: Hamiltonian, s: Sequence[int]) -> None:
 @functools.lru_cache(maxsize=256)
 def _clause_template(
     signs: tuple[int, ...], k: float, gadget_mode: str
-) -> tuple[tuple[tuple[tuple[int, ...], float], ...], float, float | None]:
+) -> tuple[tuple[tuple[tuple[int, ...], float], ...], float, bool]:
     """Gadgetized terms of the clause with literal signs ``signs``, over roles.
 
     Literal r of the clause is role r and its ancilla, if any, role 3.
     Returns the nonzero ``(roles, coefficient)`` terms in insertion order,
-    the clause floor, and the gadget penalty (None without a cubic term).
+    the clause floor, and whether the clause has an ancilla (a cubic term).
     """
     clause = Clause(tuple(Literal(role, sign) for role, sign in enumerate(signs)))
     local = dict(clause_polynomial(clause).terms)
-    penalty = None
     c = local.pop((0, 1, 2), None)
     if c is not None:
-        penalty = k * abs(c)
         substitute = (
             _corrected_substitution
             if gadget_mode == GADGET_CORRECTED
             else _paper_literal_substitution
         )
-        for key, coeff in substitute(c, 0, 1, 2, 3, penalty).items():
+        for key, coeff in substitute(c, 0, 1, 2, 3, k * abs(c)).items():
             local[key] = local.get(key, 0.0) + coeff
     terms = tuple((key, coeff) for key, coeff in local.items() if coeff != 0)
-    return terms, _local_minimum(local), penalty
+    return terms, _local_minimum(local), c is not None
 
 
 def compile(
@@ -312,12 +311,12 @@ def compile(
             raise ValueError(f"clause length {len(literals)} > 3 not supported")
         if clause.is_tautological:
             continue
-        terms, clause_floor, penalty = _clause_template(
+        terms, clause_floor, has_ancilla = _clause_template(
             tuple(lit.sign for lit in literals), k, gadget_mode
         )
         spins = [lit.var for lit in literals]
-        if penalty is not None:
-            gadgets.append(GadgetRecord(next_ancilla, spins[0], spins[1], penalty))
+        if has_ancilla:
+            gadgets.append(GadgetRecord(spins[0], spins[1]))
             spins.append(next_ancilla)
             next_ancilla += 1
         floor += clause_floor
@@ -448,7 +447,6 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
     exact fraction strings, coefficient cells as floats with 17 significant
     digits, which round-trip float64.
     """
-    by_ancilla = {g.ancilla_index: g for g in H.ancillas}
     node_lines = [
         f"# offset = {Fraction(H.offset)}",
         f"# core_count = {H.core_count}",
@@ -462,7 +460,7 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
         if idx < H.core_count:
             kind, label = "core", f"x{idx + 1}"
         else:
-            kind, label = "ancilla", _ancilla_label(by_ancilla[idx])
+            kind, label = "ancilla", _ancilla_label(H.ancillas[idx - H.core_count])
         node_lines.append(f"{idx + 1},{kind},{label},{format_float(H.fields[idx])}")
     edge_lines = [_EDGE_HEADER]
     for (i, j), coeff in H.sorted_couplings():
@@ -496,7 +494,6 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
         raise ValueError("node table missing header row")
 
     core_count = int(meta["core_count"])
-    k_factor = float(Fraction(meta["k_factor"]))
     fields: list[float] = []
     ancillas: list[GadgetRecord] = []
     for row_no, line in enumerate(data_lines[1:]):
@@ -513,16 +510,13 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
         elif kind == "ancilla":
             if index < core_count:
                 raise ValueError(f"ancilla spin {spin_id} inside the core block")
-            try:
-                left, right = label.split("*")
-                parent_i = int(left.lstrip("x")) - 1
-                parent_j = int(right.lstrip("x")) - 1
-            except ValueError as exc:
-                raise ValueError(f"malformed ancilla label {label!r}") from exc
+            match = re.fullmatch(r"x(-?\d+)\*x(-?\d+)", label)
+            if match is None:
+                raise ValueError(f"malformed ancilla label {label!r}")
+            parent_i, parent_j = (int(group) - 1 for group in match.groups())
             if parent_i == parent_j or not (0 <= parent_i < core_count and 0 <= parent_j < core_count):
                 raise ValueError(f"ancilla label {label!r} must name two distinct core spins")
-            # Every gadget reduces a cubic term of magnitude 1/8.
-            ancillas.append(GadgetRecord(index, parent_i, parent_j, k_factor / 8))
+            ancillas.append(GadgetRecord(parent_i, parent_j))
         else:
             raise ValueError(f"unknown node kind {kind!r}")
         fields.append(float(h_text))
@@ -548,6 +542,14 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
         if (i, j) in couplings:
             raise ValueError(f"duplicate edge ({i + 1},{j + 1})")
         couplings[(i, j)] = float(parts[2])
+    # Both gadgets couple an ancilla to its two parents with one coefficient.
+    for a, record in enumerate(ancillas, core_count):
+        weights = [couplings.get((parent, a)) for parent in record]
+        if None in weights or weights[0] != weights[1]:
+            raise ValueError(
+                f"ancilla spin {a + 1} ({_ancilla_label(record)}) must couple to both "
+                "parents with one coefficient"
+            )
 
     return Hamiltonian(
         offset=float(Fraction(meta["offset"])),
@@ -558,5 +560,5 @@ def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
         source=meta["source"],
         energy_floor=float(Fraction(meta["energy_floor"])),
         gadget_mode=meta["gadget_mode"],
-        k_factor=k_factor,
+        k_factor=float(Fraction(meta["k_factor"])),
     )

@@ -18,7 +18,6 @@ from .cnf import Assignment, Formula
 
 __all__ = [
     "ModelSet",
-    "BackboneReport",
     "solve",
     "enumerate_models",
     "backbone",
@@ -35,21 +34,6 @@ class ModelSet:
 
     models: tuple[Assignment, ...]
     truncated: bool
-
-
-@dataclass(frozen=True)
-class BackboneReport:
-    """Variables forced to a single value across every model in a ModelSet.
-
-    ``exact`` is False when the report was computed from a truncated model
-    set; in that case the reported backbone can only overestimate the true
-    one (fewer models means more variables look frozen).
-    """
-
-    fixed_vars: tuple[tuple[int, bool], ...]
-    size: int
-    normalized: float
-    exact: bool
 
 
 def _clause_masks(f: Formula) -> list[tuple[int, int]]:
@@ -181,20 +165,14 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     return ModelSet(tuple(models), truncated=truncated)
 
 
-def backbone(ms: ModelSet, num_vars: int) -> BackboneReport:
-    """Variables taking one fixed value across all models in ``ms``."""
+def backbone(ms: ModelSet) -> tuple[tuple[int, bool], ...]:
+    """The ``(variable, value)`` pairs every model in ``ms`` shares; from a
+    truncated set, a superset of the true backbone."""
     if not ms.models:
         raise ValueError("backbone undefined for an empty model set (UNSAT)")
-    fixed: list[tuple[int, bool]] = []
-    for v in range(num_vars):
-        first = ms.models[0][v]
-        if all(model[v] == first for model in ms.models[1:]):
-            fixed.append((v, first))
-    return BackboneReport(
-        fixed_vars=tuple(fixed),
-        size=len(fixed),
-        normalized=len(fixed) / num_vars,
-        exact=not ms.truncated,
+    first, *rest = ms.models
+    return tuple(
+        (v, value) for v, value in enumerate(first) if all(model[v] == value for model in rest)
     )
 
 

@@ -114,13 +114,14 @@ def test_criterion_05_backbone_consistency(uf20_formulas):
         start = time.perf_counter()
         exact_models = brute_force_models(f)
         worst_scan = max(worst_scan, time.perf_counter() - start)
-        exact = backbone(exact_models, f.num_vars)
-        capped = backbone(enumerate_models(f, cap=120), f.num_vars)
-        assert set(exact.fixed_vars) <= set(capped.fixed_vars), f.source_name
+        exact = backbone(exact_models)
+        capped_models = enumerate_models(f, cap=120)
+        capped = backbone(capped_models)
+        assert set(exact) <= set(capped), f.source_name
         if len(exact_models.models) <= 120:
             equal_checked += 1
-            assert capped.fixed_vars == exact.fixed_vars, f.source_name
-            assert capped.exact
+            assert capped == exact, f.source_name
+            assert not capped_models.truncated
     ok = worst_scan < 5.0
     check(5, "capped backbone consistent with exhaustive scan", ok,
           f"{equal_checked}/{len(uf20_formulas)} instances below cap, worst scan {worst_scan:.2f}s")

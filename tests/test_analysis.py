@@ -331,11 +331,10 @@ def test_build_summary_round_trips_through_csv(uf20_formulas):
     traj = anneal(H, f, Schedule(steps=200), seed=4)
     from spinsat.satcore import backbone, brute_force_models, enumerate_models
 
-    capped = backbone(enumerate_models(f, 120), f.num_vars)
-    exact = backbone(brute_force_models(f), f.num_vars)
+    capped = len(backbone(enumerate_models(f, 120)))
+    exact = len(backbone(brute_force_models(f)))
     summary = build_summary(
         f,
-        H,
         traj,
         sat=True,
         backbone_capped=capped,
@@ -353,8 +352,7 @@ def test_build_summary_abs_before_mean():
     mags = np.array([0.5, -0.5] * 5)
     traj = make_trajectory(temps, np.zeros(10), mags, instance="")
     f = cnf.Formula(2, (), source_name="")
-    H = ising.compile(f)
-    summary = build_summary(f, H, traj, sat=True)
+    summary = build_summary(f, traj, sat=True)
     assert summary.final_abs_magnetization == 0.5
 
 
@@ -362,7 +360,7 @@ def test_build_summary_frozen_satisfied_trajectory():
     temps = np.geomspace(0.01, 2.5, 10)
     traj = make_trajectory(temps, np.zeros(10, dtype=int), np.ones(10), instance="")
     f = cnf.Formula(2, (), source_name="")
-    summary = build_summary(f, ising.compile(f), traj, sat=True)
+    summary = build_summary(f, traj, sat=True)
     assert summary.final_energy_logic == 0.0
 
 
@@ -370,8 +368,8 @@ def test_build_summary_label_mismatch():
     temps = np.geomspace(0.01, 2.5, 4)
     traj = make_trajectory(temps, np.zeros(4), np.zeros(4), instance="other")
     f = cnf.Formula(2, (), source_name="one")
-    with pytest.raises(ValueError):
-        build_summary(f, ising.compile(f), traj, sat=True)
+    with pytest.raises(ValueError, match="instance labels disagree"):
+        build_summary(f, traj, sat=True)
 
 
 def test_unsat_summary_serializes_empty_columns():
@@ -401,6 +399,12 @@ def test_aggregate_table_row_labels():
     assert "Final Energy <E_f>" in table
 
 
+def test_aggregate_table_marks_a_column_without_two_values_n_a():
+    summaries = [make_summary(backbone_exact=None) for _ in range(3)]
+    table = format_aggregate_table(aggregate(summaries), backbone_column="backbone_exact")
+    assert table.splitlines()[-1] == f"{'Backbone Size <b>':<30} {'n/a':>10} {'n/a':>10}  Moderate rigidity"
+
+
 def test_correlation_table_anticorrelated():
     summaries = [
         make_summary(final_energy_logic=float(-m), final_abs_magnetization=m, backbone_capped=b)
@@ -409,3 +413,13 @@ def test_correlation_table_anticorrelated():
     table = format_correlation_table(correlation_matrix(summaries))
     assert "-1.000" in table
     assert "E_final" in table and "Backbone" in table
+
+
+def test_correlation_table_names_degenerate_columns():
+    summaries = [
+        make_summary(final_energy_logic=e, final_abs_magnetization=0.5, backbone_capped=b)
+        for e, b in [(1.0, 5), (2.0, 7), (3.0, 9)]
+    ]
+    lines = format_correlation_table(correlation_matrix(summaries)).splitlines()
+    assert lines[-1] == "degenerate columns: |M_final|"
+    assert "n/a" in lines[1] and "n/a" in lines[2]

@@ -384,6 +384,21 @@ def test_anneal_rejects_mismatched_formula(uf20_formulas):
         anneal(H, uf20_formulas[1], Schedule(steps=1), seed=0)
 
 
+def test_anneal_rejects_formula_with_another_variable_count(uf20_formulas):
+    f = uf20_formulas[0]
+    wider = Formula(f.num_vars + 1, f.clauses, f.source_name)
+    with pytest.raises(ValueError, match="20 core spins but formula has 21 variables"):
+        anneal(ising.compile(f), wider, Schedule(steps=1), seed=0)
+
+
+def test_runs_of_one_schedule_share_one_read_only_temperature_column(uf20_compiled):
+    H, f = uf20_compiled
+    sched = Schedule(steps=50)
+    first, second = (anneal(H, f, sched, seed=seed) for seed in (1, 2))
+    assert first.temperatures is second.temperatures
+    assert not first.temperatures.flags.writeable
+
+
 def test_anneal_sweeps_mode(uf20_compiled):
     H, f = uf20_compiled
     traj = anneal(H, f, Schedule(steps=30), seed=11, sweeps=True)

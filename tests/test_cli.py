@@ -221,6 +221,15 @@ def test_backbone_command(uf20_paths, capsys):
     assert "backbone=" in out and "backbone_exact=" in out
 
 
+def test_backbone_stdout_reports_truncation_normalized_size_and_exact_size(uf20_paths, capsys):
+    # uf20-sb-002 has one model; uf20-sb-005 has more than the cap of 120.
+    assert run_cli(["backbone", str(uf20_paths[1]), str(uf20_paths[4]), "--exact"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "uf20-sb-002: models>=1 truncated=false backbone=20 normalized=1.000 backbone_exact=20",
+        "uf20-sb-005: models>=120 truncated=true backbone=4 normalized=0.200 backbone_exact=4",
+    ]
+
+
 @pytest.mark.parametrize("cap", [1, 3, 120])
 def test_backbone_stdout_matches_unpruned_path(tmp_path, uf20_paths, monkeypatch, capsys, cap):
     unsat = tmp_path / "unsat.cnf"
@@ -351,8 +360,11 @@ def test_run_deterministic_and_sorted(tmp_path, small_corpus):
     assert names == sorted(names)
 
 
-def test_run_orders_rows_by_stem_and_writes_what_compile_and_anneal_write(tmp_path, uf20_paths):
-    # Name order puts a-b.cnf before a.cnf ("-" < "."); stem order puts a first.
+def test_run_orders_rows_by_stem_and_writes_what_compile_and_anneal_write(
+    tmp_path, uf20_paths, capsys
+):
+    # Name order would put a-b.cnf before a.cnf ("-" < "."); every output
+    # follows stem order, which puts a first.
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for name, source in zip(("a.cnf", "a-b.cnf"), uf20_paths):
@@ -360,18 +372,28 @@ def test_run_orders_rows_by_stem_and_writes_what_compile_and_anneal_write(tmp_pa
     settings = [str(corpus), "--steps", "60", "--seed", "3"]
     outs = {command: tmp_path / command for command in ("run", "compile", "anneal")}
     assert run_cli(["run", *settings, "--outdir", str(outs["run"])]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == ["a", "a-b"]
     assert run_cli(["compile", str(corpus), "--outdir", str(outs["compile"])]) == 0
     assert run_cli(["anneal", *settings, "--outdir", str(outs["anneal"])]) == 0
     run = read_all_outputs(outs["run"])
     summary = run[analysis.SUMMARY_FILENAME].decode().splitlines()
     assert [line.split(",")[0] for line in summary[1:]] == ["a", "a-b"]
     manifest = json.loads(run["run_manifest.json"])
-    assert [row["instance"] for row in manifest["instances"]] == ["a-b", "a"]
+    assert [row["instance"] for row in manifest["instances"]] == ["a", "a-b"]
     per_file = {**read_all_outputs(outs["compile"]), **read_all_outputs(outs["anneal"])}
     assert len(per_file) == 6
     assert {name: run[name] for name in per_file} == per_file
     pooled = {analysis.SUMMARY_FILENAME, "binned_curves.csv", "run_manifest.json"}
     assert set(run) == set(per_file) | pooled
+
+
+def test_run_without_steps_bins_every_row_at_t0_and_fits_no_beta(tmp_path, small_corpus):
+    out = tmp_path / "out"
+    assert run_cli(["run", str(small_corpus), "--outdir", str(out), "--steps", "0"]) == 0
+    lines = (out / "binned_curves.csv").read_text().splitlines()
+    assert lines[0] == "bin_T,mean_E,mean_absM,count"
+    assert len(lines) == 2 and lines[1].startswith("2.5,") and lines[1].endswith(",3")
+    assert json.loads((out / "run_manifest.json").read_text())["pooled_beta"] is None
 
 
 def test_run_parallel_matches_serial(tmp_path, small_corpus):

@@ -53,7 +53,7 @@ def reference_compile(f: Formula, k_factor: float, gadget_mode: str) -> Hamilton
             a = next_ancilla
             next_ancilla += 1
             penalty = k * abs(c)
-            gadgets.append(ising.GadgetRecord(a, i, p, penalty))
+            gadgets.append(ising.GadgetRecord(i, p))
             substitute = (
                 ising._corrected_substitution
                 if gadget_mode == GADGET_CORRECTED
@@ -259,7 +259,8 @@ def test_compile_rejects_k_factor_without_exact_coefficients(k_factor):
 def test_compile_accepts_dyadic_k_factor():
     H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"), k_factor=12.25)
     assert H.k_factor == 12.25
-    assert H.ancillas[0].penalty_weight == 12.25 / 8
+    # The corrected gadget couples the ancilla to each parent with -K/2, K = k/8.
+    assert H.couplings[(0, 3)] == H.couplings[(1, 3)] == -12.25 / 16
     assert exhaustive_core_minima(H) == [0.0 if k else 1.0 for k in range(8)]
 
 
@@ -351,7 +352,7 @@ def test_corrected_gadget_gap_favors_true_parents():
     # otherwise, so for K > 1 every T > 0 favours true parent spins.
     for signs in itertools.product((1, -1), repeat=3):
         H = ising.compile(Formula(3, (clause_from_signs(signs),)))
-        k = H.ancillas[0].penalty_weight
+        k = H.k_factor / 8
         for core in itertools.product((-1, 1), repeat=3):
             low, high = sorted(hamiltonian_energy(H, [*core, a]) for a in (-1, 1))
             both_false = core[0] == core[1] == -1
@@ -430,6 +431,26 @@ def test_export_import_identity(uf20_formulas):
     assert (nodes2, edges2) == (nodes, edges)
 
 
+@pytest.mark.parametrize("gadget_mode", [GADGET_CORRECTED, GADGET_PAPER_LITERAL])
+@pytest.mark.parametrize("k_factor", [20, 12.25, 8, 4, 1 / 1024])
+def test_export_import_round_trip_across_gadgets_and_k_factors(uf20_formulas, gadget_mode, k_factor):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        compiled = [ising.compile(f, k_factor, gadget_mode) for f in uf20_formulas]
+    for H in compiled:
+        assert import_csv(*export_csv(H)) == H
+
+
+def test_import_accepts_an_edge_row_written_with_its_spins_swapped():
+    H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"))
+    nodes, edges = export_csv(H)
+    header, first, *rest = edges.splitlines()
+    i, j, coeff = first.split(",")
+    swapped = "\n".join([header, f"{j},{i},{coeff}", *rest]) + "\n"
+    assert swapped != edges
+    assert import_csv(nodes, swapped) == H
+
+
 def test_export_single_clause_row_counts():
     H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"))
     nodes, edges = export_csv(H)
@@ -504,6 +525,27 @@ def test_import_rejects_malformed_ancilla_label():
     nodes, edges = export_csv(H)
     corrupted = nodes.replace("4,ancilla,x1*x2", "4,ancilla,junk")
     with pytest.raises(ValueError):
+        import_csv(corrupted, edges)
+
+
+@pytest.mark.parametrize("label", ["1*2", "xx1*x2", "x1*x2*x3", "x1*x2 "])
+def test_import_rejects_ancilla_label_not_of_the_form_xi_star_xj(label):
+    H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"))
+    nodes, edges = export_csv(H)
+    corrupted = nodes.replace("4,ancilla,x1*x2", f"4,ancilla,{label}")
+    with pytest.raises(ValueError, match="malformed ancilla label"):
+        import_csv(corrupted, edges)
+
+
+@pytest.mark.parametrize("gadget_mode", [GADGET_CORRECTED, GADGET_PAPER_LITERAL])
+def test_import_rejects_ancilla_label_naming_a_spin_it_is_not_bound_to(gadget_mode):
+    # The ancilla of clause 1 2 3 stands for x1*x2; x3 couples to it with
+    # the cubic coefficient instead of the penalty.
+    H = ising.compile(parse_dimacs("p cnf 3 1\n1 2 3 0"), gadget_mode=gadget_mode)
+    nodes, edges = export_csv(H)
+    corrupted = nodes.replace("4,ancilla,x1*x2", "4,ancilla,x1*x3")
+    assert corrupted != nodes
+    with pytest.raises(ValueError, match="must couple to both parents with one coefficient"):
         import_csv(corrupted, edges)
 
 

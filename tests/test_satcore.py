@@ -119,30 +119,24 @@ def test_enumerate_truncation_flag():
 
 def test_backbone_single_model():
     ms = ModelSet(((True, False, True),), truncated=False)
-    report = backbone(ms, 3)
-    assert report.size == 3
-    assert report.normalized == 1.0
-    assert report.exact
+    assert backbone(ms) == ((0, True), (1, False), (2, True))
 
 
 def test_backbone_two_models():
     ms = ModelSet(((True, True), (True, False)), truncated=False)
-    report = backbone(ms, 2)
-    assert report.fixed_vars == ((0, True),)
-    assert report.size == 1
-    assert report.normalized == 0.5
+    assert backbone(ms) == ((0, True),)
 
 
 def test_backbone_empty_errors():
     with pytest.raises(ValueError):
-        backbone(ModelSet((), truncated=False), 3)
+        backbone(ModelSet((), truncated=False))
 
 
 def test_backbone_order_invariant():
     models = [(True, False, True), (True, True, True), (True, False, False)]
-    a = backbone(ModelSet(tuple(models), False), 3)
-    b = backbone(ModelSet(tuple(reversed(models)), False), 3)
-    assert a.fixed_vars == b.fixed_vars
+    a = backbone(ModelSet(tuple(models), False))
+    b = backbone(ModelSet(tuple(reversed(models)), False))
+    assert a == b == ((0, True),)
 
 
 def test_backbone_truncation_overestimates():
@@ -153,17 +147,9 @@ def test_backbone_truncation_overestimates():
         bf = brute_force_models(f)
         if len(bf.models) < 3:
             continue
-        full = backbone(bf, 7)
-        cut = ModelSet(bf.models[:2], truncated=True)
-        partial = backbone(cut, 7)
-        assert set(full.fixed_vars) <= set(partial.fixed_vars)
-        assert not partial.exact
-
-
-def test_backbone_exact_flag_tracks_truncation():
-    f = Formula(4, ())
-    truncated = enumerate_models(f, cap=3)
-    assert not backbone(truncated, 4).exact
+        full = backbone(bf)
+        partial = backbone(ModelSet(bf.models[:2], truncated=True))
+        assert set(full) <= set(partial)
 
 
 def test_brute_force_examples():
@@ -189,9 +175,9 @@ def test_brute_force_matches_reference_oracle():
 def test_uf20_capped_vs_exact_backbone(uf20_formulas):
     # Heavier sweep lives in the acceptance suite; spot-check two instances.
     for f in uf20_formulas[:2]:
-        exact = backbone(brute_force_models(f), f.num_vars)
-        capped = backbone(enumerate_models(f, cap=120), f.num_vars)
-        assert set(exact.fixed_vars) <= set(capped.fixed_vars)
+        exact = backbone(brute_force_models(f))
+        capped = backbone(enumerate_models(f, cap=120))
+        assert set(exact) <= set(capped)
 
 
 def test_enumeration_order_deterministic(uf20_formulas):
