@@ -14,6 +14,16 @@ equals the sum recomputed from scratch bit for bit, in any order. A
 hand-built Hamiltonian with inexact floats still anneals deterministically,
 but its kept fields may round differently from a recomputation.
 
+Late in a schedule the state freezes and almost every proposal is
+rejected. Once a few hundred attempts in a row (whole steps) have accepted
+nothing, ``_next_accept`` judges the pre-drawn proposals a window at a time
+in numpy against one copy of the spins and fields, which cannot change
+before the next accept. np.exp may differ from math.exp in the last bit, so
+a uniform within a relative 2**-40 of np.exp's value, or against a
+subnormal exp, is judged by math.exp as the scalar loop judges it. The
+scalar loop resumes at the first accepted proposal, mid-step if need be, so
+the stream, the records and every trajectory are the scalar loop's own.
+
 Rows are steps, row 0 the initial state. Only a step that accepts a flip
 appends a record (step, energy, unsatisfied count, core spin sum), and the
 records become rows at the end. ``trajectory_csv`` renders the step and
@@ -88,9 +98,19 @@ class Trajectory:
         return len(self.temperatures)
 
 
-# ``anneal`` turns about this many draws at a time (whole steps) into Python
+# ``anneal`` turns at most this many draws at a time (whole steps) into Python
 # numbers, so a --sweeps run never holds its whole stream as boxed floats.
+# Blocks start at 1/16 of it and double, so a scan that stops soon after a
+# block begins has converted few draws for nothing.
 _BLOCK_DRAWS = 1 << 14
+# After this many attempts (whole steps) with no accept, ``_next_accept``
+# scans ahead in windows that start at _SCAN_DRAWS draws and grow 4x up to
+# _BLOCK_DRAWS. It leaves a uniform within _EXP_MARGIN (relative) of np.exp's
+# value to math.exp.
+_QUIET_DRAWS = 256
+_SCAN_DRAWS = 256
+_EXP_MARGIN = 2.0**-40
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @functools.lru_cache(maxsize=1)
@@ -99,6 +119,49 @@ def _temperatures(sched: Schedule) -> np.ndarray:
     temperatures = np.array(list(map(sched.temperature, range(sched.steps + 1))))
     temperatures.flags.writeable = False
     return temperatures
+
+
+def _next_accept(
+    flip_indices: np.ndarray,
+    uniforms: np.ndarray,
+    temperatures: np.ndarray,
+    spins: list[int],
+    field: list[float],
+    start: int,
+    attempts_per_step: int,
+) -> int:
+    """Index of the first attempt at or after ``start`` that the scalar loop accepts.
+
+    Returns ``len(uniforms)`` if none does. Nothing changes the state before
+    that accept, so the proposals are judged against one numpy copy of
+    ``spins`` and ``field``. Attempt k runs at ``temperatures[k //
+    attempts_per_step + 1]``.
+    """
+    total = len(uniforms)
+    s = np.array(spins, dtype=np.float64)
+    h = np.array(field, dtype=np.float64)
+    lower, upper = 1.0 - _EXP_MARGIN, 1.0 + _EXP_MARGIN
+    window, k = _SCAN_DRAWS, start
+    while k < total:
+        stop = min(k + window, total)
+        i = flip_indices[k:stop]
+        u = uniforms[k:stop]
+        d_e = 2.0 * -s[i] * h[i]
+        temperature = temperatures[np.arange(k, stop) // attempts_per_step + 1]
+        # Python overflows -d_e / T to -inf and underflows exp to 0 silently;
+        # numpy must too.
+        with np.errstate(over="ignore", under="ignore"):
+            e = np.exp(np.minimum(-d_e / temperature, 0.0))
+            # math.exp may underflow to 0 where np.exp returns a subnormal, and
+            # a uniform of exactly 0.0 is accepted only by a nonzero exp.
+            sure_accept = (d_e <= 0.0) | ((u < e * lower) & (e >= _TINY))
+            sure_reject = (u >= e * upper) & (u > 0.0)
+        for j in np.flatnonzero(sure_accept | ~sure_reject).tolist():
+            if sure_accept[j] or u[j] < math.exp(-float(d_e[j]) / float(temperature[j])):
+                return k + j
+        k = stop
+        window = max(window, min(4 * window, _BLOCK_DRAWS))
+    return total
 
 
 def _clause_occurrences(f: Formula) -> list[list[tuple[int, int]]]:
@@ -162,12 +225,23 @@ def anneal(
     temperatures = _temperatures(sched)
 
     exp = math.exp
-    block_steps = max(1, _BLOCK_DRAWS // attempts_per_step)
-    for first in range(1, sched.steps + 1, block_steps):
-        last = min(first + block_steps, sched.steps + 1)
-        block = slice((first - 1) * attempts_per_step, (last - 1) * attempts_per_step)
-        draws = zip(flip_indices[block].tolist(), uniforms[block].tolist())
-        for t, temperature in zip(range(first, last), temperatures[first:last].tolist()):
+    # A step that accepts nothing at or after step ``wake`` hands the stream to
+    # ``_next_accept``; the scalar loop resumes at the attempt it returns.
+    quiet_steps = -(-_QUIET_DRAWS // attempts_per_step)
+    wake = quiet_steps
+    block = _BLOCK_DRAWS >> 4
+    k = 0
+    while k < total_attempts:
+        first = k // attempts_per_step + 1
+        if k % attempts_per_step:
+            last = first  # a scan stopped mid-step: finish that step on its own
+        else:
+            last = min(first - 1 + max(1, block // attempts_per_step), sched.steps)
+        stop = last * attempts_per_step
+        draws = zip(flip_indices[k:stop].tolist(), uniforms[k:stop].tolist())
+        k = stop
+        block = min(2 * block, _BLOCK_DRAWS)
+        for t, temperature in zip(range(first, last + 1), temperatures[first:last + 1].tolist()):
             accepted = False
             for i, u in islice(draws, attempts_per_step):
                 new_value = -spins[i]
@@ -195,6 +269,14 @@ def anneal(
                 rec_energy.append(energy_raw)
                 rec_unsat.append(unsat)
                 rec_core_sum.append(core_sum)
+                wake = t + quiet_steps
+            elif t >= wake:
+                k = _next_accept(
+                    flip_indices, uniforms, temperatures, spins, field, t * attempts_per_step,
+                    attempts_per_step,
+                )
+                block = _BLOCK_DRAWS >> 4
+                break
 
     # Row t repeats the last record at or before step t.
     row = np.searchsorted(rec_step, np.arange(sched.steps + 1), side="right") - 1

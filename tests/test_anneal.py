@@ -319,6 +319,158 @@ def test_kernel_matches_reference_on_random_hamiltonians():
 
 
 # ---------------------------------------------------------------------------
+# the frozen-stretch scan against the scalar loop
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def scans(monkeypatch):
+    """(start, result, attempts per step) of each ``_next_accept`` call ``anneal`` makes."""
+    calls = []
+    real = anneal_module._next_accept
+
+    def spy(*args):
+        result = real(*args)
+        calls.append((args[5], result, args[6]))
+        return result
+
+    monkeypatch.setattr(anneal_module, "_next_accept", spy)
+    return calls
+
+
+def assert_scanned_runs_match_reference(uf20_formulas, scans, scanning: bool) -> None:
+    # Single-flip uf20 under both gadgets, --sweeps on a cold schedule (where
+    # most scans stop mid-step), and dense random Hamiltonians.
+    for f in uf20_formulas[:2]:
+        for gadget_mode in (ising.GADGET_CORRECTED, ising.GADGET_PAPER_LITERAL):
+            H = ising.compile(f, gadget_mode=gadget_mode)
+            assert_same_run(anneal(H, f, Schedule(), 1), reference_anneal(H, f, Schedule(), 1))
+    single = len(scans)
+    cold = Schedule(t0=0.5, alpha=0.99, steps=60)
+    for f in uf20_formulas[2:4]:
+        H = ising.compile(f)
+        assert_same_run(anneal(H, f, cold, 4, True), reference_anneal(H, f, cold, 4, True))
+    mid_step = [r for _, r, aps in scans[single:] if r % aps]
+    swept = len(scans)
+    rng = np.random.default_rng(67)
+    for seed in range(5):
+        H = random_hamiltonian(rng, 12)
+        sched = Schedule(t0=3.0, alpha=0.99, steps=1000)
+        assert_same_run(anneal(H, free_spins(H), sched, seed), reference_anneal(H, free_spins(H), sched, seed))
+    if scanning:
+        assert single > 0 and mid_step and len(scans) > swept
+    else:
+        assert not scans
+
+
+SCAN_SETTINGS = [
+    # (_QUIET_DRAWS, _SCAN_DRAWS, _BLOCK_DRAWS); 10**8 outlasts any trajectory here.
+    (1, 1, 1),
+    (1, 2, 7),
+    (1, 10**8, 112),
+    (2, 1, 111),
+    (2, 2, 1 << 14),
+    (2, 10**8, 3),
+    (10**8, 1, 1 << 14),
+    (10**8, 2, 7),
+    (10**8, 10**8, 10**8),
+]
+
+
+@pytest.mark.parametrize("quiet_draws, scan_draws, block_draws", SCAN_SETTINGS)
+def test_kernel_matches_reference_whenever_it_scans(
+    uf20_formulas, monkeypatch, scans, quiet_draws, scan_draws, block_draws
+):
+    monkeypatch.setattr(anneal_module, "_QUIET_DRAWS", quiet_draws)
+    monkeypatch.setattr(anneal_module, "_SCAN_DRAWS", scan_draws)
+    monkeypatch.setattr(anneal_module, "_BLOCK_DRAWS", block_draws)
+    assert_scanned_runs_match_reference(uf20_formulas, scans, scanning=quiet_draws < 10**8)
+
+
+@pytest.mark.parametrize("quiet_draws", [1, 256])
+def test_kernel_matches_reference_when_math_exp_decides_most_scanned_proposals(
+    uf20_formulas, monkeypatch, scans, quiet_draws
+):
+    # With a margin of 1/2, numpy decides only proposals whose uniform is
+    # below half or above 1.5x its np.exp value; math.exp decides the rest.
+    monkeypatch.setattr(anneal_module, "_EXP_MARGIN", 0.5)
+    monkeypatch.setattr(anneal_module, "_QUIET_DRAWS", quiet_draws)
+    assert_scanned_runs_match_reference(uf20_formulas, scans, scanning=True)
+
+
+def next_accept(costs, uniforms, temperatures=None, attempts_per_step=1, start=0) -> int:
+    """``_next_accept`` over one spin per proposal, whose flip costs ``costs[k]``.
+
+    Every step runs at T = 1 unless ``temperatures`` lists steps 1, 2, ...
+    """
+    if temperatures is None:
+        temperatures = [1.0] * (len(costs) // attempts_per_step)
+    # Flipping s = +1 costs 2 * (-1) * field, so field = -cost / 2.
+    return anneal_module._next_accept(
+        np.arange(len(costs)),
+        np.array(uniforms, dtype=np.float64),
+        np.array([math.nan, *temperatures]),
+        [1] * len(costs),
+        [-c / 2 for c in costs],
+        start,
+        attempts_per_step,
+    )
+
+
+def test_next_accept_defers_to_math_exp_inside_the_margin():
+    e = math.exp(-1.0)
+    # u == e is a reject and one ulp below it an accept, as in the scalar loop.
+    assert next_accept([1.0, 1.0], [e, math.nextafter(e, 0.0)]) == 1
+    assert next_accept([1.0, 1.0], [e, e]) == 2
+    # A flip that costs nothing or gains is taken whatever the uniform.
+    assert next_accept([1.0, -1.0], [0.9, 0.99]) == 1
+    assert next_accept([1.0, 0.0], [0.9, 0.99]) == 1
+
+
+def test_next_accept_agrees_with_math_exp_where_np_exp_differs():
+    # np.exp and math.exp differ in the last bit on a few percent of
+    # arguments. A uniform equal to the smaller of the two is accepted by one
+    # and rejected by the other, so only the math.exp fallback gets it right.
+    costs = np.linspace(0.01, 30.0, 3000)
+    for cost, np_e in zip(costs.tolist(), np.exp(-costs).tolist()):
+        u = min(np_e, math.exp(-cost))
+        assert next_accept([cost], [u]) == (0 if u < math.exp(-cost) else 1), cost
+
+
+def test_next_accept_agrees_with_math_exp_where_exp_underflows():
+    # exp(-c) leaves the normal range near c = 708 and reaches 0 near c = 745.
+    # A uniform can be exactly 0.0, which only a nonzero exp accepts; the
+    # next possible one, 2**-53, is above every subnormal.
+    costs = [*np.linspace(700.0, 760.0, 601).tolist(), 708.3964185322641, 745.1332191019411]
+    for cost in costs:
+        for u in (0.0, 2.0**-53):
+            expected = 0 if u < math.exp(-cost) else 1
+            assert next_accept([cost], [u]) == expected, (cost, u)
+    assert next_accept([740.0], [0.0]) == 0 and next_accept([750.0], [0.0]) == 1
+
+
+def test_next_accept_reads_each_steps_temperature_and_can_start_at_the_last_step():
+    # Two steps of three attempts; 0.3 < exp(-1) accepts at T = 1 only.
+    temperatures = (1e-9, 1.0)
+    costs, uniforms = [1.0] * 6, [0.5, 0.5, 0.3, 0.5, 0.5, 0.3]
+    assert next_accept(costs, uniforms, temperatures, 3) == 5
+    assert next_accept(costs, uniforms, temperatures, 3, start=3) == 5
+    assert next_accept(costs, [0.5] * 6, temperatures, 3, start=3) == 6
+    assert next_accept(costs, uniforms, temperatures, 3, start=6) == 6
+
+
+def test_scan_that_finds_no_accept_leaves_the_trailing_rows_equal(scans):
+    # At T <= 0.05 the lone spin, once at its ground state -1, never flips
+    # back (exp(-2 / 0.05) ~ 4e-18), so the one scan runs off the end.
+    H = single_spin_hamiltonian(1.0)
+    f, sched = free_spins(H), Schedule(t0=0.05, steps=2000)
+    traj = anneal(H, f, sched, seed=5)
+    assert_same_run(traj, reference_anneal(H, f, sched, seed=5))
+    assert [result for _, result, _ in scans] == [2000]
+    assert len(set(traj.energy_h[1:].tolist())) == 1 and traj.final_state.tolist() == [-1]
+
+
+# ---------------------------------------------------------------------------
 # anneal
 # ---------------------------------------------------------------------------
 

@@ -334,6 +334,13 @@ def test_anneal_command_writes_trajectory(tmp_path, uf20_paths, uf20_formulas, s
     }
 
 
+def test_anneal_sweeps_and_run_print_nothing_to_stderr(tmp_path, uf20_paths, small_corpus):
+    # The anneal's numpy scan of frozen stretches must not leak a warning.
+    for argv in (["anneal", str(uf20_paths[0]), "--sweeps"], ["run", str(small_corpus)]):
+        result = run_process([*argv, "--outdir", str(tmp_path / argv[0])])
+        assert (result.returncode, result.stderr) == (0, "")
+
+
 def test_run_pipeline_outputs(tmp_path, small_corpus):
     out = tmp_path / "out"
     assert run_cli(["run", str(small_corpus), "--outdir", str(out), "--steps", "300"]) == 0
