@@ -1,12 +1,20 @@
 """Complete SAT solving, capped model enumeration, and backbone extraction.
 
-The solver is a deterministic DPLL: unit propagation, pure-literal
-elimination, and branching on the lowest-index unassigned variable with the
-true branch first. Determinism matters more than heuristic strength at the
-benchmark scale (20 variables), because enumeration order and therefore all
-downstream artifacts must be reproducible. Clauses and partial assignments
-are integer bitmasks, and the search keeps an explicit stack, so its depth
-is not bounded by the interpreter's recursion limit.
+The solver is a deterministic DPLL (Davis, Logemann & Loveland, CACM 5(7),
+1962): unit propagation, pure-literal elimination, and branching on the
+lowest-index unassigned variable with the true branch first. Determinism
+matters more than heuristic strength at the benchmark scale (20 variables),
+because enumeration order and therefore all downstream artifacts must be
+reproducible. The search keeps an explicit stack, so its depth is not
+bounded by the interpreter's recursion limit.
+
+Propagation is variable-major. A partial assignment is two integer masks of
+variables, bit v for variable v. Each variable v has one row ``(1 << v, P,
+N)``, where P and N are the clauses holding +v and -v as an integer with bit c
+for clause c. The clauses an assignment satisfies are then the OR of the rows
+of its literals, and one pass over the free variables' rows counts the free
+literals of every clause at once. Enumeration adds each blocking clause as
+the next clause bit of the rows.
 """
 from __future__ import annotations
 
@@ -51,38 +59,84 @@ def _clause_masks(f: Formula) -> list[tuple[int, int]]:
     return masks
 
 
-def _propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[int, int, bool] | None:
+Rows = list[tuple[int, int, int]]
+
+
+def _clause_rows(f: Formula) -> tuple[Rows, int]:
+    """One row ``(1 << v, clauses holding +v, clauses holding -v)`` per
+    variable v, and the mask of every clause bit; bit c stands for clause c."""
+    pos = [0] * f.num_vars
+    neg = [0] * f.num_vars
+    for c, clause in enumerate(f.clauses):
+        for lit in clause.literals:
+            if lit.sign > 0:
+                pos[lit.var] |= 1 << c
+            else:
+                neg[lit.var] |= 1 << c
+    rows = [(1 << v, pos[v], neg[v]) for v in range(f.num_vars)]
+    return rows, (1 << len(f.clauses)) - 1
+
+
+def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[int, int, bool] | None:
     """Apply unit propagation and pure-literal elimination to a fixpoint.
 
-    ``true`` and ``false`` are the masks of variables assigned each value.
-    Each pass visits the clauses in order, so a unit set early in a pass is
-    seen by later clauses; pure literals are taken only after a pass that
-    set no unit. Returns None on an empty clause, else the extended masks
-    and whether every clause is satisfied.
+    ``rows`` and ``every`` are as `_clause_rows` returns them; ``true`` and
+    ``false`` are the masks of variables assigned each value. Each round
+    ORs the rows of the newly assigned literals into the satisfied clauses,
+    then ORs each free variable's two rows, masked to the unsatisfied
+    clauses, into ``ge1`` and ``ge2``: the clauses with at least one and at
+    least two free literals. A clause outside ``ge1``, or a variable forced
+    both ways, is a conflict. The clauses in ``ge1`` but not ``ge2`` are
+    units, all set together before the next round. Pure literals are set
+    only at a round with no unit.
+
+    Unit propagation is confluent: in whatever order units are set, it
+    reaches one closure, or a conflict. Pure literals and "all satisfied" are
+    read only at that closure, so the result depends neither on clause order
+    nor on setting units together. Returns None on a conflict, else the
+    extended masks and whether every clause is satisfied.
     """
+    satisfied = 0
+    free = rows
     while True:
-        changed = False
-        all_satisfied = True
-        pos_occurs = neg_occurs = 0
-        for pos, neg in clauses:
-            if pos & true or neg & false:
-                continue
-            all_satisfied = False
-            free = ~(true | false)
-            pos_free, neg_free = pos & free, neg & free
-            width = pos_free.bit_count() + neg_free.bit_count()
-            if width == 0:
-                return None
-            if width == 1:
-                true |= pos_free
-                false |= neg_free
-                changed = True
+        assigned = true | false
+        unassigned = []
+        for row in free:
+            bit = row[0]
+            if bit & assigned:
+                satisfied |= row[1] if bit & true else row[2]
             else:
-                pos_occurs |= pos_free
-                neg_occurs |= neg_free
-        if all_satisfied:
+                unassigned.append(row)
+        free = unassigned
+        unsat = every & ~satisfied
+        if not unsat:
             return true, false, True
-        if changed:
+        ge1 = ge2 = pos_occurs = neg_occurs = 0
+        for bit, pos, neg in free:
+            pos &= unsat
+            if pos:
+                ge2 |= ge1 & pos
+                ge1 |= pos
+                pos_occurs |= bit
+            neg &= unsat
+            if neg:
+                ge2 |= ge1 & neg
+                ge1 |= neg
+                neg_occurs |= bit
+        if ge1 != unsat:
+            return None
+        units = unsat ^ ge2
+        if units:
+            forced_true = forced_false = 0
+            for bit, pos, neg in free:
+                if pos & units:
+                    forced_true |= bit
+                if neg & units:
+                    forced_false |= bit
+            if forced_true & forced_false:
+                return None
+            true |= forced_true
+            false |= forced_false
             continue
         pure = pos_occurs ^ neg_occurs
         if not pure:
@@ -91,12 +145,12 @@ def _propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[i
         false |= pure & neg_occurs
 
 
-def _solve_masks(clauses: list[tuple[int, int]], live: set[int] | None = None) -> int | None:
+def _solve_masks(rows: Rows, every: int, live: set[int] | None = None) -> int | None:
     """Mask of the true variables of the first model found, or None if UNSAT.
 
     Depth-first search with an explicit stack: branch on the lowest
     unassigned variable, true branch first. ``live``, when given, holds the
-    true-masks of every model of ``clauses``; a state that none of them
+    true-masks of every model of the clauses; a state that none of them
     extends is dropped before propagation. A subtree returns only a model
     that extends its state, so every dropped subtree would have returned
     None, and the search finds the same first model.
@@ -106,7 +160,7 @@ def _solve_masks(clauses: list[tuple[int, int]], live: set[int] | None = None) -
         true, false = stack.pop()
         if live is not None and not any(m & true == true and not m & false for m in live):
             continue
-        state = _propagate(clauses, true, false)
+        state = _propagate(rows, every, true, false)
         if state is None:
             continue
         true, false, satisfied = state
@@ -126,7 +180,7 @@ def _assignment(true: int, num_vars: int) -> Assignment:
 
 def solve(f: Formula) -> Assignment | None:
     """Find one satisfying assignment, or None when the formula is UNSAT."""
-    true = _solve_masks(_clause_masks(f))
+    true = _solve_masks(*_clause_rows(f))
     return None if true is None else _assignment(true, f.num_vars)
 
 
@@ -150,18 +204,22 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         if exact.truncated:
             raise ValueError("exact model set must not be truncated")
         live = {sum(1 << v for v, value in enumerate(model) if value) for model in exact.models}
-    clauses = _clause_masks(f)
-    every_var = (1 << f.num_vars) - 1
+    rows, every = _clause_rows(f)
     models: list[Assignment] = []
     while len(models) < cap:
-        true = _solve_masks(clauses, live)
+        true = _solve_masks(rows, every, live)
         if true is None:
             return ModelSet(tuple(models), truncated=False)
         models.append(_assignment(true, f.num_vars))
-        clauses.append((every_var ^ true, true))
+        # The blocking clause holds -v for every variable v true in the
+        # model and +v for every other; it takes the next clause bit.
+        block = every + 1
+        every |= block
+        rows = [(bit, pos, neg | block) if bit & true else (bit, pos | block, neg)
+                for bit, pos, neg in rows]
         if live is not None:
             live.discard(true)
-    truncated = bool(live) if live is not None else _solve_masks(clauses) is not None
+    truncated = bool(live) if live is not None else _solve_masks(rows, every) is not None
     return ModelSet(tuple(models), truncated=truncated)
 
 

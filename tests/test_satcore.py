@@ -43,6 +43,130 @@ def reference_models(f: Formula) -> set[tuple[bool, ...]]:
     return out
 
 
+def reference_propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[int, int, bool] | None:
+    """The clause-major propagation that preceded the variable-major rows.
+
+    Each pass visits the clauses in order, so a unit set early in a pass is
+    seen by later clauses; pure literals are taken only after a pass that
+    set no unit.
+    """
+    while True:
+        changed = False
+        all_satisfied = True
+        pos_occurs = neg_occurs = 0
+        for pos, neg in clauses:
+            if pos & true or neg & false:
+                continue
+            all_satisfied = False
+            free = ~(true | false)
+            pos_free, neg_free = pos & free, neg & free
+            width = pos_free.bit_count() + neg_free.bit_count()
+            if width == 0:
+                return None
+            if width == 1:
+                true |= pos_free
+                false |= neg_free
+                changed = True
+            else:
+                pos_occurs |= pos_free
+                neg_occurs |= neg_free
+        if all_satisfied:
+            return true, false, True
+        if changed:
+            continue
+        pure = pos_occurs ^ neg_occurs
+        if not pure:
+            return true, false, False
+        true |= pure & pos_occurs
+        false |= pure & neg_occurs
+
+
+def reference_enumerate(f: Formula, cap: int) -> ModelSet:
+    """Unpruned capped enumeration over a growing clause list, each model
+    found by the clause-major DPLL that preceded the variable-major rows."""
+    clauses = satcore._clause_masks(f)
+
+    def first_model() -> int | None:
+        stack = [(0, 0)]
+        while stack:
+            state = reference_propagate(clauses, *stack.pop())
+            if state is None:
+                continue
+            true, false, satisfied = state
+            if satisfied:
+                return true
+            assigned = true | false
+            branch = ~assigned & (assigned + 1)
+            stack.append((true, false | branch))
+            stack.append((true | branch, false))
+        return None
+
+    every_var = (1 << f.num_vars) - 1
+    models = []
+    while len(models) < cap:
+        true = first_model()
+        if true is None:
+            return ModelSet(tuple(models), truncated=False)
+        models.append(tuple(bool(true >> v & 1) for v in range(f.num_vars)))
+        clauses.append((every_var ^ true, true))
+    return ModelSet(tuple(models), truncated=first_model() is not None)
+
+
+def with_blocking_clauses(f: Formula, models) -> Formula:
+    """``f`` with the clause forbidding each of ``models`` appended."""
+    blocking = tuple(
+        Clause(tuple(Literal(v, -1 if value else 1) for v, value in enumerate(model)))
+        for model in models
+    )
+    return Formula(f.num_vars, f.clauses + blocking)
+
+
+def partial_states(rng: np.random.Generator, f: Formula, models, count: int):
+    """The empty state, then random partial assignments: half are
+    restrictions of a model (when there is one), half are arbitrary, and the
+    share of assigned variables varies from state to state."""
+    n = f.num_vars
+    yield 0, 0
+    for k in range(count):
+        assigned = rng.random(n) < rng.random()
+        if models and k % 2:
+            values = models[int(rng.integers(len(models)))]
+        else:
+            values = rng.random(n) < 0.5
+        true = sum(1 << v for v in range(n) if assigned[v] and values[v])
+        false = sum(1 << v for v in range(n) if assigned[v] and not values[v])
+        yield true, false
+
+
+def test_propagate_matches_clause_major_reference(uf20_formulas):
+    rng = np.random.default_rng(53)
+    cases = [(f, k) for f in uf20_formulas for k in (0, 1, 30, 119)]
+    cases += [(f, k) for f in frozen_family() for k in (0, 1, 3)]
+    outcomes = set()
+    for f, k in cases:
+        models = brute_force_models(f).models
+        # With k at least the model count, every model is blocked and the
+        # formula becomes UNSAT.
+        g = with_blocking_clauses(f, models[:k])
+        rows, every = satcore._clause_rows(g)
+        clauses = satcore._clause_masks(g)
+        for true, false in partial_states(rng, g, models, 30):
+            result = satcore._propagate(rows, every, true, false)
+            assert result == reference_propagate(clauses, true, false)
+            outcomes.add("conflict" if result is None else result[2])
+    assert outcomes == {"conflict", False, True}
+
+
+def test_enumerate_matches_clause_major_reference_beyond_brute_force():
+    # n = 50 is beyond brute_force_models, so this is the unpruned search,
+    # and with the blocking clauses the rows hold more than 200 clause bits.
+    f = generate_random_3sat(50, 200, seed=7)
+    ms = enumerate_models(f, cap=8)
+    assert len(ms.models) == 8 and ms.truncated
+    assert ms == reference_enumerate(f, cap=8)
+    assert len(f.clauses) + len(ms.models) > 200
+
+
 def test_solve_contradiction_unsat():
     f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
     assert solve(f) is None
@@ -300,6 +424,9 @@ def test_pruned_enumeration_never_backtracks(uf20_paths, monkeypatch):
     assert len(ms.models) == 120 and ms.truncated
     assert results and None not in results
     assert len(results) <= (f.num_vars + 1) * len(ms.models)
+    # The exact count pins the search tree itself: propagation that returned
+    # other masks on some state would branch differently and move it.
+    assert len(results) == 1288
 
 
 def test_enumerate_rejects_truncated_exact_set():
