@@ -15,6 +15,15 @@ for clause c. The clauses an assignment satisfies are then the OR of the rows
 of its literals, and one pass over the free variables' rows counts the free
 literals of every clause at once. Enumeration adds each blocking clause as
 the next clause bit of the rows.
+
+Each enumeration rerun differs from the last by that one clause, so it
+reuses what the last rerun learnt about the states it resolved: a subtree
+that held no model is skipped, and a result the clause provably leaves
+unchanged is taken as it was (`enumerate_models` gives the rules and their
+proofs), as in incremental SAT solving (Eén & Sörensson, SAT 2003). Given
+the exact model set, the search also keeps per variable and value an int
+with bit k for each model k that agrees, and skips a state that extends no
+model not yet found by ANDing them.
 """
 from __future__ import annotations
 
@@ -77,7 +86,11 @@ def _clause_rows(f: Formula) -> tuple[Rows, int]:
     return rows, (1 << len(f.clauses)) - 1
 
 
-def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[int, int, bool] | None:
+Result = tuple[int, int, bool] | None
+Resolved = dict[tuple[int, int], tuple[Result, bool]]
+
+
+def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, bool]:
     """Apply unit propagation and pure-literal elimination to a fixpoint.
 
     ``rows`` and ``every`` are as `_clause_rows` returns them; ``true`` and
@@ -93,11 +106,17 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[int, int,
     Unit propagation is confluent: in whatever order units are set, it
     reaches one closure, or a conflict. Pure literals and "all satisfied" are
     read only at that closure, so the result depends neither on clause order
-    nor on setting units together. Returns None on a conflict, else the
-    extended masks and whether every clause is satisfied.
+    nor on setting units together.
+
+    Returns the result, None on a conflict or else the extended masks and
+    whether every clause is satisfied, and ``keep``: the call ended open,
+    set no pure literal, and left at least two variables free, each in an
+    unsatisfied clause. Then the result stands when a clause with a literal
+    of every variable is added (`enumerate_models` proves it).
     """
     satisfied = 0
     free = rows
+    pured = False
     while True:
         assigned = true | false
         unassigned = []
@@ -110,7 +129,7 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[int, int,
         free = unassigned
         unsat = every & ~satisfied
         if not unsat:
-            return true, false, True
+            return (true, false, True), False
         ge1 = ge2 = pos_occurs = neg_occurs = 0
         for bit, pos, neg in free:
             pos &= unsat
@@ -124,7 +143,7 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[int, int,
                 ge1 |= neg
                 neg_occurs |= bit
         if ge1 != unsat:
-            return None
+            return None, False
         units = unsat ^ ge2
         if units:
             forced_true = forced_false = 0
@@ -134,44 +153,82 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[int, int,
                 if neg & units:
                     forced_false |= bit
             if forced_true & forced_false:
-                return None
+                return None, False
             true |= forced_true
             false |= forced_false
             continue
         pure = pos_occurs ^ neg_occurs
         if not pure:
-            return true, false, False
+            return (true, false, False), not pured and 1 < len(free) == pos_occurs.bit_count()
+        pured = True
         true |= pure & pos_occurs
         false |= pure & neg_occurs
 
 
-def _solve_masks(rows: Rows, every: int, live: set[int] | None = None) -> int | None:
-    """Mask of the true variables of the first model found, or None if UNSAT.
+def _solve_masks(
+    rows: Rows,
+    every: int,
+    previous: Resolved | None = None,
+    blocked: int = 0,
+    agree: list[tuple[int, int]] | None = None,
+    alive: int = 0,
+) -> tuple[int | None, Resolved | None]:
+    """Mask of the true variables of the first model found, or None if
+    UNSAT, and the states this run resolved.
 
     Depth-first search with an explicit stack: branch on the lowest
-    unassigned variable, true branch first. ``live``, when given, holds the
-    true-masks of every model of the clauses; a state that none of them
-    extends is dropped before propagation. A subtree returns only a model
-    that extends its state, so every dropped subtree would have returned
-    None, and the search finds the same first model.
+    unassigned variable, true branch first. ``previous``, when given, maps
+    each state the last run resolved to what `_propagate` returned for it,
+    over the clauses without the last one, which blocks the model with
+    true-mask ``blocked``. By the rules of `enumerate_models`, such a state
+    that assigns a variable against that model is skipped, and one whose
+    entry has ``keep`` takes its entry instead of a new call. This run's
+    states are returned the same way, or None when ``previous`` is None.
+
+    ``agree``, when given, holds per variable the models with it true and
+    those with it false, each an int with bit k for model k, and ``alive``
+    the models of the clauses. A stack entry carries the alive models that
+    agree with the branch decisions on its path, and a state that none
+    agrees with is dropped before propagation. That drops exactly the states
+    no alive model extends: an alive model that agrees with the decisions
+    satisfies every unit literal on the path, and setting a pure literal in
+    it leaves an alive model with the same value at every later branch
+    variable. A subtree returns only a model that extends its state, so
+    every dropped subtree would have returned None, and the search finds
+    the same first model.
     """
-    stack = [(0, 0)]
+    resolved = None if previous is None else {}
+    # Without ``agree`` every entry carries -1, and nothing is dropped.
+    stack = [(0, 0, -1 if agree is None else alive)]
     while stack:
-        true, false = stack.pop()
-        if live is not None and not any(m & true == true and not m & false for m in live):
+        true, false, compatible = stack.pop()
+        if not compatible:
             continue
-        state = _propagate(rows, every, true, false)
-        if state is None:
+        state = true, false
+        known = previous.get(state) if previous else None
+        if known is not None and (true & ~blocked or false & blocked):
+            resolved[state] = known
             continue
-        true, false, satisfied = state
+        if known is None or not known[1]:
+            known = _propagate(rows, every, true, false)
+        if resolved is not None:
+            resolved[state] = known
+        result = known[0]
+        if result is None:
+            continue
+        true, false, satisfied = result
         if satisfied:
             # Variables left unassigned are unconstrained; complete them as False.
-            return true
+            return true, resolved
         assigned = true | false
         branch = ~assigned & (assigned + 1)
-        stack.append((true, false | branch))
-        stack.append((true | branch, false))
-    return None
+        with_true = with_false = compatible
+        if agree is not None:
+            if_true, if_false = agree[branch.bit_length() - 1]
+            with_true, with_false = compatible & if_true, compatible & if_false
+        stack.append((true, false | branch, with_false))
+        stack.append((true | branch, false, with_true))
+    return None, resolved
 
 
 def _assignment(true: int, num_vars: int) -> Assignment:
@@ -180,7 +237,7 @@ def _assignment(true: int, num_vars: int) -> Assignment:
 
 def solve(f: Formula) -> Assignment | None:
     """Find one satisfying assignment, or None when the formula is UNSAT."""
-    true = _solve_masks(*_clause_rows(f))
+    true, _ = _solve_masks(*_clause_rows(f))
     return None if true is None else _assignment(true, f.num_vars)
 
 
@@ -196,18 +253,54 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     prunes the search: a partial assignment that extends no model not yet
     found is skipped, and ``truncated`` is read off the models left over.
     The result is the same as without it.
+
+    A rerun differs from the last only by the blocking clause C of the
+    model m just found, which has a literal of every variable. Of the states
+    the last rerun resolved, the next one skips or reuses two kinds:
+
+    - A state S that assigns a variable against m is skipped with its whole
+      subtree. The last rerun resolved S before it found m, and a model
+      found in S's subtree would extend S, so that subtree held none. The
+      search is complete (pure literals keep a satisfiable state
+      satisfiable, and a dropped or skipped subtree holds no model either),
+      so the clauses with S have no model, and with C added still none.
+    - A state S whose result has ``keep`` takes that result. Every round of
+      that call had at least two free variables, so C, while unsatisfied,
+      had at least two free literals: it was never a unit nor empty, and
+      every round repeats. At the end each free variable occurs both ways,
+      as none was pure, so C's literals make none pure, and the call ends
+      open at the same masks, again with ``keep``.
+
+    Only the last rerun's states are kept, so each entry is checked against
+    exactly one new clause.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    live = None
+    agree = None
+    alive = 0
     if exact is not None:
         if exact.truncated:
             raise ValueError("exact model set must not be truncated")
-        live = {sum(1 << v for v, value in enumerate(model) if value) for model in exact.models}
+        if_true = [0] * f.num_vars
+        if_false = [0] * f.num_vars
+        model_bit = {}
+        for k, model in enumerate(exact.models):
+            mask = 0
+            for v, value in enumerate(model):
+                if value:
+                    if_true[v] |= 1 << k
+                    mask |= 1 << v
+                else:
+                    if_false[v] |= 1 << k
+            model_bit[mask] = 1 << k
+        agree = list(zip(if_true, if_false))
+        alive = (1 << len(exact.models)) - 1
     rows, every = _clause_rows(f)
+    resolved: Resolved = {}
+    true = 0
     models: list[Assignment] = []
     while len(models) < cap:
-        true = _solve_masks(rows, every, live)
+        true, resolved = _solve_masks(rows, every, resolved, true, agree, alive)
         if true is None:
             return ModelSet(tuple(models), truncated=False)
         models.append(_assignment(true, f.num_vars))
@@ -217,9 +310,12 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         every |= block
         rows = [(bit, pos, neg | block) if bit & true else (bit, pos | block, neg)
                 for bit, pos, neg in rows]
-        if live is not None:
-            live.discard(true)
-    truncated = bool(live) if live is not None else _solve_masks(rows, every) is not None
+        if agree is not None:
+            alive &= ~model_bit[true]
+    if agree is not None:
+        truncated = bool(alive)
+    else:
+        truncated = _solve_masks(rows, every, resolved, true)[0] is not None
     return ModelSet(tuple(models), truncated=truncated)
 
 

@@ -151,13 +151,13 @@ def test_propagate_matches_clause_major_reference(uf20_formulas):
         rows, every = satcore._clause_rows(g)
         clauses = satcore._clause_masks(g)
         for true, false in partial_states(rng, g, models, 30):
-            result = satcore._propagate(rows, every, true, false)
+            result, _ = satcore._propagate(rows, every, true, false)
             assert result == reference_propagate(clauses, true, false)
             outcomes.add("conflict" if result is None else result[2])
     assert outcomes == {"conflict", False, True}
 
 
-def test_enumerate_matches_clause_major_reference_beyond_brute_force():
+def test_enumerate_matches_clause_major_reference_beyond_brute_force(monkeypatch):
     # n = 50 is beyond brute_force_models, so this is the unpruned search,
     # and with the blocking clauses the rows hold more than 200 clause bits.
     f = generate_random_3sat(50, 200, seed=7)
@@ -165,6 +165,89 @@ def test_enumerate_matches_clause_major_reference_beyond_brute_force():
     assert len(ms.models) == 8 and ms.truncated
     assert ms == reference_enumerate(f, cap=8)
     assert len(f.clauses) + len(ms.models) > 200
+    # This one backtracks: each rerun after the first skips subtrees that
+    # held no model in the rerun before, as well as reusing open states.
+    f = generate_random_3sat(50, 218, seed=2)
+    fresh = []
+    skipped = []
+    resolved = 0
+
+    def counted_propagate(*args):
+        outcome = propagate(*args)
+        fresh.append(outcome)
+        return outcome
+
+    def counted_solve(rows, every, previous=None, blocked=0, *rest):
+        nonlocal resolved
+        true, states = solve_masks(rows, every, previous, blocked, *rest)
+        resolved += len(states)
+        skipped.append(sum(1 for set_true, set_false in states.keys() & (previous or {}).keys()
+                           if set_true & ~blocked or set_false & blocked))
+        return true, states
+
+    propagate, solve_masks = satcore._propagate, satcore._solve_masks
+    monkeypatch.setattr(satcore, "_propagate", counted_propagate)
+    monkeypatch.setattr(satcore, "_solve_masks", counted_solve)
+    ms = enumerate_models(f, cap=40)
+    assert len(ms.models) == 40 and ms.truncated
+    assert len(skipped) == 41 and min(skipped[1:]) > 0
+    assert any(result is None for result, _ in fresh)
+    # The reruns resolve 1,216 states, 250 of them skipped, and all but 412
+    # take what the rerun before returned for them.
+    assert (resolved, sum(skipped), len(fresh)) == (1216, 250, 412)
+    assert ms == reference_enumerate(f, cap=40)
+
+
+def test_keep_leaves_propagation_unchanged(uf20_formulas):
+    # enumerate_models lets a state S that agrees with the model m just
+    # blocked take its result over F for F plus the blocking clause C of m
+    # when the call was marked keep. There, both the result and keep must be
+    # what a new call over F and C returns.
+    rng = np.random.default_rng(67)
+    cases = list(uf20_formulas) + frozen_family()
+    cases += [generate_random_3sat(50, m, seed=s) for m, s in ((150, 1), (200, 7), (218, 2))]
+    outcomes = set()
+    for f in cases:
+        n = f.num_vars
+        models = brute_force_models(f).models if n <= satcore.BRUTE_FORCE_MAX_VARS else ()
+        rows, every = satcore._clause_rows(f)
+        for true, false in partial_states(rng, f, models, 30):
+            outcome = satcore._propagate(rows, every, true, false)
+            # m extends S: it takes S's values and random ones elsewhere.
+            blocked = sum(1 << v for v in range(n) if rng.random() < 0.5) & ~false | true
+            g = with_blocking_clauses(f, [tuple(bool(blocked >> v & 1) for v in range(n))])
+            after = satcore._propagate(*satcore._clause_rows(g), true, false)
+            if outcome[1]:
+                assert after == outcome
+                outcomes.add("keep")
+            else:
+                outcomes.add("refused" if after == outcome else "refused, changed")
+    assert outcomes == {"keep", "refused", "refused, changed"}
+
+
+def test_skipped_states_extend_no_model_left(uf20_formulas, monkeypatch):
+    # A rerun skips each state of the last rerun that assigns a variable
+    # against the model just blocked: no model of the clauses, blocking
+    # clauses included, may extend it.
+    skipped = 0
+
+    def checked_solve(rows, every, previous=None, blocked=0, *rest):
+        nonlocal skipped
+        for set_true, set_false in previous or ():
+            if set_true & ~blocked or set_false & blocked:
+                skipped += 1
+                assert not any(m & set_true == set_true and not m & set_false for m in alive)
+        true, states = solve_masks(rows, every, previous, blocked, *rest)
+        alive.discard(true)
+        return true, states
+
+    solve_masks = satcore._solve_masks
+    monkeypatch.setattr(satcore, "_solve_masks", checked_solve)
+    for f in list(uf20_formulas) + frozen_family():
+        alive = {sum(1 << v for v, value in enumerate(model) if value)
+                 for model in brute_force_models(f).models}
+        enumerate_models(f, cap=50)
+    assert skipped > 0
 
 
 def test_solve_contradiction_unsat():
@@ -407,26 +490,42 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
 
 
 def test_pruned_enumeration_never_backtracks(uf20_paths, monkeypatch):
-    # Every state the pruned search propagates extends a model not yet
-    # found, so no propagation hits a conflict and each model costs at most
-    # one propagation per variable plus the root.
+    # Every state the pruned search resolves extends a model not yet found,
+    # so no state ends in a conflict and each model costs at most one state
+    # per variable plus the root.
     f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
-    results = []
+    exact = brute_force_models(f)
+    alive = {sum(1 << v for v, value in enumerate(model) if value) for model in exact.models}
+    fresh = []
+    resolved = []
 
-    def counted(*args):
-        result = propagate(*args)
-        results.append(result)
-        return result
+    def counted_propagate(*args):
+        outcome = propagate(*args)
+        fresh.append(outcome)
+        return outcome
 
-    propagate = satcore._propagate
-    monkeypatch.setattr(satcore, "_propagate", counted)
-    ms = enumerate_models(f, cap=120, exact=brute_force_models(f))
+    def counted_solve(*args):
+        true, states = solve_masks(*args)
+        for set_true, set_false in states:
+            assert any(m & set_true == set_true and not m & set_false for m in alive)
+        resolved.extend(states.values())
+        alive.discard(true)
+        return true, states
+
+    propagate, solve_masks = satcore._propagate, satcore._solve_masks
+    monkeypatch.setattr(satcore, "_propagate", counted_propagate)
+    monkeypatch.setattr(satcore, "_solve_masks", counted_solve)
+    ms = enumerate_models(f, cap=120, exact=exact)
     assert len(ms.models) == 120 and ms.truncated
+    results = [result for result, _ in resolved]
     assert results and None not in results
     assert len(results) <= (f.num_vars + 1) * len(ms.models)
-    # The exact count pins the search tree itself: propagation that returned
-    # other masks on some state would branch differently and move it.
+    # The exact count of resolved states pins the search tree itself:
+    # propagation that returned other masks on some state would branch
+    # differently and move it. The count of new calls pins the reuse: every
+    # other state takes what the previous rerun returned for it.
     assert len(results) == 1288
+    assert len(fresh) == 234
 
 
 def test_enumerate_rejects_truncated_exact_set():
