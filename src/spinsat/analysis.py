@@ -50,7 +50,9 @@ def tail_mean(series: Sequence[float], fraction: float = 0.2) -> float:
     if not 0 < fraction <= 1:
         raise ValueError("fraction must lie in (0, 1]")
     k = max(1, math.ceil(fraction * len(series)))
-    tail = list(series[-k:])
+    tail = series[-k:]
+    # Python numbers sum faster than numpy scalars and to the same float.
+    tail = tail.tolist() if isinstance(tail, np.ndarray) else list(tail)
     return math.fsum(tail) / len(tail)
 
 
@@ -208,13 +210,17 @@ def binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedC
     """Pool trajectory points into geometric temperature bins.
 
     The binned energy is the unsatisfied-clause count (the logical energy
-    column); bin centers are geometric midpoints of the bin edges.
+    column); bin centers are geometric midpoints of the bin edges. When every
+    trajectory holds the same temperature column, as the runs of one schedule
+    do, its bin indices are found once and repeated.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     if bins < 1:
         raise ValueError("need at least one bin")
-    temps = np.concatenate([t.temperatures for t in trajectories])
+    column = trajectories[0].temperatures
+    shared = all(t.temperatures is column for t in trajectories)
+    temps = column if shared else np.concatenate([t.temperatures for t in trajectories])
     energies = np.concatenate([t.energy_logic.astype(np.float64) for t in trajectories])
     abs_m = np.concatenate([np.abs(t.magnetization) for t in trajectories])
     t_min = float(temps.min())
@@ -224,11 +230,13 @@ def binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedC
             bin_t=np.array([t_min]),
             mean_energy=np.array([energies.mean()]),
             mean_abs_magnetization=np.array([abs_m.mean()]),
-            counts=np.array([len(temps)]),
+            counts=np.array([len(energies)]),
         )
     edges = np.geomspace(t_min, t_max, bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     which = np.clip(np.searchsorted(edges, temps, side="right") - 1, 0, bins - 1)
+    if shared:
+        which = np.tile(which, len(trajectories))
     counts = np.bincount(which, minlength=bins)
     sum_e = np.bincount(which, weights=energies, minlength=bins)
     sum_m = np.bincount(which, weights=abs_m, minlength=bins)

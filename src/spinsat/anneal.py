@@ -8,7 +8,14 @@ byte-identical trajectory CSVs.
 
 The kernel keeps each spin's local field h_i + sum_j J_ij s_j and updates
 the neighbours' fields on every accepted flip, so a rejected proposal costs
-O(1). Compiled Hamiltonians, and their ``export_csv``/``import_csv`` round
+O(1). With one attempt per step, attempt k is step k + 1, so the default
+schedule runs one flat loop over attempts; ``sweeps=True`` loops over steps
+and over each step's attempts. Both loops accept by the same test and hand
+the stream to ``_next_accept`` at the same attempt. The occurrence lists of
+the last formula annealed are kept, and the Hamiltonian keeps its sorted
+couplings, so runs over one instance build their set-up once.
+
+Compiled Hamiltonians, and their ``export_csv``/``import_csv`` round
 trips, have dyadic coefficients (see ``spinsat.ising``), so every kept field
 equals the sum recomputed from scratch bit for bit, in any order. A
 hand-built Hamiltonian with inexact floats still anneals deterministically,
@@ -164,11 +171,21 @@ def _next_accept(
     return total
 
 
-def _clause_occurrences(f: Formula) -> list[list[tuple[int, int]]]:
-    occurrences: list[list[tuple[int, int]]] = [[] for _ in range(f.num_vars)]
-    for j, clause in enumerate(f.clauses):
-        for lit in clause.literals:
-            occurrences[lit.var].append((j, lit.sign))
+# The formula ``_clause_occurrences`` saw last and its occurrence lists.
+_last_occurrences: tuple[Formula | None, tuple[tuple[tuple[int, int], ...], ...]] = (None, ())
+
+
+def _clause_occurrences(f: Formula) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """(clause index, sign) of each literal on each variable, reused while runs share ``f``."""
+    global _last_occurrences
+    last, occurrences = _last_occurrences
+    if last is not f:
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(f.num_vars)]
+        for j, clause in enumerate(f.clauses):
+            for lit in clause.literals:
+                lists[lit.var].append((j, lit.sign))
+        occurrences = tuple(map(tuple, lists))
+        _last_occurrences = f, occurrences
     return occurrences
 
 
@@ -199,7 +216,7 @@ def anneal(
     num_spins = H.num_spins
     n_core = H.core_count
     rng = np.random.Generator(np.random.PCG64(seed))
-    spins = [1 if b else -1 for b in rng.integers(0, 2, size=num_spins)]
+    spins = (2 * rng.integers(0, 2, size=num_spins) - 1).tolist()
 
     attempts_per_step = num_spins if sweeps else 1
     total_attempts = sched.steps * attempts_per_step
@@ -213,10 +230,13 @@ def anneal(
         for j, jf in neighbors:
             field[i] += jf * spins[j]
     occurrences = _clause_occurrences(f)
+    # slack[j] counts the literals of clause j that the spins satisfy.
     slack = [0] * f.num_clauses
-    for j, clause in enumerate(f.clauses):
-        slack[j] = sum(1 for lit in clause.literals if spins[lit.var] == lit.sign)
-    unsat = sum(1 for count in slack if count == 0)
+    for spin, clauses in zip(spins, occurrences):
+        for cj, sign in clauses:
+            if spin == sign:
+                slack[cj] += 1
+    unsat = slack.count(0)
     core_sum = sum(spins[:n_core])
     energy_raw = hamiltonian_energy(H, spins)
 
@@ -229,25 +249,24 @@ def anneal(
     # ``_next_accept``; the scalar loop resumes at the attempt it returns.
     quiet_steps = -(-_QUIET_DRAWS // attempts_per_step)
     wake = quiet_steps
-    block = _BLOCK_DRAWS >> 4
     k = 0
-    while k < total_attempts:
-        first = k // attempts_per_step + 1
-        if k % attempts_per_step:
-            last = first  # a scan stopped mid-step: finish that step on its own
-        else:
-            last = min(first - 1 + max(1, block // attempts_per_step), sched.steps)
-        stop = last * attempts_per_step
-        draws = zip(flip_indices[k:stop].tolist(), uniforms[k:stop].tolist())
-        k = stop
-        block = min(2 * block, _BLOCK_DRAWS)
-        for t, temperature in zip(range(first, last + 1), temperatures[first:last + 1].tolist()):
-            accepted = False
-            for i, u in islice(draws, attempts_per_step):
+    if not sweeps:
+        block = max(1, _BLOCK_DRAWS >> 4)
+        # One attempt per step: attempt k is step k + 1, and every accept is a record.
+        while k < total_attempts:
+            stop = min(k + block, total_attempts)
+            draws = zip(
+                range(k + 1, stop + 1),
+                flip_indices[k:stop].tolist(),
+                uniforms[k:stop].tolist(),
+                temperatures[k + 1:stop + 1].tolist(),
+            )
+            k = stop
+            block = min(2 * block, _BLOCK_DRAWS)
+            for t, i, u, temperature in draws:
                 new_value = -spins[i]
                 d_e = 2.0 * new_value * field[i]
                 if d_e <= 0.0 or u < exp(-d_e / temperature):
-                    accepted = True
                     spins[i] = new_value
                     energy_raw += d_e
                     shift = 2 * new_value
@@ -264,19 +283,63 @@ def anneal(
                                 slack[cj] -= 1
                                 if slack[cj] == 0:
                                     unsat += 1
-            if accepted:
-                rec_step.append(t)
-                rec_energy.append(energy_raw)
-                rec_unsat.append(unsat)
-                rec_core_sum.append(core_sum)
-                wake = t + quiet_steps
-            elif t >= wake:
-                k = _next_accept(
-                    flip_indices, uniforms, temperatures, spins, field, t * attempts_per_step,
-                    attempts_per_step,
-                )
-                block = _BLOCK_DRAWS >> 4
-                break
+                    rec_step.append(t)
+                    rec_energy.append(energy_raw)
+                    rec_unsat.append(unsat)
+                    rec_core_sum.append(core_sum)
+                    wake = t + quiet_steps
+                elif t >= wake:
+                    k = _next_accept(flip_indices, uniforms, temperatures, spins, field, t, 1)
+                    block = max(1, _BLOCK_DRAWS >> 4)
+                    break
+    else:
+        block = _BLOCK_DRAWS >> 4
+        while k < total_attempts:
+            first = k // attempts_per_step + 1
+            if k % attempts_per_step:
+                last = first  # a scan stopped mid-step: finish that step on its own
+            else:
+                last = min(first - 1 + max(1, block // attempts_per_step), sched.steps)
+            stop = last * attempts_per_step
+            draws = zip(flip_indices[k:stop].tolist(), uniforms[k:stop].tolist())
+            k = stop
+            block = min(2 * block, _BLOCK_DRAWS)
+            for t, temperature in zip(range(first, last + 1), temperatures[first:last + 1].tolist()):
+                accepted = False
+                for i, u in islice(draws, attempts_per_step):
+                    new_value = -spins[i]
+                    d_e = 2.0 * new_value * field[i]
+                    if d_e <= 0.0 or u < exp(-d_e / temperature):
+                        accepted = True
+                        spins[i] = new_value
+                        energy_raw += d_e
+                        shift = 2 * new_value
+                        for j, jf in adjacency[i]:
+                            field[j] += shift * jf
+                        if i < n_core:
+                            core_sum += shift
+                            for cj, sign in occurrences[i]:
+                                if sign == new_value:
+                                    slack[cj] += 1
+                                    if slack[cj] == 1:
+                                        unsat -= 1
+                                else:
+                                    slack[cj] -= 1
+                                    if slack[cj] == 0:
+                                        unsat += 1
+                if accepted:
+                    rec_step.append(t)
+                    rec_energy.append(energy_raw)
+                    rec_unsat.append(unsat)
+                    rec_core_sum.append(core_sum)
+                    wake = t + quiet_steps
+                elif t >= wake:
+                    k = _next_accept(
+                        flip_indices, uniforms, temperatures, spins, field, t * attempts_per_step,
+                        attempts_per_step,
+                    )
+                    block = _BLOCK_DRAWS >> 4
+                    break
 
     # Row t repeats the last record at or before step t.
     row = np.searchsorted(rec_step, np.arange(sched.steps + 1), side="right") - 1

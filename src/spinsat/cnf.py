@@ -23,8 +23,6 @@ __all__ = [
     "parse_dimacs",
     "parse_dimacs_file",
     "write_dimacs",
-    "logical_energy",
-    "clause_slack",
     "mean_slack",
     "models_mean_slack",
     "clause_ratio",
@@ -222,24 +220,6 @@ def _check_assignment(f: Formula, a: Sequence[bool]) -> None:
         raise ValueError(f"assignment length {len(a)} != num_vars {f.num_vars}")
 
 
-def logical_energy(f: Formula, a: Sequence[bool]) -> int:
-    """Number of clauses of ``f`` unsatisfied by assignment ``a``."""
-    _check_assignment(f, a)
-    unsat = 0
-    for clause in f.clauses:
-        if not any(lit.is_satisfied_by(a) for lit in clause.literals):
-            unsat += 1
-    return unsat
-
-
-def clause_slack(c: Clause, a: Sequence[bool]) -> int:
-    """Number of satisfied (distinct) literals of clause ``c`` under ``a``."""
-    for lit in c.literals:
-        if lit.var >= len(a):
-            raise ValueError(f"literal x{lit.var + 1} out of range for assignment")
-    return sum(1 for lit in c.literals if lit.is_satisfied_by(a))
-
-
 def mean_slack(f: Formula, a: Sequence[bool]) -> float:
     """Average clause slack across all clauses of ``f``.
 
@@ -249,7 +229,7 @@ def mean_slack(f: Formula, a: Sequence[bool]) -> float:
     _check_assignment(f, a)
     if f.num_clauses == 0:
         raise ValueError("mean slack undefined for a formula with no clauses")
-    return sum(clause_slack(c, a) for c in f.clauses) / f.num_clauses
+    return sum(lit.is_satisfied_by(a) for c in f.clauses for lit in c.literals) / f.num_clauses
 
 
 def models_mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:

@@ -58,7 +58,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cnf import Assignment, Clause, Formula, Literal
+from .cnf import Clause, Formula, Literal
 
 __all__ = [
     "GADGET_CORRECTED",
@@ -67,8 +67,6 @@ __all__ = [
     "Hamiltonian",
     "ClausePolynomial",
     "SpinState",
-    "spins_to_assignment",
-    "assignment_to_spins",
     "clause_polynomial",
     "compile",
     "hamiltonian_energy",
@@ -110,18 +108,6 @@ class ClausePolynomial:
 
     def evaluate(self, spins: Sequence[int]) -> float:
         return _evaluate(self.terms, spins)
-
-
-def spins_to_assignment(s: Sequence[int], core_count: int) -> Assignment:
-    """Read the first ``core_count`` spins as truth values (+1 -> True)."""
-    if len(s) < core_count:
-        raise ValueError(f"spin state of length {len(s)} has no {core_count} core spins")
-    return tuple(int(s[i]) > 0 for i in range(core_count))
-
-
-def assignment_to_spins(a: Sequence[bool]) -> SpinState:
-    """Inverse of spins_to_assignment over the core block."""
-    return np.array([1 if value else -1 for value in a], dtype=np.int8)
 
 
 def clause_polynomial(c: Clause) -> ClausePolynomial:
@@ -194,8 +180,8 @@ class Hamiltonian:
     """Pairwise spin energy: offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
 
     Core spins occupy indices [0, core_count); ancilla spins follow. The
-    object is immutable by convention after compile; the neighbor lists used
-    by the annealer are cached lazily.
+    object is immutable by convention after compile; the neighbor lists and
+    the sorted couplings are cached lazily.
 
     ``energy_floor`` is the analytic minimum constant (sum of per-clause
     gadgetized minima), so energy - energy_floor is 0 exactly on satisfying
@@ -226,8 +212,10 @@ class Hamiltonian:
             neighbors[j].append((i, coeff))
         return tuple(tuple(sorted(entry)) for entry in neighbors)
 
-    def sorted_couplings(self) -> list[tuple[tuple[int, int], float]]:
-        return sorted(self.couplings.items())
+    @cached_property
+    def sorted_couplings(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        """((i, j), J) pairs in ascending (i, j) order."""
+        return tuple(sorted(self.couplings.items()))
 
 
 def _check_spins(H: Hamiltonian, s: Sequence[int]) -> None:
@@ -378,7 +366,7 @@ def hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
     for i, h in enumerate(H.fields):
         if h:
             total += h * s[i]
-    for (i, j), coeff in sorted(H.couplings.items()):
+    for (i, j), coeff in H.sorted_couplings:
         total += coeff * s[i] * s[j]
     return total
 
@@ -463,7 +451,7 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
             kind, label = "ancilla", _ancilla_label(H.ancillas[idx - H.core_count])
         node_lines.append(f"{idx + 1},{kind},{label},{format_float(H.fields[idx])}")
     edge_lines = [_EDGE_HEADER]
-    for (i, j), coeff in H.sorted_couplings():
+    for (i, j), coeff in H.sorted_couplings:
         edge_lines.append(f"{i + 1},{j + 1},{format_float(coeff)}")
     return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,23 @@ def test_tail_mean_hundred():
 def test_tail_mean_full_fraction_is_mean():
     values = [1.0, 2.0, 4.0, 8.0]
     assert tail_mean(values, 1.0) == sum(values) / 4
+
+
+def test_tail_mean_same_float_for_arrays_and_lists(uf20_formulas):
+    f = uf20_formulas[0]
+    traj = anneal(ising.compile(f), f, Schedule(steps=500), seed=2)
+    logic = traj.energy_logic.tolist()
+    assert traj.energy_logic.dtype == np.int32
+    for fraction in (0.2, 0.37, 1.0):
+        means = [
+            tail_mean(traj.energy_logic, fraction),
+            tail_mean(np.array(logic, dtype=np.float64), fraction),
+            tail_mean(logic, fraction),
+        ]
+        assert all(type(m) is float for m in means)
+        assert len({m.hex() for m in means}) == 1
+        m_array = tail_mean(np.abs(traj.magnetization), fraction)
+        assert m_array.hex() == tail_mean(np.abs(traj.magnetization).tolist(), fraction).hex()
 
 
 def test_tail_mean_validation():
@@ -259,6 +277,28 @@ def test_binned_reproduces_raw_points_at_matching_resolution():
     assert np.all(curves.counts == 1)
     assert np.allclose(curves.mean_energy, energy)
     assert np.allclose(curves.mean_abs_magnetization, np.abs(abs_m))
+
+
+def assert_same_curves(a, b) -> None:
+    for name in ("bin_t", "mean_energy", "mean_abs_magnetization", "counts"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+def test_binned_shared_temperature_column_matches_private_copies(uf20_formulas):
+    # The runs of one schedule share one temperature column, and binning
+    # finds its bin indices once; private copies take the general path.
+    f = uf20_formulas[1]
+    H = ising.compile(f)
+    for sched, bins in ((Schedule(steps=400), 60), (Schedule(steps=400), 7), (Schedule(steps=0), 60)):
+        shared = [anneal(H, f, sched, seed) for seed in range(4)]
+        assert all(t.temperatures is shared[0].temperatures for t in shared)
+        private = [dataclasses.replace(t, temperatures=t.temperatures.copy()) for t in shared]
+        curves = binned_curves(shared, bins)
+        assert_same_curves(curves, binned_curves(private, bins))
+        assert int(curves.counts.sum()) == 4 * (sched.steps + 1)
+    # Steps=0 leaves one temperature, so every point falls in the single bin.
+    assert curves.counts.tolist() == [4]
 
 
 def test_binned_requires_input():

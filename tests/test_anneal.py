@@ -7,8 +7,10 @@ import pytest
 
 from spinsat import anneal as anneal_module, ising
 from spinsat.anneal import Schedule, Trajectory, anneal, trajectory_csv
-from spinsat.cnf import Formula, logical_energy, parse_dimacs
-from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization, spins_to_assignment
+from spinsat.cnf import Formula, parse_dimacs
+from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization
+
+from reference import reference_logical_energy, reference_spins_to_assignment
 
 
 def single_spin_hamiltonian(h: float) -> Hamiltonian:
@@ -309,6 +311,21 @@ def test_kernel_matches_reference_when_a_sweep_step_cancels_out():
     assert len(set(traj.magnetization.tolist())) == 4
 
 
+def test_set_up_caches_follow_the_instance(uf20_formulas):
+    # The occurrence lists are kept for the last formula annealed and the
+    # sorted couplings on each Hamiltonian; going to another instance and
+    # back must rebuild or reuse each for its own instance only.
+    f1, f2 = uf20_formulas[4:6]
+    H1, H2 = ising.compile(f1), ising.compile(f2)
+    exported = ising.export_csv(ising.compile(f1))
+    assert "sorted_couplings" not in vars(H1)
+    sched = Schedule(steps=800)
+    for H, f in ((H1, f1), (H2, f2), (H1, f1)):
+        assert_same_run(anneal(H, f, sched, 9), reference_anneal(H, f, sched, 9))
+    assert "sorted_couplings" in vars(H1)
+    assert ising.export_csv(H1) == exported
+
+
 def test_kernel_matches_reference_on_random_hamiltonians():
     rng = np.random.default_rng(61)
     for seed in range(30):
@@ -508,7 +525,7 @@ def test_anneal_bookkeeping_matches_recomputation(uf20_compiled, steps):
     s = traj.final_state.tolist()
     fresh = hamiltonian_energy(H, s) - float(H.energy_floor)
     assert abs(fresh - traj.energy_h[-1]) <= 1e-9
-    assert traj.energy_logic[-1] == logical_energy(f, spins_to_assignment(s, f.num_vars))
+    assert traj.energy_logic[-1] == reference_logical_energy(f, reference_spins_to_assignment(s, f.num_vars))
     assert traj.magnetization[-1] == magnetization(s, f.num_vars)
 
 

