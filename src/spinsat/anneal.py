@@ -11,8 +11,8 @@ the neighbours' fields on every accepted flip, so a rejected proposal costs
 O(1). With one attempt per step, attempt k is step k + 1, so the default
 schedule runs one flat loop over attempts; ``sweeps=True`` loops over steps
 and over each step's attempts. Both loops accept by the same test and hand
-the stream to ``_next_accept`` at the same attempt. The occurrence lists of
-the last formula annealed are kept, and the Hamiltonian keeps its sorted
+the stream to ``_next_accept`` at the same attempt. The formula holds its
+occurrence index (``Formula.occurrences``) and the Hamiltonian its sorted
 couplings, so runs over one instance build their set-up once.
 
 Compiled Hamiltonians, and their ``export_csv``/``import_csv`` round
@@ -66,8 +66,8 @@ class Schedule:
     steps: int = 6000
 
     def __post_init__(self) -> None:
-        if not self.t0 > 0:
-            raise ValueError("t0 must be positive")
+        if not 0 < self.t0 < math.inf:
+            raise ValueError("t0 must be positive and finite")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.steps < 0:
@@ -171,24 +171,6 @@ def _next_accept(
     return total
 
 
-# The formula ``_clause_occurrences`` saw last and its occurrence lists.
-_last_occurrences: tuple[Formula | None, tuple[tuple[tuple[int, int], ...], ...]] = (None, ())
-
-
-def _clause_occurrences(f: Formula) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """(clause index, sign) of each literal on each variable, reused while runs share ``f``."""
-    global _last_occurrences
-    last, occurrences = _last_occurrences
-    if last is not f:
-        lists: list[list[tuple[int, int]]] = [[] for _ in range(f.num_vars)]
-        for j, clause in enumerate(f.clauses):
-            for lit in clause.literals:
-                lists[lit.var].append((j, lit.sign))
-        occurrences = tuple(map(tuple, lists))
-        _last_occurrences = f, occurrences
-    return occurrences
-
-
 def anneal(
     H: Hamiltonian,
     f: Formula,
@@ -229,7 +211,7 @@ def anneal(
     for i, neighbors in enumerate(adjacency):
         for j, jf in neighbors:
             field[i] += jf * spins[j]
-    occurrences = _clause_occurrences(f)
+    occurrences = f.occurrences
     # slack[j] counts the literals of clause j that the spins satisfy.
     slack = [0] * f.num_clauses
     for spin, clauses in zip(spins, occurrences):

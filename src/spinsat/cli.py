@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -101,8 +102,8 @@ def _check_settings(config: RunConfig) -> set[str]:
             raise ValueError(f"cap must be at least 1, got {config.cap}")
         if config.bins < 1:
             raise ValueError(f"bins must be at least 1, got {config.bins}")
-        if not 0 < lo < hi:
-            raise ValueError(f"beta window must satisfy 0 < lo < hi, got {lo!r} {hi!r}")
+        if not 0 < lo < hi < math.inf:
+            raise ValueError(f"beta window must satisfy 0 < lo < hi < inf, got {lo!r} {hi!r}")
     except (TypeError, ValueError) as exc:
         raise InputError(exc) from exc
     messages = [str(warning.message) for warning in caught]
@@ -112,7 +113,7 @@ def _check_settings(config: RunConfig) -> set[str]:
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
-    """Input files in stem order, one per stem.
+    """Input files in stem order, one per stem; a directory gives its regular ``*.cnf`` files.
 
     Every output name is keyed on the file stem, so two different files with
     the same stem would overwrite each other's artifacts: that is an error.
@@ -121,7 +122,7 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
     for raw in paths:
         p = Path(raw)
         if p.is_dir():
-            found = sorted(p.glob("*.cnf"))
+            found = sorted(q for q in p.glob("*.cnf") if q.is_file())
         elif p.exists():
             found = [p]
         else:

@@ -94,19 +94,26 @@ class Clause:
 
 @dataclass(frozen=True)
 class Formula:
-    """A CNF formula over variables 0..num_vars-1."""
+    """A CNF formula over variables 0..num_vars-1.
+
+    ``occurrences[v]`` holds the (clause index, sign) of each literal on
+    variable v, in clause order: the one index the annealer, the solver and
+    ``models_mean_slack`` read instead of walking the clauses.
+    """
 
     num_vars: int
     clauses: tuple[Clause, ...]
     source_name: str = field(default="", compare=False)
+    occurrences: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for clause in self.clauses:
-            for lit in clause.literals:
-                if not 0 <= lit.var < self.num_vars:
-                    raise DimacsError(
-                        f"literal x{lit.var + 1} out of range (num_vars={self.num_vars})"
-                    )
+        lists: list[list[tuple[int, int]]] = [[] for _ in range(self.num_vars)]
+        for j, clause in enumerate(self.clauses):
+            for var, sign in clause.literals:
+                if not 0 <= var < self.num_vars:
+                    raise DimacsError(f"literal x{var + 1} out of range (num_vars={self.num_vars})")
+                lists[var].append((j, sign))
+        object.__setattr__(self, "occurrences", tuple(map(tuple, lists)))
 
     @property
     def num_clauses(self) -> int:
@@ -245,13 +252,8 @@ def models_mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:
         raise ValueError("mean slack undefined for an empty model list")
     if f.num_clauses == 0:
         raise ValueError("mean slack undefined for a formula with no clauses")
-    gain = [0] * f.num_vars
-    base = 0
-    for clause in f.clauses:
-        for lit in clause.literals:
-            gain[lit.var] += lit.sign
-            if lit.sign < 0:
-                base += 1
+    gain = [sum(sign for _, sign in occ) for occ in f.occurrences]
+    base = sum(sign < 0 for occ in f.occurrences for _, sign in occ)
     per_model = []
     for a in models:
         _check_assignment(f, a)

@@ -73,16 +73,12 @@ Rows = list[tuple[int, int, int]]
 
 def _clause_rows(f: Formula) -> tuple[Rows, int]:
     """One row ``(1 << v, clauses holding +v, clauses holding -v)`` per
-    variable v, and the mask of every clause bit; bit c stands for clause c."""
-    pos = [0] * f.num_vars
-    neg = [0] * f.num_vars
-    for c, clause in enumerate(f.clauses):
-        for lit in clause.literals:
-            if lit.sign > 0:
-                pos[lit.var] |= 1 << c
-            else:
-                neg[lit.var] |= 1 << c
-    rows = [(1 << v, pos[v], neg[v]) for v in range(f.num_vars)]
+    variable v, and the mask of every clause bit; bit c stands for clause c.
+    A clause holds a literal once, so each sum over ``f.occurrences`` is an OR."""
+    rows = [
+        (1 << v, sum(1 << c for c, sign in occ if sign > 0), sum(1 << c for c, sign in occ if sign < 0))
+        for v, occ in enumerate(f.occurrences)
+    ]
     return rows, (1 << len(f.clauses)) - 1
 
 

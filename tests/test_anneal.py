@@ -7,10 +7,14 @@ import pytest
 
 from spinsat import anneal as anneal_module, ising
 from spinsat.anneal import Schedule, Trajectory, anneal, trajectory_csv
-from spinsat.cnf import Formula, parse_dimacs
+from spinsat.cnf import Formula, generate_random_3sat, parse_dimacs
 from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization
 
-from reference import reference_logical_energy, reference_spins_to_assignment
+from reference import (
+    reference_boltzmann_unsat,
+    reference_logical_energy,
+    reference_spins_to_assignment,
+)
 
 
 def single_spin_hamiltonian(h: float) -> Hamiltonian:
@@ -121,7 +125,9 @@ def test_schedule_defaults():
     assert (sched.t0, sched.alpha, sched.steps) == (2.5, 0.999, 6000)
 
 
-@pytest.mark.parametrize("kwargs", [dict(t0=0), dict(alpha=0), dict(alpha=1), dict(steps=-1)])
+@pytest.mark.parametrize(
+    "kwargs", [dict(t0=0), dict(t0=math.inf), dict(alpha=0), dict(alpha=1), dict(steps=-1)]
+)
 def test_schedule_validation(kwargs):
     with pytest.raises(ValueError):
         Schedule(**kwargs)
@@ -312,9 +318,9 @@ def test_kernel_matches_reference_when_a_sweep_step_cancels_out():
 
 
 def test_set_up_caches_follow_the_instance(uf20_formulas):
-    # The occurrence lists are kept for the last formula annealed and the
-    # sorted couplings on each Hamiltonian; going to another instance and
-    # back must rebuild or reuse each for its own instance only.
+    # Each formula holds its occurrence index and each Hamiltonian caches its
+    # sorted couplings; going to another instance and back must use each
+    # instance's own set-up only.
     f1, f2 = uf20_formulas[4:6]
     H1, H2 = ising.compile(f1), ising.compile(f2)
     exported = ising.export_csv(ising.compile(f1))
@@ -333,6 +339,41 @@ def test_kernel_matches_reference_on_random_hamiltonians():
         f = free_spins(H)
         sched = Schedule(t0=3.0, alpha=0.99, steps=400)
         assert_same_run(anneal(H, f, sched, seed), reference_anneal(H, f, sched, seed))
+
+
+# ---------------------------------------------------------------------------
+# detailed balance: the kernel samples the Boltzmann law
+# ---------------------------------------------------------------------------
+
+
+def test_boltzmann_reference_matches_full_enumeration():
+    # Summing the ancillas out analytically must agree with a plain sum over
+    # every spin state, ancillas included.
+    f = generate_random_3sat(6, 5, seed=3)
+    H = ising.compile(f)
+    assert H.num_spins > f.num_vars
+    for T in (0.7, 2.0):
+        z = weighted = 0.0
+        for code in range(1 << H.num_spins):
+            spins = [1 if code >> i & 1 else -1 for i in range(H.num_spins)]
+            w = math.exp(-(hamiltonian_energy(H, spins) - H.energy_floor) / T)
+            unsat = reference_logical_energy(f, reference_spins_to_assignment(spins, f.num_vars))
+            z += w
+            weighted += w * unsat
+        assert reference_boltzmann_unsat(H, f, T) == pytest.approx(weighted / z, rel=1e-12)
+
+
+def test_kernel_samples_the_boltzmann_law(uf20_compiled):
+    # At a nearly constant T = 2, four chains with their first fifth dropped
+    # must average the exact equilibrium unsatisfied count (8.0497 on
+    # uf20-sb-001; the chains' own means spread by about 0.1).
+    H, f = uf20_compiled
+    sched = Schedule(t0=2.0, alpha=1 - 1e-12, steps=200_000)
+    exact = reference_boltzmann_unsat(H, f, 2.0)
+    assert exact == pytest.approx(8.0497, abs=1e-4)
+    burn_in = sched.steps // 5
+    chains = [anneal(H, f, sched, seed).energy_logic[burn_in + 1:] for seed in range(4)]
+    assert abs(np.mean(chains) - exact) < 0.2
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,16 @@ def test_run_rejects_inputs_sharing_a_stem(tmp_path, uf20_paths, capsys):
     assert not out.exists()
 
 
+def test_directory_skips_subdirectories_named_cnf(tmp_path, uf20_paths, capsys):
+    corpus = tmp_path / "in"
+    (corpus / "sub.cnf").mkdir(parents=True)
+    (corpus / uf20_paths[0].name).write_bytes(uf20_paths[0].read_bytes())
+    assert run_cli(["solve", str(corpus)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 1 and uf20_paths[0].stem in captured.out
+    assert captured.err == ""
+
+
 def test_solve_reports_sat(uf20_paths, capsys):
     assert run_cli(["solve", str(uf20_paths[0])]) == 0
     assert "sat=true" in capsys.readouterr().out
@@ -300,12 +310,15 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("anneal", [], {"t0": True}),
         ("run", [], {"beta_window": [0.05, "1"]}),
         ("anneal", [], {"inputs": [5]}),
+        ("anneal", ["--t0", "inf"], {}),
+        ("run", ["--beta-window", "0.05", "inf"], {}),
     ],
     ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
          "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar",
          "not-object-number", "not-object-list", "malformed-json",
          "outdir-number", "workers-string", "seed-string", "steps-float", "steps-bool",
-         "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "inputs-number-item"],
+         "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "inputs-number-item",
+         "t0-inf", "window-inf"],
 )
 def test_invalid_setting_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, flags, settings

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -113,6 +115,20 @@ def test_tautological_clause_kept_and_flagged():
     assert clause.is_tautological
     for a in all_assignments(2):
         assert reference_clause_slack(clause, a) >= 1
+    # The occurrence index keeps both literals of the tautology; x4 is in no clause.
+    g = parse_dimacs("p cnf 4 3\n1 -1 2 0\n-3 2 0\n3 -2 1 0\n", source_name="g")
+    walk = tuple(
+        tuple((j, lit.sign) for j, c in enumerate(g.clauses) for lit in c.literals if lit.var == v)
+        for v in range(g.num_vars)
+    )
+    assert g.occurrences == walk
+    assert g.occurrences[0] == ((0, 1), (0, -1), (2, 1)) and g.occurrences[3] == ()
+    assert pickle.loads(pickle.dumps(g)).occurrences == walk
+    assert dataclasses.replace(g, clauses=g.clauses[1:]).occurrences == (
+        ((1, 1),), ((0, 1), (1, -1)), ((0, -1), (1, 1)), ()
+    )
+    renamed = dataclasses.replace(g, source_name="h")
+    assert renamed == g and hash(renamed) == hash(g) and renamed.occurrences == walk
 
 
 def test_parse_uf20_file(uf20_paths):
