@@ -12,14 +12,15 @@ O(1). With one attempt per step, attempt k is step k + 1, so the default
 schedule runs one flat loop over attempts; ``sweeps=True`` loops over steps
 and over each step's attempts. Both loops accept by the same test and hand
 the stream to ``_next_accept`` at the same attempt. The formula holds its
-occurrence index (``Formula.occurrences``) and the Hamiltonian its sorted
-couplings, so runs over one instance build their set-up once.
+occurrence index (``Formula.occurrences``) and the Hamiltonian its neighbour
+lists, so runs over one instance build their set-up once.
 
 Compiled Hamiltonians, and their ``export_csv``/``import_csv`` round
 trips, have dyadic coefficients (see ``spinsat.ising``), so every kept field
-equals the sum recomputed from scratch bit for bit, in any order. A
-hand-built Hamiltonian with inexact floats still anneals deterministically,
-but its kept fields may round differently from a recomputation.
+and the first energy equal the sums recomputed from scratch bit for bit, in
+any order. A hand-built Hamiltonian with inexact floats still anneals
+deterministically, but its kept fields and energies may round differently
+from a recomputation.
 
 Late in a schedule the state freezes and almost every proposal is
 rejected. Once a few hundred attempts in a row (whole steps) have accepted
@@ -32,8 +33,8 @@ scalar loop resumes at the first accepted proposal, mid-step if need be, so
 the stream, the records and every trajectory are the scalar loop's own.
 
 Rows are steps, row 0 the initial state. Only a step that accepts a flip
-appends a record (step, energy, unsatisfied count, core spin sum), and the
-records become rows at the end. ``trajectory_csv`` renders the step and
+appends a (step, energy, unsatisfied count, core spin sum) record to one
+list, which becomes rows at the end. ``trajectory_csv`` renders the step and
 temperature columns once per schedule, the rest once per run of equal rows.
 """
 from __future__ import annotations
@@ -46,7 +47,7 @@ from itertools import islice
 import numpy as np
 
 from .cnf import Formula
-from .ising import Hamiltonian, SpinState, format_float, hamiltonian_energy
+from .ising import Hamiltonian, SpinState, format_float
 
 __all__ = [
     "Schedule",
@@ -220,10 +221,11 @@ def anneal(
                 slack[cj] += 1
     unsat = slack.count(0)
     core_sum = sum(spins[:n_core])
-    energy_raw = hamiltonian_energy(H, spins)
+    # sum_i s_i field_i counts each coupling twice, so this is the raw energy.
+    energy_raw = H.offset + sum(s * (h + hf) for s, h, hf in zip(spins, H.fields, field)) / 2
 
     # The state after step 0 and after each step that accepted a flip.
-    rec_step, rec_energy, rec_unsat, rec_core_sum = [0], [energy_raw], [unsat], [core_sum]
+    records = [(0, energy_raw, unsat, core_sum)]
     temperatures = _temperatures(sched)
 
     exp = math.exp
@@ -265,10 +267,7 @@ def anneal(
                                 slack[cj] -= 1
                                 if slack[cj] == 0:
                                     unsat += 1
-                    rec_step.append(t)
-                    rec_energy.append(energy_raw)
-                    rec_unsat.append(unsat)
-                    rec_core_sum.append(core_sum)
+                    records.append((t, energy_raw, unsat, core_sum))
                     wake = t + quiet_steps
                 elif t >= wake:
                     k = _next_accept(flip_indices, uniforms, temperatures, spins, field, t, 1)
@@ -310,10 +309,7 @@ def anneal(
                                     if slack[cj] == 0:
                                         unsat += 1
                 if accepted:
-                    rec_step.append(t)
-                    rec_energy.append(energy_raw)
-                    rec_unsat.append(unsat)
-                    rec_core_sum.append(core_sum)
+                    records.append((t, energy_raw, unsat, core_sum))
                     wake = t + quiet_steps
                 elif t >= wake:
                     k = _next_accept(
@@ -324,6 +320,7 @@ def anneal(
                     break
 
     # Row t repeats the last record at or before step t.
+    rec_step, rec_energy, rec_unsat, rec_core_sum = zip(*records)
     row = np.searchsorted(rec_step, np.arange(sched.steps + 1), side="right") - 1
     return Trajectory(
         instance=f.source_name,

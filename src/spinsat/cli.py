@@ -102,6 +102,8 @@ def _check_settings(config: RunConfig) -> set[str]:
             raise ValueError(f"cap must be at least 1, got {config.cap}")
         if config.bins < 1:
             raise ValueError(f"bins must be at least 1, got {config.bins}")
+        if config.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {config.workers}")
         if not 0 < lo < hi < math.inf:
             raise ValueError(f"beta window must satisfy 0 < lo < hi < inf, got {lo!r} {hi!r}")
     except (TypeError, ValueError) as exc:
@@ -366,7 +368,8 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
         if exact_models is not None:
             exact_size = len(backbone(exact_models))
         slack_models = capped_models if exact_models is None else exact_models
-        slack_value = models_mean_slack(formula, slack_models.models)
+        if formula.num_clauses:
+            slack_value = models_mean_slack(formula, slack_models.models)
 
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)

@@ -277,6 +277,8 @@ def generate_random_3sat(n: int, m: int, seed: int) -> Formula:
     """
     if n < 3:
         raise ValueError("need at least 3 variables for 3-SAT clauses")
+    if m < 0:
+        raise ValueError(f"clause count must be non-negative, got {m}")
     rng = np.random.Generator(np.random.PCG64(seed))
     clauses: list[Clause] = []
     for _ in range(m):

@@ -180,8 +180,8 @@ class Hamiltonian:
     """Pairwise spin energy: offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
 
     Core spins occupy indices [0, core_count); ancilla spins follow. The
-    object is immutable by convention after compile; the neighbor lists and
-    the sorted couplings are cached lazily.
+    object is immutable by convention after compile; the neighbor lists are
+    cached lazily.
 
     ``energy_floor`` is the analytic minimum constant (sum of per-clause
     gadgetized minima), so energy - energy_floor is 0 exactly on satisfying
@@ -211,11 +211,6 @@ class Hamiltonian:
             neighbors[i].append((j, coeff))
             neighbors[j].append((i, coeff))
         return tuple(tuple(sorted(entry)) for entry in neighbors)
-
-    @cached_property
-    def sorted_couplings(self) -> tuple[tuple[tuple[int, int], float], ...]:
-        """((i, j), J) pairs in ascending (i, j) order."""
-        return tuple(sorted(self.couplings.items()))
 
 
 def _check_spins(H: Hamiltonian, s: Sequence[int]) -> None:
@@ -366,7 +361,7 @@ def hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
     for i, h in enumerate(H.fields):
         if h:
             total += h * s[i]
-    for (i, j), coeff in H.sorted_couplings:
+    for (i, j), coeff in sorted(H.couplings.items()):
         total += coeff * s[i] * s[j]
     return total
 
@@ -451,7 +446,7 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
             kind, label = "ancilla", _ancilla_label(H.ancillas[idx - H.core_count])
         node_lines.append(f"{idx + 1},{kind},{label},{format_float(H.fields[idx])}")
     edge_lines = [_EDGE_HEADER]
-    for (i, j), coeff in H.sorted_couplings:
+    for (i, j), coeff in sorted(H.couplings.items()):
         edge_lines.append(f"{i + 1},{j + 1},{format_float(coeff)}")
     return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -319,17 +320,47 @@ def test_kernel_matches_reference_when_a_sweep_step_cancels_out():
 
 def test_set_up_caches_follow_the_instance(uf20_formulas):
     # Each formula holds its occurrence index and each Hamiltonian caches its
-    # sorted couplings; going to another instance and back must use each
+    # neighbour lists; going to another instance and back must use each
     # instance's own set-up only.
     f1, f2 = uf20_formulas[4:6]
     H1, H2 = ising.compile(f1), ising.compile(f2)
     exported = ising.export_csv(ising.compile(f1))
-    assert "sorted_couplings" not in vars(H1)
     sched = Schedule(steps=800)
     for H, f in ((H1, f1), (H2, f2), (H1, f1)):
         assert_same_run(anneal(H, f, sched, 9), reference_anneal(H, f, sched, 9))
-    assert "sorted_couplings" in vars(H1)
     assert ising.export_csv(H1) == exported
+
+
+@pytest.mark.parametrize(
+    "sched, sweeps",
+    [(Schedule(steps=0), False), (Schedule(steps=40), False), (Schedule(steps=4), True)],
+    ids=["steps=0", "single-flip", "sweeps"],
+)
+def test_first_energy_is_hamiltonian_energy_of_the_initial_spins(uf20_formulas, sched, sweeps):
+    # ``anneal`` sums its first energy from the kept fields; row 0 must still
+    # equal ``hamiltonian_energy`` bit for bit on every dyadic Hamiltonian:
+    # compiled under both gadgets, read back from CSV, and random.
+    cases = [
+        (ising.compile(f, gadget_mode=mode), f)
+        for mode in (ising.GADGET_CORRECTED, ising.GADGET_PAPER_LITERAL)
+        for f in uf20_formulas
+    ]
+    f = uf20_formulas[2]
+    cases += [(ising.import_csv(*ising.export_csv(ising.compile(f, k_factor=12.25))), f)] * 4
+    rng = np.random.default_rng(67)
+    for _ in range(20):
+        offset, floor = (int(x) / 8 for x in rng.integers(-64, 65, size=2))
+        H = dataclasses.replace(random_hamiltonian(rng, 12), offset=offset, energy_floor=floor)
+        cases.append((H, free_spins(H)))
+    for seed, (H, f) in enumerate(cases):
+        traj = anneal(H, f, sched, seed, sweeps=sweeps)
+        # The first draws of the stream are the initial spins.
+        draws = np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=H.num_spins)
+        spins = (2 * draws - 1).tolist()
+        if sched.steps == 0:
+            assert traj.final_state.tolist() == spins
+        expected = hamiltonian_energy(H, spins) - H.energy_floor
+        assert float(traj.energy_h[0]).hex() == expected.hex(), seed
 
 
 def test_kernel_matches_reference_on_random_hamiltonians():

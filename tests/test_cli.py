@@ -312,13 +312,15 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("anneal", [], {"inputs": [5]}),
         ("anneal", ["--t0", "inf"], {}),
         ("run", ["--beta-window", "0.05", "inf"], {}),
+        ("run", ["--workers", "0"], {}),
+        ("run", [], {"workers": -3}),
     ],
     ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
          "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar",
          "not-object-number", "not-object-list", "malformed-json",
          "outdir-number", "workers-string", "seed-string", "steps-float", "steps-bool",
          "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "inputs-number-item",
-         "t0-inf", "window-inf"],
+         "t0-inf", "window-inf", "workers-zero", "workers-negative"],
 )
 def test_invalid_setting_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, flags, settings
@@ -493,6 +495,20 @@ def test_run_unsat_degrades_gracefully(tmp_path):
     assert list(out.glob("traj_unsat_*.csv"))
 
 
+def test_run_on_a_formula_with_no_clauses_leaves_the_slack_blank(tmp_path):
+    corpus = tmp_path / "c"
+    corpus.mkdir()
+    (corpus / "empty.cnf").write_text("p cnf 3 0\n")
+    out = tmp_path / "out"
+    assert run_cli(["run", str(corpus), "--outdir", str(out), "--steps", "40"]) == 0
+    rows = (out / analysis.SUMMARY_FILENAME).read_text().splitlines()
+    header = rows[0].split(",")
+    row = rows[1].split(",")
+    assert row[header.index("sat")] == "true"
+    assert row[header.index("backbone_capped")] == "0"
+    assert row[header.index("mean_slack")] == ""
+
+
 def test_run_invalid_file_nonzero_exit_but_batch_completes(tmp_path, small_corpus):
     (small_corpus / "broken.cnf").write_text("not a cnf\n")
     out = tmp_path / "out"
@@ -590,6 +606,12 @@ def test_report_too_few_rows(tmp_path, capsys):
 
 def test_gen_rejects_too_few_variables(tmp_path, capsys):
     assert_fails_once_before_any_work(["gen", "--n", "2"], tmp_path / "out", capsys)
+
+
+def test_gen_rejects_a_negative_clause_count(tmp_path, capsys):
+    assert_fails_once_before_any_work(
+        ["gen", "--n", "5", "--m", "-3", "--count", "1"], tmp_path / "out", capsys
+    )
 
 
 HELP_DEFAULTS = {

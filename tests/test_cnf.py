@@ -282,6 +282,12 @@ def test_generator_rejects_tiny_n():
         generate_random_3sat(2, 1, seed=0)
 
 
+def test_generator_rejects_negative_clause_count():
+    with pytest.raises(ValueError, match="non-negative"):
+        generate_random_3sat(5, -3, seed=0)
+    assert generate_random_3sat(5, 0, seed=0).num_clauses == 0
+
+
 def test_generator_variable_frequency_binomial():
     # Each variable lands in a clause w.p. 3/20; over 10^4 clauses the count
     # should stay within 3 sigma of the binomial mean (seed frozen).
