@@ -71,7 +71,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     dy = [v - mean_y for v in ys]
     var_x = math.fsum(d * d for d in dx) / n
     var_y = math.fsum(d * d for d in dy) / n
-    if var_x == 0 or var_y == 0:
+    # A constant series can leave a rounding residue in its variance.
+    if var_x == 0 or var_y == 0 or len(set(xs)) < 2 or len(set(ys)) < 2:
         raise DegenerateSeriesError("correlation undefined for a constant series")
     cov = math.fsum(a * b for a, b in zip(dx, dy)) / n
     rho = cov / math.sqrt(var_x * var_y)
@@ -114,8 +115,9 @@ def correlation_matrix(
 ) -> CorrelationMatrix:
     """Pairwise Pearson matrix over (final energy, final |M|, backbone size).
 
-    Rows missing a backbone (UNSAT instances) are dropped. Degenerate
-    (constant) columns yield NaN entries and are listed in ``degenerate``.
+    Rows missing a backbone (UNSAT instances) are dropped. A degenerate
+    column, one that holds a single distinct value, yields NaN entries and
+    is listed in ``degenerate``, in column order.
     """
     if len(summaries) < 3:
         raise ValueError("need at least three summaries")
@@ -132,23 +134,14 @@ def correlation_matrix(
         raise ValueError("fewer than three complete rows")
     labels = ("E_final", "|M_final|", "Backbone")
     columns = list(zip(*rows))
-    degenerate: list[str] = []
+    constant = [len(set(column)) == 1 for column in columns]
     matrix = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for i in range(3):
         for j in range(i + 1, 3):
-            try:
-                rho = pearson(columns[i], columns[j])
-            except DegenerateSeriesError:
-                rho = math.nan
-                for k in (i, j):
-                    if _is_constant(columns[k]) and labels[k] not in degenerate:
-                        degenerate.append(labels[k])
+            rho = math.nan if constant[i] or constant[j] else pearson(columns[i], columns[j])
             matrix[i][j] = matrix[j][i] = rho
-    return CorrelationMatrix(labels, tuple(tuple(row) for row in matrix), tuple(degenerate))
-
-
-def _is_constant(values: Sequence[float]) -> bool:
-    return len(set(values)) <= 1
+    degenerate = tuple(label for label, flat in zip(labels, constant) if flat)
+    return CorrelationMatrix(labels, tuple(tuple(row) for row in matrix), degenerate)
 
 
 _AGGREGATE_COLUMNS = (

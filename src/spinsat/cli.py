@@ -202,6 +202,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_schedule: bool = Tru
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    if args.count < 1:
+        raise InputError(f"count must be at least 1, got {args.count}")
     outdir = Path(_outdir(args.outdir, DEFAULT_OUTDIR))
     written = attempts = 0
     max_attempts = max(1000, 200 * args.count)

@@ -125,16 +125,14 @@ def _make_clause(dimacs_lits: list[int], num_vars: int) -> Clause:
         raise DimacsError("empty clause in input")
     literals: list[Literal] = []
     seen: set[Literal] = set()
-    dropped = 0
     for raw in dimacs_lits:
         if abs(raw) > num_vars:
             raise DimacsError(f"literal {raw} exceeds declared variable count {num_vars}")
         lit = literal_from_dimacs(raw)
-        if lit in seen:
-            dropped += 1
-            continue
-        seen.add(lit)
-        literals.append(lit)
+        if lit not in seen:
+            seen.add(lit)
+            literals.append(lit)
+    dropped = len(dimacs_lits) - len(literals)
     if dropped:
         warnings.warn(
             f"dropped {dropped} duplicate literal(s) in clause {dimacs_lits}",

@@ -286,7 +286,6 @@ def compile(
     couplings: dict[tuple[int, int], float] = {}
     gadgets: list[GadgetRecord] = []
     floor = 0.0
-    next_ancilla = n
 
     for clause in f.clauses:
         literals = clause.literals
@@ -299,9 +298,8 @@ def compile(
         )
         spins = [lit.var for lit in literals]
         if has_ancilla:
+            spins.append(n + len(gadgets))
             gadgets.append(GadgetRecord(spins[0], spins[1]))
-            spins.append(next_ancilla)
-            next_ancilla += 1
         floor += clause_floor
         for roles, coeff in terms:
             if len(roles) == 0:
@@ -314,7 +312,7 @@ def compile(
                 key = (i, j) if i < j else (j, i)
                 couplings[key] = couplings.get(key, 0.0) + coeff
 
-    num_spins = next_ancilla
+    num_spins = n + len(gadgets)
     field_vec = tuple(fields.get(i, 0.0) for i in range(num_spins))
     couplings = {key: coeff for key, coeff in couplings.items() if coeff != 0}
     return Hamiltonian(

@@ -166,7 +166,7 @@ def _solve_masks(
     every: int,
     previous: Resolved | None = None,
     blocked: int = 0,
-    agree: list[tuple[int, int]] | None = None,
+    agree: list[list[int]] | None = None,
     alive: int = 0,
 ) -> tuple[int | None, Resolved | None]:
     """Mask of the true variables of the first model found, or None if
@@ -277,19 +277,11 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     if exact is not None:
         if exact.truncated:
             raise ValueError("exact model set must not be truncated")
-        if_true = [0] * f.num_vars
-        if_false = [0] * f.num_vars
-        model_bit = {}
+        agree = [[0, 0] for _ in range(f.num_vars)]
         for k, model in enumerate(exact.models):
-            mask = 0
             for v, value in enumerate(model):
-                if value:
-                    if_true[v] |= 1 << k
-                    mask |= 1 << v
-                else:
-                    if_false[v] |= 1 << k
-            model_bit[mask] = 1 << k
-        agree = list(zip(if_true, if_false))
+                agree[v][not value] |= 1 << k
+        index = {model: k for k, model in enumerate(exact.models)}
         alive = (1 << len(exact.models)) - 1
     rows, every = _clause_rows(f)
     resolved: Resolved = {}
@@ -299,7 +291,8 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         true, resolved = _solve_masks(rows, every, resolved, true, agree, alive)
         if true is None:
             return ModelSet(tuple(models), truncated=False)
-        models.append(_assignment(true, f.num_vars))
+        model = _assignment(true, f.num_vars)
+        models.append(model)
         # The blocking clause holds -v for every variable v true in the
         # model and +v for every other; it takes the next clause bit.
         block = every + 1
@@ -307,7 +300,7 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         rows = [(bit, pos, neg | block) if bit & true else (bit, pos | block, neg)
                 for bit, pos, neg in rows]
         if agree is not None:
-            alive &= ~model_bit[true]
+            alive &= ~(1 << index[model])
     if agree is not None:
         truncated = bool(alive)
     else:

@@ -145,8 +145,10 @@ def test_pearson_scale_invariance():
 def test_pearson_errors():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])
-    with pytest.raises(DegenerateSeriesError):
-        pearson([1, 1, 1], [1, 2, 3])
+    # The float means of the last two constant series round off their value.
+    for x, y in [([1, 1, 1], [1, 2, 3]), ([0.1] * 3, [0.0, 1.0, 2.0]), ([0.7] * 12, range(12))]:
+        with pytest.raises(DegenerateSeriesError):
+            pearson(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +180,28 @@ def test_correlation_matrix_matches_columnwise_pearson():
     assert cm.values[1][2] == pytest.approx(pearson(m, [float(x) for x in b]), abs=1e-15)
 
 
-def test_correlation_matrix_degenerate_column_flagged():
+@pytest.mark.parametrize(
+    "rows, upper, degenerate",
+    [
+        ([(1.0, 0.5, 5), (2.0, 0.5, 7), (3.0, 0.5, 9)], (math.nan, 1.0, math.nan), ("|M_final|",)),
+        ([(1.0, 0.1, 5), (2.0, 0.1, 7), (3.0, 0.1, 9)], (math.nan, 1.0, math.nan), ("|M_final|",)),
+        (
+            [(1.0, 0.1, 5), (2.0, 0.1, 5), (3.0, 0.1, 5)],
+            (math.nan, math.nan, math.nan),
+            ("|M_final|", "Backbone"),
+        ),
+    ],
+    ids=["m=0.5", "m=0.1", "m=0.1,backbone=5"],
+)
+def test_correlation_matrix_degenerate_column_flagged(rows, upper, degenerate):
     summaries = [
-        make_summary(final_energy_logic=e, final_abs_magnetization=0.5, backbone_capped=b)
-        for e, b in [(1.0, 5), (2.0, 7), (3.0, 9)]
+        make_summary(final_energy_logic=e, final_abs_magnetization=m, backbone_capped=b)
+        for e, m, b in rows
     ]
     cm = correlation_matrix(summaries)
-    assert math.isnan(cm.values[0][1])
-    assert "|M_final|" in cm.degenerate
-    assert cm.values[0][2] == pytest.approx(1.0, abs=1e-12)
+    entries = (cm.values[0][1], cm.values[0][2], cm.values[1][2])
+    assert entries == pytest.approx(upper, abs=1e-12, nan_ok=True)
+    assert cm.degenerate == degenerate
 
 
 def test_correlation_matrix_needs_three_rows():
@@ -455,9 +470,10 @@ def test_correlation_table_anticorrelated():
     assert "E_final" in table and "Backbone" in table
 
 
-def test_correlation_table_names_degenerate_columns():
+@pytest.mark.parametrize("m", [0.5, 0.1])
+def test_correlation_table_names_degenerate_columns(m):
     summaries = [
-        make_summary(final_energy_logic=e, final_abs_magnetization=0.5, backbone_capped=b)
+        make_summary(final_energy_logic=e, final_abs_magnetization=m, backbone_capped=b)
         for e, b in [(1.0, 5), (2.0, 7), (3.0, 9)]
     ]
     lines = format_correlation_table(correlation_matrix(summaries)).splitlines()

@@ -608,10 +608,13 @@ def test_gen_rejects_too_few_variables(tmp_path, capsys):
     assert_fails_once_before_any_work(["gen", "--n", "2"], tmp_path / "out", capsys)
 
 
-def test_gen_rejects_a_negative_clause_count(tmp_path, capsys):
-    assert_fails_once_before_any_work(
-        ["gen", "--n", "5", "--m", "-3", "--count", "1"], tmp_path / "out", capsys
-    )
+@pytest.mark.parametrize(
+    "flags",
+    [["--m", "-3", "--count", "1"], ["--count", "0"], ["--count", "-2"]],
+    ids=["m=-3", "count=0", "count=-2"],
+)
+def test_gen_rejects_a_negative_clause_count(tmp_path, capsys, flags):
+    assert_fails_once_before_any_work(["gen", "--n", "5", *flags], tmp_path / "out", capsys)
 
 
 HELP_DEFAULTS = {
