@@ -56,6 +56,11 @@ def tail_mean(series: Sequence[float], fraction: float = 0.2) -> float:
     return math.fsum(tail) / len(tail)
 
 
+def _scaled_by_power_of_two(d: list[float]) -> list[float]:
+    e = math.frexp(max(map(abs, d)))[1]
+    return [math.ldexp(v, -e) for v in d]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson correlation with population normalization on both sides."""
     xs = [float(v) for v in x]
@@ -67,8 +72,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("need at least two points")
     mean_x = math.fsum(xs) / n
     mean_y = math.fsum(ys) / n
-    dx = [v - mean_x for v in xs]
-    dy = [v - mean_y for v in ys]
+    # Each series' deviations are scaled by the power of two just above the
+    # largest, so squares neither overflow nor underflow; the scaling is exact
+    # and cancels in rho, which is bit for bit the unscaled one in range.
+    dx = _scaled_by_power_of_two([v - mean_x for v in xs])
+    dy = _scaled_by_power_of_two([v - mean_y for v in ys])
     var_x = math.fsum(d * d for d in dx) / n
     var_y = math.fsum(d * d for d in dy) / n
     # A constant series can leave a rounding residue in its variance.

@@ -15,8 +15,8 @@ the stream to ``_next_accept`` at the same attempt. The formula holds its
 occurrence index (``Formula.occurrences``) and the Hamiltonian its neighbour
 lists, so runs over one instance build their set-up once.
 
-Compiled Hamiltonians, and their ``export_csv``/``import_csv`` round
-trips, have dyadic coefficients (see ``spinsat.ising``), so every kept field
+Compiled Hamiltonians, and any read back losslessly from ``export_csv``
+tables, have dyadic coefficients (see ``spinsat.ising``), so every kept field
 and the first energy equal the sums recomputed from scratch bit for bit, in
 any order. A hand-built Hamiltonian with inexact floats still anneals
 deterministically, but its kept fields and energies may round differently

@@ -332,10 +332,11 @@ def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
     if not models.models:
         return f"{formula.source_name}: sat=false"
     size = len(backbone(models))
+    normalized = f"{size / formula.num_vars:.3f}" if formula.num_vars else "n/a"
     line = (
         f"{formula.source_name}: models>={len(models.models)}"
         f" truncated={str(models.truncated).lower()}"
-        f" backbone={size} normalized={size / formula.num_vars:.3f}"
+        f" backbone={size} normalized={normalized}"
     )
     if exact and exact_models is not None:
         line += f" backbone_exact={len(backbone(exact_models))}"

@@ -47,14 +47,12 @@ the one a per-clause expansion builds bit for bit.
 from __future__ import annotations
 
 import functools
-import math
-import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,16 +63,11 @@ __all__ = [
     "GADGET_PAPER_LITERAL",
     "GadgetRecord",
     "Hamiltonian",
-    "ClausePolynomial",
     "SpinState",
     "clause_polynomial",
     "compile",
-    "hamiltonian_energy",
-    "magnetization",
-    "exhaustive_core_minima",
     "format_float",
     "export_csv",
-    "import_csv",
 ]
 
 GADGET_CORRECTED = "corrected"
@@ -95,22 +88,7 @@ class GadgetRecord(NamedTuple):
     parent_j: int
 
 
-@dataclass(eq=True)
-class ClausePolynomial:
-    """Multilinear spin polynomial of a single clause.
-
-    ``terms`` maps a sorted tuple of spin indices (degree 0..3) to its
-    coefficient, a multiple of 1/8. Spins square to 1, so products of factors
-    sharing a variable reduce by symmetric difference of index sets.
-    """
-
-    terms: dict[tuple[int, ...], float]
-
-    def evaluate(self, spins: Sequence[int]) -> float:
-        return _evaluate(self.terms, spins)
-
-
-def clause_polynomial(c: Clause) -> ClausePolynomial:
+def clause_polynomial(c: Clause) -> dict[tuple[int, ...], float]:
     """Multilinear expansion of the clause-violation indicator.
 
     For literals with polarities t_1..t_k over distinct variables the
@@ -118,6 +96,11 @@ def clause_polynomial(c: Clause) -> ClausePolynomial:
     k=3 the constant is 1/8, linear terms -t_i/8, quadratic +t_i t_j/8 and
     the cubic -t_1 t_2 t_3 / 8. Clauses longer than 3 literals or with a
     repeated variable are rejected.
+
+    Returns a fresh dict from each term's sorted tuple of spin indices
+    (degree 0..3) to its nonzero coefficient, a multiple of 1/8. Spins square
+    to 1, so products of factors sharing a variable reduce by symmetric
+    difference of index sets.
     """
     k = len(c.literals)
     if k > 3:
@@ -133,7 +116,7 @@ def clause_polynomial(c: Clause) -> ClausePolynomial:
                 key = tuple(sorted(set(key_a) ^ set(key_b)))
                 merged[key] = merged.get(key, 0.0) + coeff_a * coeff_b
         terms = {key: coeff for key, coeff in merged.items() if coeff != 0}
-    return ClausePolynomial(terms)
+    return terms
 
 
 def _corrected_substitution(
@@ -213,11 +196,6 @@ class Hamiltonian:
         return tuple(tuple(sorted(entry)) for entry in neighbors)
 
 
-def _check_spins(H: Hamiltonian, s: Sequence[int]) -> None:
-    if len(s) != H.num_spins:
-        raise ValueError(f"spin state length {len(s)} != {H.num_spins} spins")
-
-
 @functools.lru_cache(maxsize=256)
 def _clause_template(
     signs: tuple[int, ...], k: float, gadget_mode: str
@@ -229,7 +207,7 @@ def _clause_template(
     the clause floor, and whether the clause has an ancilla (a cubic term).
     """
     clause = Clause(tuple(Literal(role, sign) for role, sign in enumerate(signs)))
-    local = dict(clause_polynomial(clause).terms)
+    local = clause_polynomial(clause)
     c = local.pop((0, 1, 2), None)
     if c is not None:
         substitute = (
@@ -347,77 +325,9 @@ def _local_minimum(terms: dict[tuple[int, ...], float]) -> float:
     )
 
 
-def hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
-    """Raw energy offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
-
-    Exact for a compiled Hamiltonian (see the module docstring). Terms are
-    summed in ascending index order so repeated evaluation is bit-identical
-    regardless of coupling storage order.
-    """
-    _check_spins(H, s)
-    total = H.offset
-    for i, h in enumerate(H.fields):
-        if h:
-            total += h * s[i]
-    for (i, j), coeff in sorted(H.couplings.items()):
-        total += coeff * s[i] * s[j]
-    return total
-
-
-def magnetization(s: Sequence[int], core_count: int) -> float:
-    """Mean of the core spins only; ancilla spins never contribute."""
-    if core_count < 1:
-        raise ValueError("need at least one core spin")
-    if core_count > len(s):
-        raise ValueError(f"core_count {core_count} exceeds spin state length {len(s)}")
-    return sum(int(s[i]) for i in range(core_count)) / core_count
-
-
-def exhaustive_core_minima(H: Hamiltonian, max_spins: int = 22) -> list[float]:
-    """Exact min-over-ancillas energy for every core configuration.
-
-    Entry k is the minimum of the raw Hamiltonian energy over all ancilla
-    settings when core spin v is +1 iff bit v of k is set. All arithmetic is
-    integer: every coefficient is rescaled by the common denominator of the
-    floats' exact ratios, so no term or partial sum is rounded.
-    """
-    N = H.num_spins
-    if N > max_spins:
-        raise ValueError(f"exhaustive evaluation limited to {max_spins} spins")
-    ratios = [float(x).as_integer_ratio() for x in (H.offset, *H.fields, *H.couplings.values())]
-    scale = math.lcm(*(d for _, d in ratios))
-    units = [n * (scale // d) for n, d in ratios]
-    if sum(map(abs, units)) >= 1 << 62:
-        raise ValueError("coefficients do not fit the 64-bit integer evaluation grid")
-    offset, fields, couplings = units[0], units[1 : N + 1], units[N + 1 :]
-
-    size = 1 << N
-    indices = np.arange(size, dtype=np.int64)
-    spins = [np.where((indices >> v) & 1 == 1, 1, -1).astype(np.int64) for v in range(N)]
-    energies = np.full(size, offset, dtype=np.int64)
-    for v, h in enumerate(fields):
-        if h:
-            energies += h * spins[v]
-    for (i, j), coeff in zip(H.couplings, couplings):
-        energies += coeff * (spins[i] * spins[j])
-
-    n_core = H.core_count
-    per_core = energies.reshape(1 << (N - n_core), 1 << n_core).min(axis=0)
-    return [int(value) / scale for value in per_core]
-
-
 # ---------------------------------------------------------------------------
 # CSV serialization
 # ---------------------------------------------------------------------------
-
-_NODE_HEADER = "spin_id,kind,label,h"
-_EDGE_HEADER = "spin_i,spin_j,J"
-_META_KEYS = ("offset", "core_count", "energy_floor", "gadget_mode", "k_factor", "source")
-
-
-def _ancilla_label(record: GadgetRecord) -> str:
-    return f"x{record.parent_i + 1}*x{record.parent_j + 1}"
-
 
 def export_csv(H: Hamiltonian) -> tuple[str, str]:
     """Serialize to (node table, edge table) CSV text.
@@ -435,111 +345,16 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
         f"# gadget_mode = {H.gadget_mode}",
         f"# k_factor = {Fraction(H.k_factor)}",
         f"# source = {H.source}",
-        _NODE_HEADER,
+        "spin_id,kind,label,h",
     ]
     for idx in range(H.num_spins):
         if idx < H.core_count:
             kind, label = "core", f"x{idx + 1}"
         else:
-            kind, label = "ancilla", _ancilla_label(H.ancillas[idx - H.core_count])
+            parent_i, parent_j = H.ancillas[idx - H.core_count]
+            kind, label = "ancilla", f"x{parent_i + 1}*x{parent_j + 1}"
         node_lines.append(f"{idx + 1},{kind},{label},{format_float(H.fields[idx])}")
-    edge_lines = [_EDGE_HEADER]
+    edge_lines = ["spin_i,spin_j,J"]
     for (i, j), coeff in sorted(H.couplings.items()):
         edge_lines.append(f"{i + 1},{j + 1},{format_float(coeff)}")
     return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"
-
-
-def _parse_metadata(lines: list[str]) -> dict[str, str]:
-    meta: dict[str, str] = {}
-    for line in lines:
-        body = line[1:].strip()
-        if "=" not in body:
-            raise ValueError(f"malformed metadata comment {line!r}")
-        key, _, value = body.partition("=")
-        meta[key.strip()] = value.strip()
-    missing = [key for key in _META_KEYS if key not in meta]
-    if missing:
-        raise ValueError(f"missing metadata: {', '.join(missing)}")
-    return meta
-
-
-def import_csv(nodes_text: str, edges_text: str) -> Hamiltonian:
-    """Rebuild a Hamiltonian from node/edge tables produced by export_csv."""
-    lines = [line for line in nodes_text.splitlines() if line.strip()]
-    meta_lines = [line for line in lines if line.startswith("#")]
-    data_lines = [line for line in lines if not line.startswith("#")]
-    meta = _parse_metadata(meta_lines)
-    if meta["gadget_mode"] not in (GADGET_CORRECTED, GADGET_PAPER_LITERAL):
-        raise ValueError(f"unknown gadget mode {meta['gadget_mode']!r}")
-    if not data_lines or data_lines[0] != _NODE_HEADER:
-        raise ValueError("node table missing header row")
-
-    core_count = int(meta["core_count"])
-    fields: list[float] = []
-    ancillas: list[GadgetRecord] = []
-    for row_no, line in enumerate(data_lines[1:]):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"malformed node row {line!r}")
-        spin_id, kind, label, h_text = parts
-        if int(spin_id) != row_no + 1:
-            raise ValueError(f"node rows out of order at {line!r}")
-        index = row_no
-        if kind == "core":
-            if index >= core_count:
-                raise ValueError(f"core spin {spin_id} beyond core_count {core_count}")
-        elif kind == "ancilla":
-            if index < core_count:
-                raise ValueError(f"ancilla spin {spin_id} inside the core block")
-            match = re.fullmatch(r"x(-?\d+)\*x(-?\d+)", label)
-            if match is None:
-                raise ValueError(f"malformed ancilla label {label!r}")
-            parent_i, parent_j = (int(group) - 1 for group in match.groups())
-            if parent_i == parent_j or not (0 <= parent_i < core_count and 0 <= parent_j < core_count):
-                raise ValueError(f"ancilla label {label!r} must name two distinct core spins")
-            ancillas.append(GadgetRecord(parent_i, parent_j))
-        else:
-            raise ValueError(f"unknown node kind {kind!r}")
-        fields.append(float(h_text))
-    if len(fields) < core_count:
-        raise ValueError("fewer node rows than core_count")
-
-    couplings: dict[tuple[int, int], float] = {}
-    edge_lines = [line for line in edges_text.splitlines() if line.strip()]
-    if not edge_lines or edge_lines[0] != _EDGE_HEADER:
-        raise ValueError("edge table missing header row")
-    for line in edge_lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"malformed edge row {line!r}")
-        i = int(parts[0]) - 1
-        j = int(parts[1]) - 1
-        if i == j:
-            raise ValueError(f"self-loop on spin {i + 1}")
-        if not (0 <= i < len(fields) and 0 <= j < len(fields)):
-            raise ValueError(f"edge ({i + 1},{j + 1}) out of range")
-        if i > j:
-            i, j = j, i
-        if (i, j) in couplings:
-            raise ValueError(f"duplicate edge ({i + 1},{j + 1})")
-        couplings[(i, j)] = float(parts[2])
-    # Both gadgets couple an ancilla to its two parents with one coefficient.
-    for a, record in enumerate(ancillas, core_count):
-        weights = [couplings.get((parent, a)) for parent in record]
-        if None in weights or weights[0] != weights[1]:
-            raise ValueError(
-                f"ancilla spin {a + 1} ({_ancilla_label(record)}) must couple to both "
-                "parents with one coefficient"
-            )
-
-    return Hamiltonian(
-        offset=float(Fraction(meta["offset"])),
-        fields=tuple(fields),
-        couplings=couplings,
-        core_count=core_count,
-        ancillas=tuple(ancillas),
-        source=meta["source"],
-        energy_floor=float(Fraction(meta["energy_floor"])),
-        gadget_mode=meta["gadget_mode"],
-        k_factor=float(Fraction(meta["k_factor"])),
-    )

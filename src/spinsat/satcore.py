@@ -277,12 +277,15 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     if exact is not None:
         if exact.truncated:
             raise ValueError("exact model set must not be truncated")
-        agree = [[0, 0] for _ in range(f.num_vars)]
-        for k, model in enumerate(exact.models):
-            for v, value in enumerate(model):
-                agree[v][not value] |= 1 << k
-        index = {model: k for k, model in enumerate(exact.models)}
         alive = (1 << len(exact.models)) - 1
+        # Variable v's column of the model table, packed into an int with
+        # bit k for model k, is the set of models with v true.
+        table = np.array(exact.models, dtype=bool).reshape(len(exact.models), f.num_vars)
+        agree = []
+        for column in table.T:
+            true = int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+            agree.append([true, alive ^ true])
+        index = {model: k for k, model in enumerate(exact.models)}
     rows, every = _clause_rows(f)
     resolved: Resolved = {}
     true = 0

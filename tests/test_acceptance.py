@@ -16,8 +16,10 @@ from spinsat import analysis, cnf, ising
 from spinsat.anneal import Schedule, anneal
 from spinsat.cli import derive_seed, main as cli_main
 from spinsat.cnf import generate_random_3sat, parse_dimacs_file
-from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, exhaustive_core_minima
+from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL
 from spinsat.satcore import backbone, brute_force_models, enumerate_models
+
+from reference import reference_core_minima, reference_polynomial_value
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -38,7 +40,7 @@ def small_formula_suite():
 def equivalence_violations(f, gadget_mode) -> int:
     """Count ground-state equivalence breaks for one formula and mode."""
     H = ising.compile(f, gadget_mode=gadget_mode)
-    minima = exhaustive_core_minima(H)
+    minima = reference_core_minima(H)
     normalized = [value - H.energy_floor for value in minima]
     best = min(normalized)
     models = set(brute_force_models(f).models)
@@ -90,7 +92,7 @@ def test_criterion_03_clause_polynomial_oracle():
         poly = ising.clause_polynomial(clause)
         for spins in itertools.product((-1, 1), repeat=len(signs)):
             violated = not any(spins[lit.var] == lit.sign for lit in clause.literals)
-            if poly.evaluate(spins) != int(violated):
+            if reference_polynomial_value(poly, spins) != int(violated):
                 mismatches += 1
     check(3, "clause polynomial equals violation indicator", mismatches == 0,
           f"{len(patterns)} sign patterns, mismatches={mismatches}")

@@ -142,6 +142,18 @@ def test_pearson_scale_invariance():
     assert pearson([-2.0 * v for v in x], y) == pytest.approx(-base, abs=1e-12)
 
 
+def test_pearson_at_extreme_magnitudes():
+    # Squaring the raw deviations underflowed to a "constant series" and
+    # overflowed to 0.0; scaled by a power of two, both are exact.
+    assert pearson([1e-200, 2e-200, 3e-200], [1, 2, 3]) == 1.0
+    assert pearson([1e200, 2e200, 3e200], [1, 2, 3]) == 1.0
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=25).tolist()
+    y = rng.normal(size=25).tolist()
+    for k in (-900, -300, 300, 900):
+        assert pearson([v * 2.0**k for v in x], y).hex() == pearson(x, y).hex()
+
+
 def test_pearson_errors():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])

@@ -9,11 +9,14 @@ import pytest
 from spinsat import anneal as anneal_module, ising
 from spinsat.anneal import Schedule, Trajectory, anneal, trajectory_csv
 from spinsat.cnf import Formula, generate_random_3sat, parse_dimacs
-from spinsat.ising import Hamiltonian, format_float, hamiltonian_energy, magnetization
+from spinsat.ising import Hamiltonian, format_float
 
 from reference import (
     reference_boltzmann_unsat,
+    reference_hamiltonian_energy,
+    reference_import_csv,
     reference_logical_energy,
+    reference_magnetization,
     reference_spins_to_assignment,
 )
 
@@ -64,7 +67,7 @@ def reference_anneal(
     slack = [sum(1 for lit in c.literals if spins[lit.var] == lit.sign) for c in f.clauses]
     unsat = slack.count(0)
     core_sum = sum(spins[:n_core])
-    energy_raw = hamiltonian_energy(H, spins)
+    energy_raw = reference_hamiltonian_energy(H, spins)
     temperatures, energy_h = [sched.t0], [energy_raw - H.energy_floor]
     energy_logic, mags = [unsat], [core_sum / n_core]
     draw = 0
@@ -239,12 +242,12 @@ def test_flip_cost_matches_full_reevaluation():
         traj = anneal(H, free_spins(H), sched, seed=seed)
         s, indices, uniforms = replay_layout(6, 100, seed)
         for t, (i, u) in enumerate(zip(indices, uniforms), start=1):
-            before = hamiltonian_energy(H, s)
+            before = reference_hamiltonian_energy(H, s)
             s[i] = -s[i]
-            d_e = hamiltonian_energy(H, s) - before
+            d_e = reference_hamiltonian_energy(H, s) - before
             if not (d_e <= 0.0 or u < math.exp(-d_e / sched.temperature(t))):
                 s[i] = -s[i]
-            assert traj.energy_h[t] == hamiltonian_energy(H, s)
+            assert traj.energy_h[t] == reference_hamiltonian_energy(H, s)
         assert traj.final_state.tolist() == s
 
 
@@ -280,7 +283,7 @@ def test_kernel_matches_reference_at_fractional_k_factor(uf20_formulas):
 
 def test_kernel_matches_reference_after_csv_round_trip(uf20_formulas):
     f = uf20_formulas[3]
-    H = ising.import_csv(*ising.export_csv(ising.compile(f, k_factor=12.25)))
+    H = reference_import_csv(*ising.export_csv(ising.compile(f, k_factor=12.25)))
     for seed, sweeps in ((5, False), (6, True)):
         sched = Schedule(steps=300) if sweeps else Schedule()
         assert_same_run(anneal(H, f, sched, seed, sweeps), reference_anneal(H, f, sched, seed, sweeps))
@@ -346,7 +349,7 @@ def test_first_energy_is_hamiltonian_energy_of_the_initial_spins(uf20_formulas, 
         for f in uf20_formulas
     ]
     f = uf20_formulas[2]
-    cases += [(ising.import_csv(*ising.export_csv(ising.compile(f, k_factor=12.25))), f)] * 4
+    cases += [(reference_import_csv(*ising.export_csv(ising.compile(f, k_factor=12.25))), f)] * 4
     rng = np.random.default_rng(67)
     for _ in range(20):
         offset, floor = (int(x) / 8 for x in rng.integers(-64, 65, size=2))
@@ -359,7 +362,7 @@ def test_first_energy_is_hamiltonian_energy_of_the_initial_spins(uf20_formulas, 
         spins = (2 * draws - 1).tolist()
         if sched.steps == 0:
             assert traj.final_state.tolist() == spins
-        expected = hamiltonian_energy(H, spins) - H.energy_floor
+        expected = reference_hamiltonian_energy(H, spins) - H.energy_floor
         assert float(traj.energy_h[0]).hex() == expected.hex(), seed
 
 
@@ -387,7 +390,7 @@ def test_boltzmann_reference_matches_full_enumeration():
         z = weighted = 0.0
         for code in range(1 << H.num_spins):
             spins = [1 if code >> i & 1 else -1 for i in range(H.num_spins)]
-            w = math.exp(-(hamiltonian_energy(H, spins) - H.energy_floor) / T)
+            w = math.exp(-(reference_hamiltonian_energy(H, spins) - H.energy_floor) / T)
             unsat = reference_logical_energy(f, reference_spins_to_assignment(spins, f.num_vars))
             z += w
             weighted += w * unsat
@@ -595,10 +598,10 @@ def test_anneal_bookkeeping_matches_recomputation(uf20_compiled, steps):
     H, f = uf20_compiled
     traj = anneal(H, f, Schedule(steps=steps), seed=steps + 1)
     s = traj.final_state.tolist()
-    fresh = hamiltonian_energy(H, s) - float(H.energy_floor)
+    fresh = reference_hamiltonian_energy(H, s) - float(H.energy_floor)
     assert abs(fresh - traj.energy_h[-1]) <= 1e-9
     assert traj.energy_logic[-1] == reference_logical_energy(f, reference_spins_to_assignment(s, f.num_vars))
-    assert traj.magnetization[-1] == magnetization(s, f.num_vars)
+    assert traj.magnetization[-1] == reference_magnetization(s, f.num_vars)
 
 
 def test_anneal_greedy_at_tiny_temperature(uf20_compiled):

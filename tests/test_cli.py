@@ -4,9 +4,12 @@ import ast
 import functools
 import json
 import os
+import random
+import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,11 @@ import spinsat
 from spinsat import analysis, cli
 from spinsat.anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from spinsat.cli import derive_seed, main
+from spinsat.cnf import ParseWarning, parse_dimacs_file
 from spinsat.ising import compile as compile_hamiltonian
+from spinsat.satcore import brute_force_models
+
+from reference import reference_logical_energy
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 
@@ -238,6 +245,81 @@ def test_backbone_stdout_reports_truncation_normalized_size_and_exact_size(uf20_
         "uf20-sb-002: models>=1 truncated=false backbone=20 normalized=1.000 backbone_exact=20",
         "uf20-sb-005: models>=120 truncated=true backbone=4 normalized=0.200 backbone_exact=4",
     ]
+
+
+def test_backbone_of_a_formula_without_variables(tmp_path, capsys):
+    empty = tmp_path / "empty.cnf"
+    empty.write_text("p cnf 0 0\n")
+    assert run_cli(["backbone", str(empty), "--exact"]) == 0
+    assert capsys.readouterr().out == (
+        "empty: models>=1 truncated=false backbone=0 normalized=n/a backbone_exact=0\n"
+    )
+
+
+def random_dimacs(rng: random.Random) -> str:
+    """DIMACS text over at most 12 variables, now and then malformed: clauses
+    of 0-4 literals, literals past the header's count, a wrong clause count,
+    a missing final ``0`` and a SATLIB ``%`` footer."""
+    n = rng.randint(0, 12)
+    top = n + 2 if rng.random() < 0.1 else n
+    lengths = (0, 1, 2, 3, 3, 3, 4) if rng.random() < 0.2 else (1, 2, 3, 3, 3)
+    clauses = [
+        [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(rng.choice(lengths) if top else 0)]
+        for _ in range(rng.randint(0, 2 * n + 2))
+    ]
+    m = len(clauses) + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
+    lines = [" ".join(map(str, [*clause, 0])) for clause in clauses]
+    if lines and rng.random() < 0.1:
+        lines[-1] = lines[-1][:-1]
+    if rng.random() < 0.3:
+        lines += ["%", "0"]
+    return "\n".join([f"p cnf {n} {m}", *lines]) + "\n"
+
+
+EXPECTED_ERROR = re.compile(
+    r"error: (\S+): (DimacsError: .+"
+    r"|ValueError: clause length \d > 3 not supported"
+    r"|ValueError: cannot anneal a Hamiltonian with no core spins)"
+)
+
+
+def test_seeded_fuzz_inputs_fail_cleanly_or_work(tmp_path, capsys):
+    rng = random.Random(2111)
+    corpus = tmp_path / "fuzz"
+    corpus.mkdir()
+    for k in range(120):
+        (corpus / f"f{k:03d}.cnf").write_text(random_dimacs(rng))
+    failed = {}
+    for command, flags in [
+        ("solve", []), ("backbone", ["--exact"]), ("compile", []), ("run", ["--steps", "30"]),
+    ]:
+        code = run_cli([command, str(corpus), "--outdir", str(tmp_path / command), *flags])
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if not line.startswith("warning: ")]
+        matches = [EXPECTED_ERROR.fullmatch(line) for line in errors]
+        assert all(matches), errors
+        failed[command] = {match[1] for match in matches}
+        assert code == (1 if errors else 0)
+        for line in captured.out.splitlines():
+            name, _, rest = line.partition(": ")
+            if command == "solve":
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", ParseWarning)
+                    f = parse_dimacs_file(corpus / f"{name}.cnf")
+                if rest == "sat=false":
+                    assert not brute_force_models(f).models, line
+                else:
+                    model = tuple(int(t) > 0 for t in rest.split("model=")[1].split())
+                    assert reference_logical_energy(f, model) == 0, line
+            elif command == "backbone" and "truncated=false" in rest:
+                fields = dict(item.split("=") for item in rest.split())
+                assert fields["backbone"] == fields["backbone_exact"], line
+    summary = (tmp_path / "run" / analysis.SUMMARY_FILENAME).read_text()
+    assert len(analysis.read_summary_csv(summary)) == 120 - len(failed["run"])
+    # Only parsing fails solve and backbone; compile and run fail on more.
+    assert 0 < len(failed["solve"]) < 120
+    assert failed["solve"] == failed["backbone"] <= failed["compile"] <= failed["run"]
+    assert failed["run"] - failed["solve"]
 
 
 @pytest.mark.parametrize("cap", [1, 3, 120])

@@ -483,6 +483,10 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
     cases += [(f, cap) for f in frozen_family() for cap in (1, 3, 50)]
     cases += [(Formula(0, ()), cap) for cap in (1, 3)]
     cases += [(Formula(4, ()), cap) for cap in (5, 16)]
+    # 10,752 models: the agree ints span many bytes of the packed model table.
+    sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
+    assert len(brute_force_models(sparse).models) == 10752
+    cases += [(sparse, cap) for cap in (1, 120, 300)]
     for f, cap in cases:
         pruned = enumerate_models(f, cap, brute_force_models(f))
         assert pruned == enumerate_models(f, cap)
