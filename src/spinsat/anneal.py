@@ -6,9 +6,11 @@ PCG64 stream consumed in a fixed layout (initial spins, then all flip
 indices, then all uniforms), so two runs with equal inputs produce
 byte-identical trajectory CSVs.
 
-The kernel keeps each spin's local field h_i + sum_j J_ij s_j and updates
-the neighbours' fields on every accepted flip, so a rejected proposal costs
-O(1). With one attempt per step, attempt k is step k + 1, so the default
+The kernel keeps each spin's flip cost -2 s_i (h_i + sum_j J_ij s_j), the
+exact energy change of flipping it. A proposal reads its cost; an accepted
+flip of spin i negates cost_i and takes 4 s_i s_j J_ij (s_i the new value)
+from each neighbour's, so a rejected proposal costs one list read and the
+test. With one attempt per step, attempt k is step k + 1, so the default
 schedule runs one flat loop over attempts; ``sweeps=True`` loops over steps
 and over each step's attempts. Both loops accept by the same test and hand
 the stream to ``_next_accept`` at the same attempt. The formula holds its
@@ -16,21 +18,23 @@ occurrence index (``Formula.occurrences``) and the Hamiltonian its neighbour
 lists, so runs over one instance build their set-up once.
 
 Compiled Hamiltonians, and any read back losslessly from ``export_csv``
-tables, have dyadic coefficients (see ``spinsat.ising``), so every kept field
+tables, have dyadic coefficients (see ``spinsat.ising``), so every kept cost
 and the first energy equal the sums recomputed from scratch bit for bit, in
 any order. A hand-built Hamiltonian with inexact floats still anneals
-deterministically, but its kept fields and energies may round differently
+deterministically, but its kept costs and energies may round differently
 from a recomputation.
 
 Late in a schedule the state freezes and almost every proposal is
 rejected. Once a few hundred attempts in a row (whole steps) have accepted
-nothing, ``_next_accept`` judges the pre-drawn proposals a window at a time
-in numpy against one copy of the spins and fields, which cannot change
-before the next accept. np.exp may differ from math.exp in the last bit, so
-a uniform within a relative 2**-40 of np.exp's value, or against a
-subnormal exp, is judged by math.exp as the scalar loop judges it. The
-scalar loop resumes at the first accepted proposal, mid-step if need be, so
-the stream, the records and every trajectory are the scalar loop's own.
+nothing, ``_next_accept`` scans the pre-drawn proposals a window at a time
+against the costs, which cannot change before the next accept. No flip is
+cheaper than the cheapest positive cost, so numpy keeps only the proposals
+of a free spin (cost <= 0), with a zero uniform, or with a uniform below
+exp(-cheapest / T) widened by 2**-30, far more than np.exp and math.exp
+can differ. Each of these, in order, takes the scalar loop's own math.exp
+test, so numpy never decides an accept. The scalar loop resumes at the
+first accepted proposal, mid-step if need be, so the stream, the records
+and every trajectory are the scalar loop's own.
 
 Rows are steps, row 0 the initial state. Only a step that accepts a flip
 appends a (step, energy, unsatisfied count, core spin sum) record to one
@@ -113,12 +117,13 @@ class Trajectory:
 _BLOCK_DRAWS = 1 << 14
 # After this many attempts (whole steps) with no accept, ``_next_accept``
 # scans ahead in windows that start at _SCAN_DRAWS draws and grow 4x up to
-# _BLOCK_DRAWS. It leaves a uniform within _EXP_MARGIN (relative) of np.exp's
-# value to math.exp.
+# _BLOCK_DRAWS. Its bound exceeds np.exp's value by a relative _EXP_SLACK,
+# far more than np.exp and math.exp (a few ulp each) can differ.
 _QUIET_DRAWS = 256
 _SCAN_DRAWS = 256
-_EXP_MARGIN = 2.0**-40
-_TINY = float(np.finfo(np.float64).tiny)
+_EXP_SLACK = 2.0**-30
+# The smallest positive float: u < _LEAST only for u == 0.0.
+_LEAST = math.ulp(0.0)
 
 
 @functools.lru_cache(maxsize=1)
@@ -133,40 +138,42 @@ def _next_accept(
     flip_indices: np.ndarray,
     uniforms: np.ndarray,
     temperatures: np.ndarray,
-    spins: list[int],
-    field: list[float],
+    cost: list[float],
     start: int,
     attempts_per_step: int,
 ) -> int:
     """Index of the first attempt at or after ``start`` that the scalar loop accepts.
 
     Returns ``len(uniforms)`` if none does. Nothing changes the state before
-    that accept, so the proposals are judged against one numpy copy of
-    ``spins`` and ``field``. Attempt k runs at ``temperatures[k //
-    attempts_per_step + 1]``.
+    that accept, so ``cost`` holds every proposal's flip cost. Attempt k runs
+    at ``temperatures[k // attempts_per_step + 1]``. With ``floor`` the
+    cheapest positive cost, a proposal can be accepted only if its cost is
+    <= 0, its uniform is 0.0, or its uniform is below exp(-floor / T): a
+    dearer flip has a smaller -cost / T, as IEEE division is monotone. numpy
+    only picks these candidates, with a margin; each one, in order, takes
+    the scalar loop's own test.
     """
     total = len(uniforms)
-    s = np.array(spins, dtype=np.float64)
-    h = np.array(field, dtype=np.float64)
-    lower, upper = 1.0 - _EXP_MARGIN, 1.0 + _EXP_MARGIN
+    costs = np.array(cost, dtype=np.float64)
+    free = costs <= 0.0
+    floor = costs[~free].min(initial=math.inf)
     window, k = _SCAN_DRAWS, start
     while k < total:
         stop = min(k + window, total)
-        i = flip_indices[k:stop]
-        u = uniforms[k:stop]
-        d_e = 2.0 * -s[i] * h[i]
-        temperature = temperatures[np.arange(k, stop) // attempts_per_step + 1]
-        # Python overflows -d_e / T to -inf and underflows exp to 0 silently;
+        first, last = k // attempts_per_step + 1, (stop - 1) // attempts_per_step + 1
+        # Python overflows -floor / T to -inf and underflows exp to 0 silently;
         # numpy must too.
         with np.errstate(over="ignore", under="ignore"):
-            e = np.exp(np.minimum(-d_e / temperature, 0.0))
-            # math.exp may underflow to 0 where np.exp returns a subnormal, and
-            # a uniform of exactly 0.0 is accepted only by a nonzero exp.
-            sure_accept = (d_e <= 0.0) | ((u < e * lower) & (e >= _TINY))
-            sure_reject = (u >= e * upper) & (u > 0.0)
-        for j in np.flatnonzero(sure_accept | ~sure_reject).tolist():
-            if sure_accept[j] or u[j] < math.exp(-float(d_e[j]) / float(temperature[j])):
-                return k + j
+            bound = np.exp(-floor / temperatures[first:last + 1]) * (1.0 + _EXP_SLACK)
+        # One bound per step, raised to _LEAST so that u == 0.0 is a candidate,
+        # then one per attempt from attempt k on.
+        skip = k - (first - 1) * attempts_per_step
+        bound = np.repeat(np.maximum(bound, _LEAST), attempts_per_step)[skip:skip + stop - k]
+        candidates = (uniforms[k:stop] < bound) | free[flip_indices[k:stop]]
+        for a in (np.flatnonzero(candidates) + k).tolist():
+            d_e = cost[flip_indices[a]]
+            if d_e <= 0.0 or uniforms[a] < math.exp(-d_e / temperatures[a // attempts_per_step + 1]):
+                return a
         k = stop
         window = max(window, min(4 * window, _BLOCK_DRAWS))
     return total
@@ -207,7 +214,7 @@ def anneal(
     uniforms = rng.random(size=total_attempts)
 
     adjacency = H.adjacency
-    # field[i] = h_i + sum_j J_ij s_j; flipping spin i costs -2 s_i field[i].
+    # field[i] = h_i + sum_j J_ij s_j, from which the kept flip costs start.
     field = list(H.fields)
     for i, neighbors in enumerate(adjacency):
         for j, jf in neighbors:
@@ -223,6 +230,8 @@ def anneal(
     core_sum = sum(spins[:n_core])
     # sum_i s_i field_i counts each coupling twice, so this is the raw energy.
     energy_raw = H.offset + sum(s * (h + hf) for s, h, hf in zip(spins, H.fields, field)) / 2
+    # cost[i] = -2 s_i field[i], the energy change of flipping spin i.
+    cost = [-2.0 * s * hf for s, hf in zip(spins, field)]
 
     # The state after step 0 and after each step that accepted a flip.
     records = [(0, energy_raw, unsat, core_sum)]
@@ -248,16 +257,16 @@ def anneal(
             k = stop
             block = min(2 * block, _BLOCK_DRAWS)
             for t, i, u, temperature in draws:
-                new_value = -spins[i]
-                d_e = 2.0 * new_value * field[i]
+                d_e = cost[i]
                 if d_e <= 0.0 or u < exp(-d_e / temperature):
-                    spins[i] = new_value
+                    new_value = spins[i] = -spins[i]
+                    cost[i] = -d_e
                     energy_raw += d_e
-                    shift = 2 * new_value
+                    shift = 4 * new_value
                     for j, jf in adjacency[i]:
-                        field[j] += shift * jf
+                        cost[j] -= shift * spins[j] * jf
                     if i < n_core:
-                        core_sum += shift
+                        core_sum += 2 * new_value
                         for cj, sign in occurrences[i]:
                             if sign == new_value:
                                 slack[cj] += 1
@@ -270,7 +279,7 @@ def anneal(
                     records.append((t, energy_raw, unsat, core_sum))
                     wake = t + quiet_steps
                 elif t >= wake:
-                    k = _next_accept(flip_indices, uniforms, temperatures, spins, field, t, 1)
+                    k = _next_accept(flip_indices, uniforms, temperatures, cost, t, 1)
                     block = max(1, _BLOCK_DRAWS >> 4)
                     break
     else:
@@ -288,17 +297,17 @@ def anneal(
             for t, temperature in zip(range(first, last + 1), temperatures[first:last + 1].tolist()):
                 accepted = False
                 for i, u in islice(draws, attempts_per_step):
-                    new_value = -spins[i]
-                    d_e = 2.0 * new_value * field[i]
+                    d_e = cost[i]
                     if d_e <= 0.0 or u < exp(-d_e / temperature):
                         accepted = True
-                        spins[i] = new_value
+                        new_value = spins[i] = -spins[i]
+                        cost[i] = -d_e
                         energy_raw += d_e
-                        shift = 2 * new_value
+                        shift = 4 * new_value
                         for j, jf in adjacency[i]:
-                            field[j] += shift * jf
+                            cost[j] -= shift * spins[j] * jf
                         if i < n_core:
-                            core_sum += shift
+                            core_sum += 2 * new_value
                             for cj, sign in occurrences[i]:
                                 if sign == new_value:
                                     slack[cj] += 1
@@ -313,7 +322,7 @@ def anneal(
                     wake = t + quiet_steps
                 elif t >= wake:
                     k = _next_accept(
-                        flip_indices, uniforms, temperatures, spins, field, t * attempts_per_step,
+                        flip_indices, uniforms, temperatures, cost, t * attempts_per_step,
                         attempts_per_step,
                     )
                     block = _BLOCK_DRAWS >> 4
@@ -321,7 +330,7 @@ def anneal(
 
     # Row t repeats the last record at or before step t.
     rec_step, rec_energy, rec_unsat, rec_core_sum = zip(*records)
-    row = np.searchsorted(rec_step, np.arange(sched.steps + 1), side="right") - 1
+    row = np.repeat(np.arange(len(records)), np.diff(rec_step, append=sched.steps + 1))
     return Trajectory(
         instance=f.source_name,
         seed=seed,
@@ -357,23 +366,24 @@ def trajectory_csv(traj: Trajectory) -> str:
     0.0 stay apart.
     """
     prefixes = _row_prefixes(np.asarray(traj.temperatures, dtype=np.float64).tobytes())
-    columns = np.stack([
-        np.ascontiguousarray(traj.energy_h, dtype=np.float64).view(np.int64),
-        np.asarray(traj.energy_logic, dtype=np.int64),
-        np.ascontiguousarray(traj.magnetization, dtype=np.float64).view(np.int64),
-    ])
-    changed = np.ones(columns.shape[1], dtype=bool)
-    changed[1:] = (columns[:, 1:] != columns[:, :-1]).any(axis=0)
+    energy = np.ascontiguousarray(traj.energy_h, dtype=np.float64).view(np.int64)
+    logic = np.asarray(traj.energy_logic, dtype=np.int64)
+    magnetization = np.ascontiguousarray(traj.magnetization, dtype=np.float64).view(np.int64)
+    changed = np.ones(len(energy), dtype=bool)
+    changed[1:] = (
+        (energy[1:] != energy[:-1]) | (logic[1:] != logic[:-1])
+        | (magnetization[1:] != magnetization[:-1])
+    )
     starts = np.flatnonzero(changed)
-    energy, logic, magnetization = columns[:, starts]
-    texts = (_column_texts(energy), map(str, logic.tolist()), _column_texts(magnetization))
-    # A run covering rows a..b-1 is their prefixes joined by "<suffix>\n".
-    bounds = [*starts.tolist(), columns.shape[1]]
-    runs = [
-        (suffix + "\n").join(prefixes[a:b]) + suffix
-        for suffix, a, b in zip(map(",".join, zip(*texts)), bounds, bounds[1:])
-    ]
-    return "\n".join(["step,temperature,energy_h,energy_logic,magnetization", *runs]) + "\n"
+    texts = zip(_column_texts(energy[starts]), map(str, logic[starts].tolist()),
+                _column_texts(magnetization[starts]))
+    # A run covering rows a..b-1 is their prefixes joined by "<suffix>\n", then one more.
+    bounds = [*starts.tolist(), len(energy)]
+    parts = ["step,temperature,energy_h,energy_logic,magnetization\n"]
+    for suffix, a, b in zip(map(",".join, texts), bounds, bounds[1:]):
+        line_end = suffix + "\n"
+        parts += (line_end.join(prefixes[a:b]), line_end)
+    return "".join(parts)
 
 
 def trajectory_filename(instance: str, seed: int) -> str:

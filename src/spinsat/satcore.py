@@ -346,5 +346,4 @@ def brute_force_models(f: Formula) -> ModelSet:
             front = front[((front & np.uint32(pos)) != 0) | ((~front & np.uint32(neg)) != 0)]
     front.sort()
     bits = (front[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    models = tuple(tuple(bool(b) for b in row) for row in bits)
-    return ModelSet(models, truncated=False)
+    return ModelSet(tuple(map(tuple, bits.astype(bool).tolist())), truncated=False)

@@ -1,8 +1,9 @@
 """Test-only oracles: plain per-clause and per-spin evaluations the library never runs.
 
-``anneal`` keeps clause slacks, local fields and energies incrementally and
-``satcore`` works on bitmasks; these walk the formula, the polynomial or the
-spin list directly, so tests can check the fast paths against them.
+``anneal`` keeps clause slacks, flip costs and energies incrementally and
+``satcore`` works on bitmasks; these walk the formula, the polynomial, the
+spin list or every assignment directly, so tests can check the fast paths
+against them.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
 ground states and equilibrium of a compiled Hamiltonian.
 ``reference_import_csv`` reads ``ising.export_csv``'s tables back with every
@@ -20,6 +21,7 @@ import numpy as np
 
 from spinsat.cnf import Assignment, Clause, Formula
 from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, GadgetRecord, Hamiltonian
+from spinsat.satcore import ModelSet
 
 
 def reference_logical_energy(f: Formula, a: Sequence[bool]) -> int:
@@ -35,6 +37,17 @@ def reference_clause_slack(c: Clause, a: Sequence[bool]) -> int:
         if lit.var >= len(a):
             raise ValueError(f"literal x{lit.var + 1} out of range for assignment")
     return sum(1 for lit in c.literals if lit.is_satisfied_by(a))
+
+
+def reference_brute_force_models(f: Formula) -> ModelSet:
+    """``satcore.brute_force_models`` one assignment at a time, in ascending
+    index order (bit v of the index is variable v), one tuple of bools per model."""
+    models = []
+    for index in range(1 << f.num_vars):
+        a = tuple(bool(index >> v & 1) for v in range(f.num_vars))
+        if reference_logical_energy(f, a) == 0:
+            models.append(a)
+    return ModelSet(tuple(models), truncated=False)
 
 
 def reference_spins_to_assignment(s: Sequence[int], core_count: int) -> Assignment:

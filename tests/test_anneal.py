@@ -21,6 +21,9 @@ from reference import (
 )
 
 
+_TINY = float(np.finfo(np.float64).tiny)
+
+
 def single_spin_hamiltonian(h: float) -> Hamiltonian:
     return Hamiltonian(offset=0.0, fields=(h,), couplings={}, core_count=1, ancillas=())
 
@@ -423,7 +426,7 @@ def scans(monkeypatch):
 
     def spy(*args):
         result = real(*args)
-        calls.append((args[5], result, args[6]))
+        calls.append((args[4], result, args[5]))
         return result
 
     monkeypatch.setattr(anneal_module, "_next_accept", spy)
@@ -483,9 +486,9 @@ def test_kernel_matches_reference_whenever_it_scans(
 def test_kernel_matches_reference_when_math_exp_decides_most_scanned_proposals(
     uf20_formulas, monkeypatch, scans, quiet_draws
 ):
-    # With a margin of 1/2, numpy decides only proposals whose uniform is
-    # below half or above 1.5x its np.exp value; math.exp decides the rest.
-    monkeypatch.setattr(anneal_module, "_EXP_MARGIN", 0.5)
+    # Widened by 2**1000, the scan's bound is above 1 wherever exp(-floor / T)
+    # does not underflow, so nearly every scanned proposal goes to math.exp.
+    monkeypatch.setattr(anneal_module, "_EXP_SLACK", 2.0**1000)
     monkeypatch.setattr(anneal_module, "_QUIET_DRAWS", quiet_draws)
     assert_scanned_runs_match_reference(uf20_formulas, scans, scanning=True)
 
@@ -497,16 +500,23 @@ def next_accept(costs, uniforms, temperatures=None, attempts_per_step=1, start=0
     """
     if temperatures is None:
         temperatures = [1.0] * (len(costs) // attempts_per_step)
-    # Flipping s = +1 costs 2 * (-1) * field, so field = -cost / 2.
     return anneal_module._next_accept(
         np.arange(len(costs)),
         np.array(uniforms, dtype=np.float64),
         np.array([math.nan, *temperatures]),
-        [1] * len(costs),
-        [-c / 2 for c in costs],
+        [float(c) for c in costs],
         start,
         attempts_per_step,
     )
+
+
+def python_scan(flip_indices, uniforms, temperatures, cost, start, attempts_per_step) -> int:
+    """The scalar loop's test, proposal by proposal, with the state frozen."""
+    for k in range(start, len(uniforms)):
+        d_e = cost[flip_indices[k]]
+        if d_e <= 0.0 or uniforms[k] < math.exp(-d_e / temperatures[k // attempts_per_step + 1]):
+            return k
+    return len(uniforms)
 
 
 def test_next_accept_defers_to_math_exp_inside_the_margin():
@@ -541,6 +551,16 @@ def test_next_accept_agrees_with_math_exp_where_exp_underflows():
     assert next_accept([740.0], [0.0]) == 0 and next_accept([750.0], [0.0]) == 1
 
 
+def test_next_accept_takes_a_zero_uniform_to_math_exp_when_np_exp_flushes_to_zero(monkeypatch):
+    # An np.exp that flushes subnormals to 0 makes the scan's bound 0 where
+    # math.exp is still positive; a zero uniform must reach math.exp anyway.
+    real_exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda x: np.where(real_exp(x) < _TINY, 0.0, real_exp(x)))
+    for cost in np.linspace(700.0, 760.0, 601).tolist():
+        expected = 0 if 0.0 < math.exp(-cost) else 1
+        assert next_accept([cost, cost], [0.5, 0.0]) == expected + 1, cost
+
+
 def test_next_accept_reads_each_steps_temperature_and_can_start_at_the_last_step():
     # Two steps of three attempts; 0.3 < exp(-1) accepts at T = 1 only.
     temperatures = (1e-9, 1.0)
@@ -549,6 +569,50 @@ def test_next_accept_reads_each_steps_temperature_and_can_start_at_the_last_step
     assert next_accept(costs, uniforms, temperatures, 3, start=3) == 5
     assert next_accept(costs, [0.5] * 6, temperatures, 3, start=3) == 6
     assert next_accept(costs, uniforms, temperatures, 3, start=6) == 6
+
+
+def test_next_accept_equals_a_python_scan_on_random_frozen_costs():
+    # Spins with dyadic costs, some at the floor (the cheapest positive cost)
+    # and some free (0.0, -0.0 or negative), or none free, or all free. Each
+    # uniform is random, 0.0, or within an ulp of np.exp(-floor / T) or of
+    # math.exp(-cost / T) for its own spin, where the two tests part.
+    rng = np.random.default_rng(2207)
+    outcomes = set()
+    for trial in range(400):
+        spins = int(rng.integers(1, 9))
+        kind = trial % 4
+        costs = (rng.integers(1, 200, size=spins) / 8).tolist()
+        if kind == 1:
+            costs[int(rng.integers(spins))] = [0.0, -0.0, -0.5][trial % 3]
+        elif kind == 2:
+            costs = [[0.0, -0.0, -1.25][int(c)] for c in rng.integers(0, 3, size=spins)]
+        floor = min((c for c in costs if c > 0.0), default=math.inf)
+        attempts_per_step = int(rng.integers(1, 4))
+        steps = int(rng.integers(1, 40))
+        temperatures = [math.nan, *(2.0 ** rng.uniform(-3.0, 4.0, size=steps)).tolist()]
+        flip_indices = rng.integers(0, spins, size=steps * attempts_per_step).tolist()
+        uniforms = []
+        for k, i in enumerate(flip_indices):
+            temperature = temperatures[k // attempts_per_step + 1]
+            near = [float(np.exp(-floor / temperature)), math.exp(-costs[i] / temperature)]
+            choice = int(rng.integers(0, 8))
+            if choice < 3 and kind != 3:
+                u = float(rng.uniform(0.5, 1.0))
+            elif choice < 6:
+                u = math.nextafter(near[choice % 2], [-1.0, 0.0, 2.0][int(rng.integers(3))])
+            else:
+                u = [0.0, 2.0**-53][choice - 6]
+            uniforms.append(min(u, math.nextafter(1.0, 0.0)))
+        start = int(rng.integers(0, len(uniforms) + 1))
+        args = (flip_indices, uniforms, temperatures, costs, start, attempts_per_step)
+        expected = python_scan(*args)
+        outcomes.add((kind, expected == len(uniforms)))
+        assert anneal_module._next_accept(
+            np.array(flip_indices), np.array(uniforms), np.array(temperatures), costs, start,
+            attempts_per_step,
+        ) == expected, args
+    # Scans that find an accept and scans that run off the end both occur.
+    assert {(0, False), (0, True), (1, False), (3, False), (3, True)} <= outcomes
 
 
 def test_scan_that_finds_no_accept_leaves_the_trailing_rows_equal(scans):

@@ -18,7 +18,7 @@ from spinsat.cnf import (
 from spinsat import satcore
 from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, solve
 
-from reference import reference_logical_energy
+from reference import reference_brute_force_models, reference_logical_energy
 
 # Recorded from the recursive dict-based DPLL that preceded the bitmask
 # solver. They pin its decisions: which model solve returns, and the order in
@@ -486,6 +486,10 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
     # 10,752 models: the agree ints span many bytes of the packed model table.
     sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
     assert len(brute_force_models(sparse).models) == 10752
+    # The same models, in the same order and as Python bools, as one
+    # assignment at a time gives.
+    assert brute_force_models(sparse) == reference_brute_force_models(sparse)
+    assert {type(value) for model in brute_force_models(sparse).models for value in model} == {bool}
     cases += [(sparse, cap) for cap in (1, 120, 300)]
     for f, cap in cases:
         pruned = enumerate_models(f, cap, brute_force_models(f))
