@@ -345,5 +345,12 @@ def brute_force_models(f: Formula) -> ModelSet:
         for pos, neg in by_lowest[v]:
             front = front[((front & np.uint32(pos)) != 0) | ((~front & np.uint32(neg)) != 0)]
     front.sort()
-    bits = (front[:, None] >> np.arange(n, dtype=np.uint32)) & 1
-    return ModelSet(tuple(map(tuple, bits.astype(bool).tolist())), truncated=False)
+    # Rows become tuples of bools 4,096 at a time, so beside the tuples only
+    # one block's bit table and Python lists are alive.
+    shifts = np.arange(n, dtype=np.uint32)
+    models = tuple(
+        model
+        for a in range(0, len(front), 4096)
+        for model in map(tuple, ((front[a:a + 4096, None] >> shifts) & 1).astype(bool).tolist())
+    )
+    return ModelSet(models, truncated=False)

@@ -487,7 +487,7 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
     sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
     assert len(brute_force_models(sparse).models) == 10752
     # The same models, in the same order and as Python bools, as one
-    # assignment at a time gives.
+    # assignment at a time gives, across three blocks of rows.
     assert brute_force_models(sparse) == reference_brute_force_models(sparse)
     assert {type(value) for model in brute_force_models(sparse).models for value in model} == {bool}
     cases += [(sparse, cap) for cap in (1, 120, 300)]
