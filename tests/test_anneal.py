@@ -572,15 +572,16 @@ def test_next_accept_reads_each_steps_temperature_and_can_start_at_the_last_step
 
 
 def test_next_accept_equals_a_python_scan_on_random_frozen_costs():
-    # Spins with dyadic costs, some at the floor (the cheapest positive cost)
-    # and some free (0.0, -0.0 or negative), or none free, or all free. Each
-    # uniform is random, 0.0, or within an ulp of np.exp(-floor / T) or of
-    # math.exp(-cost / T) for its own spin, where the two tests part.
+    # Four kinds of frozen state over dyadic costs: 0, no free spin; 1, one
+    # free spin (cost 0.0, -0.0 or -0.5); 2, every spin free; 3, no free spin
+    # and no random uniform. A uniform is random, 0.0, 2**-53, or one ulp
+    # below, at or above an edge: np.exp's value at the floor (the cheapest
+    # positive cost) or math.exp's for the drawn spin's own cost.
     rng = np.random.default_rng(2207)
     outcomes = set()
     for trial in range(400):
-        spins = int(rng.integers(1, 9))
         kind = trial % 4
+        spins = int(rng.integers(1, 9))
         costs = (rng.integers(1, 200, size=spins) / 8).tolist()
         if kind == 1:
             costs[int(rng.integers(spins))] = [0.0, -0.0, -0.5][trial % 3]
@@ -594,15 +595,13 @@ def test_next_accept_equals_a_python_scan_on_random_frozen_costs():
         uniforms = []
         for k, i in enumerate(flip_indices):
             temperature = temperatures[k // attempts_per_step + 1]
-            near = [float(np.exp(-floor / temperature)), math.exp(-costs[i] / temperature)]
-            choice = int(rng.integers(0, 8))
-            if choice < 3 and kind != 3:
-                u = float(rng.uniform(0.5, 1.0))
-            elif choice < 6:
-                u = math.nextafter(near[choice % 2], [-1.0, 0.0, 2.0][int(rng.integers(3))])
-            else:
-                u = [0.0, 2.0**-53][choice - 6]
-            uniforms.append(min(u, math.nextafter(1.0, 0.0)))
+            edge = [float(np.exp(-floor / temperature)), math.exp(-costs[i] / temperature)]
+            edge = edge[int(rng.integers(2))]
+            candidates = [0.0, 2.0**-53, math.nextafter(edge, -1.0), edge, math.nextafter(edge, 2.0)]
+            if kind != 3:
+                candidates.append(float(rng.uniform(0.5, 1.0)))
+            u = candidates[int(rng.integers(len(candidates)))]
+            uniforms.append(min(max(u, 0.0), math.nextafter(1.0, 0.0)))
         start = int(rng.integers(0, len(uniforms) + 1))
         args = (flip_indices, uniforms, temperatures, costs, start, attempts_per_step)
         expected = python_scan(*args)
