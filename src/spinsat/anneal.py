@@ -4,7 +4,15 @@ Reproducibility contract: a trajectory is fully determined by the
 Hamiltonian, the schedule, and the seed. Randomness comes from a single
 PCG64 stream consumed in a fixed layout (initial spins, then all flip
 indices, then all uniforms), so two runs with equal inputs produce
-byte-identical trajectory CSVs.
+byte-identical trajectory CSVs. The layout does not depend on how the
+draws are split into calls: PCG64 keeps the unused half of a 32-bit draw
+between ``integers`` calls, and each uniform takes one whole 64-bit draw.
+So the flip indices are drawn ``_BLOCK_DRAWS`` at a time into one array of
+the smallest unsigned dtype that holds a spin index (1 byte per attempt up
+to 256 spins), and the uniforms, which come last, a block at a time as the
+scalar loops and ``_next_accept`` reach them (``_Uniforms``). A run holds
+its flip indices, and at most a block or a scan window of uniforms past
+the current attempt.
 
 The kernel keeps each spin's flip cost -2 s_i (h_i + sum_j J_ij s_j), the
 exact energy change of flipping it. A proposal reads its cost; an accepted
@@ -26,13 +34,13 @@ from a recomputation.
 
 Late in a schedule the state freezes and almost every proposal is
 rejected. Once a few hundred attempts in a row (whole steps) have accepted
-nothing, ``_next_accept`` scans the pre-drawn proposals a window at a time
-against the costs, which cannot change before the next accept. No flip is
-cheaper than the cheapest positive cost, so numpy keeps only the proposals
-of a free spin (cost <= 0), with a zero uniform, or with a uniform below
-exp(-cheapest / T) widened by 2**-30, far more than np.exp and math.exp
-can differ. Each of these, in order, takes the scalar loop's own math.exp
-test, so numpy never decides an accept. The scalar loop resumes at the
+nothing, ``_next_accept`` scans the proposals a window at a time, drawing
+each window's uniforms, against the costs, which cannot change before the
+next accept. No flip is cheaper than the cheapest positive cost, so numpy
+keeps only the proposals of a free spin (cost <= 0), with a zero uniform,
+or with a uniform below exp(-cheapest / T) widened by 2**-30, far more
+than np.exp and math.exp can differ. Each of these, in order, takes the
+scalar loop's own math.exp test, so numpy never decides an accept. The scalar loop resumes at the
 first accepted proposal, mid-step if need be, so the stream, the records
 and every trajectory are the scalar loop's own.
 
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
 
@@ -110,10 +119,10 @@ class Trajectory:
         return len(self.temperatures)
 
 
-# ``anneal`` turns at most this many draws at a time (whole steps) into Python
-# numbers, so a --sweeps run never holds its whole stream as boxed floats.
-# Blocks start at 1/16 of it and double, so a scan that stops soon after a
-# block begins has converted few draws for nothing.
+# ``anneal`` draws the flip indices this many at a time, and draws uniforms and
+# turns them into Python numbers at most this many at a time (whole steps).
+# Those blocks start at 1/16 of it and double, so a scan that stops soon after
+# a block begins has converted few draws for nothing.
 _BLOCK_DRAWS = 1 << 14
 # After this many attempts (whole steps) with no accept, ``_next_accept``
 # scans ahead in windows that start at _SCAN_DRAWS draws and grow 4x up to
@@ -134,9 +143,36 @@ def _temperatures(sched: Schedule) -> np.ndarray:
     return temperatures
 
 
+class _Uniforms:
+    """A run's ``total`` uniforms, drawn from its stream as the kernel reaches them.
+
+    ``take(k, stop)`` returns uniforms k..stop-1. Requests only move forward
+    (k never precedes the previous request's k), so only the draws from the
+    last request's start on are kept. A request past the drawn ones draws at
+    least ``_BLOCK_DRAWS`` more (or the rest), so a run makes few draw calls
+    and a default 6,000-step run one.
+    """
+
+    def __init__(self, rng: np.random.Generator, total: int) -> None:
+        self._rng = rng
+        self._total = total
+        self._start = 0
+        self._drawn = np.empty(0)
+
+    def take(self, k: int, stop: int) -> np.ndarray:
+        end = self._start + len(self._drawn)
+        if stop > end:
+            start = min(k, end)
+            count = max(stop - end, min(_BLOCK_DRAWS, self._total - end))
+            fresh = self._rng.random(size=count)
+            self._drawn = np.concatenate((self._drawn[start - self._start:], fresh))
+            self._start = start
+        return self._drawn[k - self._start:stop - self._start]
+
+
 def _next_accept(
     flip_indices: np.ndarray,
-    uniforms: np.ndarray,
+    uniforms: Callable[[int, int], np.ndarray],
     temperatures: np.ndarray,
     cost: list[float],
     start: int,
@@ -144,16 +180,18 @@ def _next_accept(
 ) -> int:
     """Index of the first attempt at or after ``start`` that the scalar loop accepts.
 
-    Returns ``len(uniforms)`` if none does. Nothing changes the state before
-    that accept, so ``cost`` holds every proposal's flip cost. Attempt k runs
-    at ``temperatures[k // attempts_per_step + 1]``. With ``floor`` the
-    cheapest positive cost, a proposal can be accepted only if its cost is
-    <= 0, its uniform is 0.0, or its uniform is below exp(-floor / T): a
-    dearer flip has a smaller -cost / T, as IEEE division is monotone. numpy
-    only picks these candidates, with a margin; each one, in order, takes
-    the scalar loop's own test.
+    Returns ``len(flip_indices)`` if none does. ``uniforms(k, stop)``
+    returns the uniforms of attempts k..stop-1 (``_Uniforms.take``), which
+    the scan asks for a window at a time, forward only. Nothing changes the
+    state before that accept, so ``cost`` holds every proposal's flip cost.
+    Attempt k runs at ``temperatures[k // attempts_per_step + 1]``. With
+    ``floor`` the cheapest positive cost, a proposal can be accepted only if
+    its cost is <= 0, its uniform is 0.0, or its uniform is below
+    exp(-floor / T): a dearer flip has a smaller -cost / T, as IEEE division
+    is monotone. numpy only picks these candidates, with a margin; each one,
+    in order, takes the scalar loop's own test.
     """
-    total = len(uniforms)
+    total = len(flip_indices)
     costs = np.array(cost, dtype=np.float64)
     free = costs <= 0.0
     floor = costs[~free].min(initial=math.inf)
@@ -169,10 +207,12 @@ def _next_accept(
         # then one per attempt from attempt k on.
         skip = k - (first - 1) * attempts_per_step
         bound = np.repeat(np.maximum(bound, _LEAST), attempts_per_step)[skip:skip + stop - k]
-        candidates = (uniforms[k:stop] < bound) | free[flip_indices[k:stop]]
-        for a in (np.flatnonzero(candidates) + k).tolist():
+        window_uniforms = uniforms(k, stop)
+        candidates = (window_uniforms < bound) | free.take(flip_indices[k:stop])
+        for c in np.flatnonzero(candidates).tolist():
+            a = k + c
             d_e = cost[flip_indices[a]]
-            if d_e <= 0.0 or uniforms[a] < math.exp(-d_e / temperatures[a // attempts_per_step + 1]):
+            if d_e <= 0.0 or window_uniforms[c] < math.exp(-d_e / temperatures[a // attempts_per_step + 1]):
                 return a
         k = stop
         window = max(window, min(4 * window, _BLOCK_DRAWS))
@@ -210,8 +250,11 @@ def anneal(
 
     attempts_per_step = num_spins if sweeps else 1
     total_attempts = sched.steps * attempts_per_step
-    flip_indices = rng.integers(0, num_spins, size=total_attempts)
-    uniforms = rng.random(size=total_attempts)
+    flip_indices = np.empty(total_attempts, dtype=np.min_scalar_type(num_spins - 1))
+    for k in range(0, total_attempts, _BLOCK_DRAWS):
+        stop = min(k + _BLOCK_DRAWS, total_attempts)
+        flip_indices[k:stop] = rng.integers(0, num_spins, size=stop - k)
+    uniforms = _Uniforms(rng, total_attempts).take
 
     adjacency = H.adjacency
     # field[i] = h_i + sum_j J_ij s_j, from which the kept flip costs start.
@@ -251,7 +294,7 @@ def anneal(
             draws = zip(
                 range(k + 1, stop + 1),
                 flip_indices[k:stop].tolist(),
-                uniforms[k:stop].tolist(),
+                uniforms(k, stop).tolist(),
                 temperatures[k + 1:stop + 1].tolist(),
             )
             k = stop
@@ -291,7 +334,7 @@ def anneal(
             else:
                 last = min(first - 1 + max(1, block // attempts_per_step), sched.steps)
             stop = last * attempts_per_step
-            draws = zip(flip_indices[k:stop].tolist(), uniforms[k:stop].tolist())
+            draws = zip(flip_indices[k:stop].tolist(), uniforms(k, stop).tolist())
             k = stop
             block = min(2 * block, _BLOCK_DRAWS)
             for t, temperature in zip(range(first, last + 1), temperatures[first:last + 1].tolist()):

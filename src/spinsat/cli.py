@@ -73,6 +73,10 @@ def _atomic_write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
+        # mkstemp makes the file owner-only; give it the mode open(path, "w") would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
@@ -112,6 +116,16 @@ def _check_settings(config: RunConfig) -> set[str]:
     for message in messages:
         print(f"warning: {message}", file=sys.stderr)
     return set(messages)
+
+
+def _check_outdir(outdir: str | Path) -> Path:
+    """``outdir`` as a Path; InputError if it, or the nearest of its ancestors
+    that exists, is not a directory, since no output could be written there."""
+    path = Path(outdir)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise InputError(f"output directory {path}: {existing} is not a directory")
+    return path
 
 
 def _collect_inputs(paths: list[str]) -> list[Path]:
@@ -204,7 +218,7 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_schedule: bool = Tru
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InputError(f"count must be at least 1, got {args.count}")
-    outdir = Path(_outdir(args.outdir, DEFAULT_OUTDIR))
+    outdir = _check_outdir(_outdir(args.outdir, DEFAULT_OUTDIR))
     written = attempts = 0
     max_attempts = max(1000, 200 * args.count)
     while written < args.count:
@@ -282,9 +296,13 @@ def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tupl
     return files, results, failures
 
 
-def _print_lines(args: argparse.Namespace, work) -> int:
-    """Print the line ``work`` returns for each file, in stem order."""
-    _, lines, failures = _for_each_file(_merge_config(args), work)
+def _print_lines(args: argparse.Namespace, work, writes: bool = False) -> int:
+    """Print the line ``work`` returns for each file, in stem order; ``writes``
+    if ``work`` writes to the output directory."""
+    config = _merge_config(args)
+    if writes:
+        _check_outdir(config.outdir)
+    _, lines, failures = _for_each_file(config, work)
     for line in lines:
         print(line)
     return 1 if failures else 0
@@ -394,8 +412,8 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
+    outdir = _check_outdir(config.outdir)
     files, results, failures = _for_each_file(config, _run_instance)
-    outdir = Path(config.outdir)
     for _, H, traj in results:
         _write_hamiltonian(outdir, H)
         _write_trajectory(outdir, traj)
@@ -440,6 +458,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     summary_path = Path(args.summary)
+    outdir = _check_outdir(_outdir(args.outdir, summary_path.parent))
     try:
         summaries = analysis.read_summary_csv(summary_path.read_text(encoding="utf-8"))
         if len(summaries) < 3:
@@ -455,7 +474,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     print("Correlation matrix between logical and physical observables")
     print(correlation_table)
 
-    outdir = Path(_outdir(args.outdir, summary_path.parent))
     agg_lines = ["column,mean,sd"]
     for column, (mean, sd) in sorted(agg.items()):
         agg_lines.append(f"{column},{format_float(mean)},{format_float(sd)}")
@@ -523,10 +541,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 COMMANDS = {
     "gen": cmd_gen,
-    "compile": lambda args: _print_lines(args, _compile_line),
+    "compile": lambda args: _print_lines(args, _compile_line, writes=True),
     "solve": lambda args: _print_lines(args, _solve_line),
     "backbone": lambda args: _print_lines(args, partial(_backbone_line, exact=args.exact)),
-    "anneal": lambda args: _print_lines(args, _anneal_line),
+    "anneal": lambda args: _print_lines(args, _anneal_line, writes=True),
     "run": cmd_run,
     "report": cmd_report,
 }

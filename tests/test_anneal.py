@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -302,6 +304,15 @@ def test_kernel_matches_reference_across_draw_blocks(uf20_compiled, monkeypatch,
         assert_same_run(anneal(H, f, sched, 7, sweeps), reference_anneal(H, f, sched, 7, sweeps))
 
 
+def test_kernel_matches_reference_beyond_256_spins():
+    # Past 256 spins a flip index no longer fits in one byte.
+    f = generate_random_3sat(60, 255, seed=4)
+    H = ising.compile(f)
+    assert H.num_spins > 256
+    for sched, sweeps in ((Schedule(steps=3000), False), (Schedule(steps=6), True)):
+        assert_same_run(anneal(H, f, sched, 2, sweeps), reference_anneal(H, f, sched, 2, sweeps))
+
+
 def test_kernel_matches_reference_when_a_sweep_step_cancels_out():
     # At T = 1e9 every flip is taken. A sweep step that proposes each spin an
     # even number of times accepts its flips and ends in the state it began
@@ -493,6 +504,19 @@ def test_kernel_matches_reference_when_math_exp_decides_most_scanned_proposals(
     assert_scanned_runs_match_reference(uf20_formulas, scans, scanning=True)
 
 
+def forward_only(uniforms):
+    """``uniforms`` served as ``_Uniforms.take`` serves a run's stream: a
+    request whose start precedes the previous request's fails."""
+    uniforms, last = np.array(uniforms, dtype=np.float64), [0]
+
+    def take(k: int, stop: int) -> np.ndarray:
+        assert last[0] <= k <= stop <= len(uniforms), (last[0], k, stop)
+        last[0] = k
+        return uniforms[k:stop]
+
+    return take
+
+
 def next_accept(costs, uniforms, temperatures=None, attempts_per_step=1, start=0) -> int:
     """``_next_accept`` over one spin per proposal, whose flip costs ``costs[k]``.
 
@@ -502,7 +526,7 @@ def next_accept(costs, uniforms, temperatures=None, attempts_per_step=1, start=0
         temperatures = [1.0] * (len(costs) // attempts_per_step)
     return anneal_module._next_accept(
         np.arange(len(costs)),
-        np.array(uniforms, dtype=np.float64),
+        forward_only(uniforms),
         np.array([math.nan, *temperatures]),
         [float(c) for c in costs],
         start,
@@ -607,7 +631,7 @@ def test_next_accept_equals_a_python_scan_on_random_frozen_costs():
         expected = python_scan(*args)
         outcomes.add((kind, expected == len(uniforms)))
         assert anneal_module._next_accept(
-            np.array(flip_indices), np.array(uniforms), np.array(temperatures), costs, start,
+            np.array(flip_indices), forward_only(uniforms), np.array(temperatures), costs, start,
             attempts_per_step,
         ) == expected, args
     # Scans that find an accept and scans that run off the end both occur.
@@ -713,6 +737,43 @@ def test_anneal_sweeps_mode(uf20_compiled):
     # one flip attempt per spin per step reaches lower energy much faster
     single = anneal(H, f, Schedule(steps=30), seed=11)
     assert np.mean(traj.energy_h[-6:]) <= np.mean(single.energy_h[-6:])
+
+
+@pytest.mark.parametrize("n", [1, 2, 111, 255, 256, 530, 70000])
+def test_stream_drawn_in_chunks_equals_one_call_each(n):
+    # ``anneal`` draws its flip indices a block at a time and its uniforms as
+    # the kernel reaches them. Its stream stays the one-call layout only
+    # because PCG64 keeps the unused half of a 32-bit draw between
+    # ``integers`` calls; the odd number of initial spins leaves one unused.
+    block = anneal_module._BLOCK_DRAWS
+    total = 2 * block + 3
+    for chunk in (1, 7, block, total - 2):
+        rng = np.random.Generator(np.random.PCG64(n))
+        spins = rng.integers(0, 2, size=111)
+        indices, uniforms = rng.integers(0, n, size=total), rng.random(size=total)
+        rng = np.random.Generator(np.random.PCG64(n))
+        assert np.array_equal(rng.integers(0, 2, size=111), spins)
+        bounds = [*range(0, total, chunk), total]
+        for draw, whole in ((partial(rng.integers, 0, n), indices), (rng.random, uniforms)):
+            parts = [draw(size=b - a) for a, b in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate(parts), whole), (n, chunk)
+
+
+def test_cold_sweeps_run_holds_under_4_bytes_per_attempt(uf20_compiled):
+    # At T <= 1e-3 nearly all of the 666k attempts are scanned. The run keeps
+    # its flip indices, 1 byte each for 111 spins, and a block or a scan
+    # window of uniforms; the whole stream as int64 and float64 is 16 bytes
+    # an attempt.
+    H, f = uf20_compiled
+    sched = Schedule(t0=1e-3, steps=6000)
+    anneal(H, f, sched, seed=0, sweeps=True)  # set-up caches and the temperatures
+    tracemalloc.start()
+    try:
+        anneal(H, f, sched, seed=1, sweeps=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert H.num_spins == 111 and peak < 4 * H.num_spins * sched.steps, peak
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import random
 import re
 import shutil
+import stat
 import subprocess
 import sys
 import warnings
@@ -25,6 +26,8 @@ from spinsat.satcore import brute_force_models
 from reference import reference_logical_energy
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
+# Stands for the path of a regular file in a test's config settings.
+A_FILE = "<a regular file>"
 
 
 def run_cli(args: list[str]) -> int:
@@ -348,10 +351,13 @@ def test_anneal_rejects_underflowing_schedule(tmp_path, uf20_paths, capsys):
 
 
 def assert_fails_once_before_any_work(args: list[str], out: Path, capsys) -> None:
+    """``args --outdir out`` prints one error line and leaves ``out`` as it
+    was: absent, or a regular file with the same bytes."""
+    before = out.read_bytes() if out.exists() else None
     assert run_cli([*args, "--outdir", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert not out.exists()
+    assert (out.read_bytes() if out.exists() else None) == before
 
 
 @pytest.mark.parametrize("command", ["run", "anneal"])
@@ -396,24 +402,64 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("run", ["--beta-window", "0.05", "inf"], {}),
         ("run", ["--workers", "0"], {}),
         ("run", [], {"workers": -3}),
+        ("run", [], {"outdir": A_FILE}),
+        ("anneal", [], {"outdir": A_FILE}),
+        ("compile", [], {"outdir": A_FILE}),
     ],
     ids=["cap", "backbone-cap", "bins", "window-order", "window-zero",
          "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar",
          "not-object-number", "not-object-list", "malformed-json",
          "outdir-number", "workers-string", "seed-string", "steps-float", "steps-bool",
          "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "inputs-number-item",
-         "t0-inf", "window-inf", "workers-zero", "workers-negative"],
+         "t0-inf", "window-inf", "workers-zero", "workers-negative",
+         "outdir-file-run", "outdir-file-anneal", "outdir-file-compile"],
 )
 def test_invalid_setting_fails_once_before_any_work(
     tmp_path, uf20_paths, capsys, command, flags, settings
 ):
+    out = tmp_path / "out"
+    if isinstance(settings, dict) and settings.get("outdir") == A_FILE:
+        # The config file and the flag both name a regular file as the outdir.
+        out.write_text("kept\n")
+        settings = {"outdir": str(out)}
     # A str is written as is (malformed JSON); anything else as its JSON.
     config = tmp_path / "config.json"
     config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     corpus = str(uf20_paths[0].parent)
-    assert_fails_once_before_any_work(
-        [command, corpus, "--config", str(config), *flags], tmp_path / "out", capsys
-    )
+    assert_fails_once_before_any_work([command, corpus, "--config", str(config), *flags], out, capsys)
+
+
+@pytest.mark.parametrize(
+    "command, source",
+    [("run", "env"), ("anneal", "env"), ("compile", "env"), ("gen", "env"), ("report", "env"),
+     ("run", "config"), ("compile", "config"),
+     ("run", "below"), ("anneal", "below"), ("gen", "below"), ("report", "below")],
+)
+def test_outdir_that_cannot_be_a_directory_fails_once_before_any_work(
+    tmp_path, uf20_paths, monkeypatch, capsys, command, source
+):
+    # SPINSAT_OUTDIR or the config file names a regular file as the outdir,
+    # or a flag names a directory below one.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    outdir = blocker / "out" if source == "below" else blocker
+    argv = {
+        "gen": ["gen", "--n", "5", "--count", "2"],
+        "report": ["report", str(write_synthetic_summary(tmp_path))],
+    }.get(command, [command, str(uf20_paths[0])])
+    if source == "env":
+        monkeypatch.setenv("SPINSAT_OUTDIR", str(outdir))
+    elif source == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"outdir": str(outdir)}))
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--outdir", str(outdir)]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output directory {outdir}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("sweeps", [False, True], ids=["single", "sweeps"])
@@ -429,6 +475,22 @@ def test_anneal_command_writes_trajectory(tmp_path, uf20_paths, uf20_formulas, s
     assert read_all_outputs(out) == {
         trajectory_filename(f.source_name, seed): trajectory_csv(traj).encode("utf-8")
     }
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_run_writes_files_with_the_mode_open_gives(tmp_path, small_corpus, umask):
+    out = tmp_path / "out"
+    old_umask = os.umask(umask)
+    try:
+        assert run_cli(["run", str(small_corpus), "--outdir", str(out), "--steps", "40"]) == 0
+        with open(tmp_path / "plain.txt", "w") as plain:
+            plain.write("")
+    finally:
+        os.umask(old_umask)
+    expected = stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+    assert expected == 0o666 & ~umask
+    assert len(modes) == 12 and set(modes.values()) == {expected}, modes
 
 
 def test_anneal_sweeps_and_run_print_nothing_to_stderr(tmp_path, uf20_paths, small_corpus):
@@ -688,6 +750,12 @@ def test_report_too_few_rows(tmp_path, capsys):
 
 def test_gen_rejects_too_few_variables(tmp_path, capsys):
     assert_fails_once_before_any_work(["gen", "--n", "2"], tmp_path / "out", capsys)
+
+
+def test_gen_rejects_an_outdir_that_is_a_regular_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert_fails_once_before_any_work(["gen", "--n", "5", "--count", "2"], out, capsys)
 
 
 @pytest.mark.parametrize(
