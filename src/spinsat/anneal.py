@@ -208,6 +208,7 @@ def _next_accept(
         skip = k - (first - 1) * attempts_per_step
         bound = np.repeat(np.maximum(bound, _LEAST), attempts_per_step)[skip:skip + stop - k]
         window_uniforms = uniforms(k, stop)
+        # ``take``, because indexing by a uint8 array first casts it, ~3x slower.
         candidates = (window_uniforms < bound) | free.take(flip_indices[k:stop])
         for c in np.flatnonzero(candidates).tolist():
             a = k + c
