@@ -4,7 +4,8 @@ Subcommands: gen, compile, solve, backbone, anneal, run, report. Defaults
 follow the benchmark protocol (``RunConfig``: t0=2.5, alpha=0.999, 6000
 steps, model cap 120, k_factor 20). A setting comes from its default, then
 SPINSAT_OUTDIR (output directory only), a JSON ``--config`` file and a flag;
-the later source wins. Stderr is the same serial or pooled: a warning that
+the later source wins. A subcommand has a flag only for a setting it reads.
+Stderr is the same serial or pooled: a warning that
 depends on the settings alone prints once as ``warning: <message>``, and
 each file's own warnings and failure print as ``warning: <path>: <message>``
 and ``error: <path>: <Type>: <message>`` lines, in file stem order.
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import __version__
 from .anneal import Schedule, Trajectory, anneal, trajectory_csv, trajectory_filename
-from .cnf import Formula, generate_random_3sat, models_mean_slack, parse_dimacs_file, write_dimacs
+from .cnf import Formula, generate_random_3sat, mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
 from .ising import Hamiltonian, export_csv, format_float
 from .satcore import BRUTE_FORCE_MAX_VARS, ModelSet, backbone, brute_force_models
@@ -70,19 +70,17 @@ def derive_seed(base_seed: int, instance: str) -> int:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to a new file beside ``path``, named for this process,
+    then rename it over ``path``; the file gets the mode open(path, "w") gives."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    handle = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        # mkstemp makes the file owner-only; give it the mode open(path, "w") would.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp_name, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+        with handle:
             handle.write(text)
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -195,19 +193,23 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**settings)
 
 
-def _add_common_flags(parser: argparse.ArgumentParser, with_schedule: bool = True) -> None:
+def _add_file_flags(parser: argparse.ArgumentParser, compiles: bool, anneals: bool) -> None:
+    """Flags of a per-file subcommand: inputs, ``--config`` and ``--lenient``
+    for all; the output directory and gadget for one that compiles (and so
+    writes); the seed and schedule for one that anneals."""
     parser.add_argument("inputs", nargs="*", help="CNF files or directories of *.cnf files")
     parser.add_argument("--config", help="JSON config file; explicit flags win")
-    parser.add_argument("--outdir", help=f"output directory (default {DEFAULT_OUTDIR})")
-    parser.add_argument("--seed", type=int, help=f"base seed (default {RunConfig.seed})")
-    parser.add_argument("--k-factor", dest="k_factor", type=float,
-                        help=f"gadget penalty scale (default {RunConfig.k_factor:g})")
-    parser.add_argument("--paper-literal-gadget", dest="gadget_mode", action="store_const",
-                        const=GADGET_PAPER_LITERAL,
-                        help="use the non-exact literal gadget penalty (for regression comparison)")
     parser.add_argument("--lenient", action="store_true", default=None,
                         help="downgrade clause-count mismatches to warnings")
-    if with_schedule:
+    if compiles:
+        parser.add_argument("--outdir", help=f"output directory (default {DEFAULT_OUTDIR})")
+        parser.add_argument("--k-factor", dest="k_factor", type=float,
+                            help=f"gadget penalty scale (default {RunConfig.k_factor:g})")
+        parser.add_argument("--paper-literal-gadget", dest="gadget_mode", action="store_const",
+                            const=GADGET_PAPER_LITERAL,
+                            help="use the non-exact literal gadget penalty (for regression comparison)")
+    if anneals:
+        parser.add_argument("--seed", type=int, help=f"base seed (default {RunConfig.seed})")
         parser.add_argument("--t0", type=float, help=f"initial temperature (default {RunConfig.t0:g})")
         parser.add_argument("--alpha", type=float, help=f"cooling factor (default {RunConfig.alpha:g})")
         parser.add_argument("--steps", type=int, help=f"annealing steps (default {RunConfig.steps})")
@@ -218,6 +220,8 @@ def _add_common_flags(parser: argparse.ArgumentParser, with_schedule: bool = Tru
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InputError(f"count must be at least 1, got {args.count}")
+    if Path(args.prefix).name != args.prefix:
+        raise InputError(f"prefix must be a plain file name, got {args.prefix!r}")
     outdir = _check_outdir(_outdir(args.outdir, DEFAULT_OUTDIR))
     written = attempts = 0
     max_attempts = max(1000, 200 * args.count)
@@ -390,7 +394,7 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
             exact_size = len(backbone(exact_models))
         slack_models = capped_models if exact_models is None else exact_models
         if formula.num_clauses:
-            slack_value = models_mean_slack(formula, slack_models.models)
+            slack_value = mean_slack(formula, slack_models.models)
 
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)
@@ -465,6 +469,8 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise InputError("need at least three summary rows")
         agg = analysis.aggregate(summaries)
         matrix = analysis.correlation_matrix(summaries, args.energy_column, args.backbone_column)
+    except OSError as exc:
+        raise InputError(f"summary {summary_path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise InputError(exc) from exc
     aggregate_table = analysis.format_aggregate_table(agg, args.energy_column, args.backbone_column)
@@ -504,15 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--satlib-footer", action="store_true",
                      help="append the '%%' / '0' footer found in SATLIB files")
 
-    for name, help_text, with_schedule in (
-        ("compile", "emit node/edge coefficient tables per instance", False),
-        ("solve", "solve each instance and print one model", False),
-        ("backbone", "enumerate models (capped) and report the backbone", False),
-        ("anneal", "compile and anneal each instance, writing trajectories", True),
-        ("run", "full pipeline: parse, solve, backbone, compile, anneal, summarize", True),
+    for name, help_text, compiles, anneals in (
+        ("compile", "emit node/edge coefficient tables per instance", True, False),
+        ("solve", "solve each instance and print one model", False, False),
+        ("backbone", "enumerate models (capped) and report the backbone", False, False),
+        ("anneal", "compile and anneal each instance, writing trajectories", True, True),
+        ("run", "full pipeline: parse, solve, backbone, compile, anneal, summarize", True, True),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common_flags(p, with_schedule=with_schedule)
+        _add_file_flags(p, compiles, anneals)
         if name in ("backbone", "run"):
             p.add_argument("--cap", type=int, help=f"model enumeration cap (default {RunConfig.cap})")
         if name == "backbone":

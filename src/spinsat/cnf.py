@@ -24,7 +24,6 @@ __all__ = [
     "parse_dimacs_file",
     "write_dimacs",
     "mean_slack",
-    "models_mean_slack",
     "clause_ratio",
     "generate_random_3sat",
 ]
@@ -44,9 +43,6 @@ class ParseWarning(UserWarning):
 class Literal(NamedTuple):
     var: int
     sign: int  # +1 for the plain variable, -1 for its negation
-
-    def is_satisfied_by(self, values: Sequence[bool]) -> bool:
-        return values[self.var] == (self.sign > 0)
 
     def to_dimacs(self) -> int:
         return self.sign * (self.var + 1)
@@ -98,7 +94,7 @@ class Formula:
 
     ``occurrences[v]`` holds the (clause index, sign) of each literal on
     variable v, in clause order: the one index the annealer, the solver and
-    ``models_mean_slack`` read instead of walking the clauses.
+    ``mean_slack`` read instead of walking the clauses.
     """
 
     num_vars: int
@@ -220,31 +216,15 @@ def write_dimacs(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_assignment(f: Formula, a: Sequence[bool]) -> None:
-    if len(a) != f.num_vars:
-        raise ValueError(f"assignment length {len(a)} != num_vars {f.num_vars}")
-
-
-def mean_slack(f: Formula, a: Sequence[bool]) -> float:
-    """Average clause slack across all clauses of ``f``.
-
-    Meaningful when ``a`` satisfies ``f`` (slack 0 means an unsatisfied
-    clause), but defined for any assignment.
-    """
-    _check_assignment(f, a)
-    if f.num_clauses == 0:
-        raise ValueError("mean slack undefined for a formula with no clauses")
-    return sum(lit.is_satisfied_by(a) for c in f.clauses for lit in c.literals) / f.num_clauses
-
-
-def models_mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:
-    """``sum(mean_slack(f, a) for a in models) / len(models)``, bit for bit.
+def mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:
+    """Mean over ``models`` of each model's average clause slack, the number
+    of its satisfied literals divided by the number of clauses.
 
     An assignment's satisfied-literal total is linear in its values: every
     negative literal counts when all variables are false, and setting v true
     adds pos_count[v] - neg_count[v]. Each total is an exact integer, divided
-    by m as ``mean_slack`` divides it, and the quotients are summed left to
-    right in model order, so no clause is walked once per model.
+    by m, and the quotients are summed left to right in model order, so no
+    clause is walked once per model.
     """
     if not models:
         raise ValueError("mean slack undefined for an empty model list")
@@ -254,7 +234,8 @@ def models_mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:
     base = sum(sign < 0 for occ in f.occurrences for _, sign in occ)
     per_model = []
     for a in models:
-        _check_assignment(f, a)
+        if len(a) != f.num_vars:
+            raise ValueError(f"assignment length {len(a)} != num_vars {f.num_vars}")
         per_model.append((base + sum(compress(gain, a))) / f.num_clauses)
     return sum(per_model) / len(models)
 

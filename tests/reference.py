@@ -1,9 +1,9 @@
 """Test-only oracles: plain per-clause and per-spin evaluations the library never runs.
 
-``anneal`` keeps clause slacks, flip costs and energies incrementally and
-``satcore`` works on bitmasks; these walk the formula, the polynomial, the
-spin list or every assignment directly, so tests can check the fast paths
-against them.
+``anneal`` keeps clause slacks, flip costs and energies incrementally,
+``cnf.mean_slack`` sums literal counts over a model list and ``satcore``
+works on bitmasks; these walk the formula, the polynomial, the spin list or
+every assignment directly, so tests can check the fast paths against them.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
 ground states and equilibrium of a compiled Hamiltonian.
 ``reference_import_csv`` reads ``ising.export_csv``'s tables back with every
@@ -19,16 +19,23 @@ from typing import Sequence
 
 import numpy as np
 
-from spinsat.cnf import Assignment, Clause, Formula
+from spinsat.cnf import Assignment, Clause, Formula, Literal
 from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, GadgetRecord, Hamiltonian
 from spinsat.satcore import ModelSet
+
+
+def reference_is_satisfied_by(lit: Literal, a: Sequence[bool]) -> bool:
+    """Whether assignment ``a`` makes literal ``lit`` true."""
+    return a[lit.var] == (lit.sign > 0)
 
 
 def reference_logical_energy(f: Formula, a: Sequence[bool]) -> int:
     """Number of clauses of ``f`` unsatisfied by assignment ``a``."""
     if len(a) != f.num_vars:
         raise ValueError(f"assignment length {len(a)} != num_vars {f.num_vars}")
-    return sum(1 for clause in f.clauses if not any(lit.is_satisfied_by(a) for lit in clause.literals))
+    return sum(
+        1 for clause in f.clauses if not any(reference_is_satisfied_by(lit, a) for lit in clause.literals)
+    )
 
 
 def reference_clause_slack(c: Clause, a: Sequence[bool]) -> int:
@@ -36,7 +43,18 @@ def reference_clause_slack(c: Clause, a: Sequence[bool]) -> int:
     for lit in c.literals:
         if lit.var >= len(a):
             raise ValueError(f"literal x{lit.var + 1} out of range for assignment")
-    return sum(1 for lit in c.literals if lit.is_satisfied_by(a))
+    return sum(1 for lit in c.literals if reference_is_satisfied_by(lit, a))
+
+
+def reference_mean_slack(f: Formula, a: Sequence[bool]) -> float:
+    """Average clause slack of assignment ``a`` over all clauses of ``f``, by
+    walking every clause. Meaningful when ``a`` satisfies ``f`` (slack 0 means
+    an unsatisfied clause), but defined for any assignment."""
+    if len(a) != f.num_vars:
+        raise ValueError(f"assignment length {len(a)} != num_vars {f.num_vars}")
+    if f.num_clauses == 0:
+        raise ValueError("mean slack undefined for a formula with no clauses")
+    return sum(reference_clause_slack(c, a) for c in f.clauses) / f.num_clauses
 
 
 def reference_brute_force_models(f: Formula) -> ModelSet:

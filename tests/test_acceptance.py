@@ -19,7 +19,7 @@ from spinsat.cnf import generate_random_3sat, parse_dimacs_file
 from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL
 from spinsat.satcore import backbone, brute_force_models, enumerate_models
 
-from reference import reference_core_minima, reference_polynomial_value
+from reference import reference_core_minima, reference_mean_slack, reference_polynomial_value
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -134,7 +134,7 @@ def test_criterion_06_slack_window(uf20_formulas):
     for f in uf20_formulas[:10]:
         models = brute_force_models(f).models
         assert models, f.source_name
-        values.append(sum(cnf.mean_slack(f, m) for m in models) / len(models))
+        values.append(sum(reference_mean_slack(f, m) for m in models) / len(models))
     ok = all(1.50 <= v <= 1.90 for v in values)
     check(6, "mean slack over exact models within [1.50, 1.90]", ok,
           f"min={min(values):.3f}, max={max(values):.3f}")

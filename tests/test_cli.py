@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import spinsat
-from spinsat import analysis, cli
+from spinsat import analysis, cli, cnf
 from spinsat.anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from spinsat.cli import derive_seed, main
 from spinsat.cnf import ParseWarning, parse_dimacs_file
@@ -112,8 +112,14 @@ def test_bad_file_continues_batch(tmp_path, uf20_paths, capsys, command):
     bad.write_text("p cnf 2 1\n1 99 0\n")
     good = uf20_paths[0].stem
     out = tmp_path / "out"
-    steps = ["--steps", "40"] if command in ("anneal", "run") else []
-    assert run_cli([command, str(bad), str(uf20_paths[0]), "--outdir", str(out), *steps]) == 1
+    if command in ("solve", "backbone"):
+        # They take no --outdir; a config file names one, which they must leave alone.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"outdir": str(out)}))
+        flags = ["--config", str(config)]
+    else:
+        flags = ["--outdir", str(out)] + (["--steps", "40"] if command in ("anneal", "run") else [])
+    assert run_cli([command, str(bad), str(uf20_paths[0]), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [
         f"error: {bad}: DimacsError: literal 99 exceeds declared variable count 2"
@@ -294,9 +300,10 @@ def test_seeded_fuzz_inputs_fail_cleanly_or_work(tmp_path, capsys):
         (corpus / f"f{k:03d}.cnf").write_text(random_dimacs(rng))
     failed = {}
     for command, flags in [
-        ("solve", []), ("backbone", ["--exact"]), ("compile", []), ("run", ["--steps", "30"]),
+        ("solve", []), ("backbone", ["--exact"]), ("compile", ["--outdir", str(tmp_path / "compile")]),
+        ("run", ["--steps", "30", "--outdir", str(tmp_path / "run")]),
     ]:
-        code = run_cli([command, str(corpus), "--outdir", str(tmp_path / command), *flags])
+        code = run_cli([command, str(corpus), *flags])
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if not line.startswith("warning: ")]
         matches = [EXPECTED_ERROR.fullmatch(line) for line in errors]
@@ -350,11 +357,12 @@ def test_anneal_rejects_underflowing_schedule(tmp_path, uf20_paths, capsys):
     assert not out.exists()
 
 
-def assert_fails_once_before_any_work(args: list[str], out: Path, capsys) -> None:
-    """``args --outdir out`` prints one error line and leaves ``out`` as it
-    was: absent, or a regular file with the same bytes."""
+def assert_fails_once_before_any_work(args: list[str], out: Path, capsys, flag: bool = True) -> None:
+    """``args --outdir out`` (``args`` alone unless ``flag``, for a command
+    whose config file names ``out``) prints one error line and leaves ``out``
+    as it was: absent, or a regular file with the same bytes."""
     before = out.read_bytes() if out.exists() else None
-    assert run_cli([*args, "--outdir", str(out)]) == 1
+    assert run_cli([*args, *(["--outdir", str(out)] if flag else [])]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert (out.read_bytes() if out.exists() else None) == before
@@ -422,11 +430,17 @@ def test_invalid_setting_fails_once_before_any_work(
         # The config file and the flag both name a regular file as the outdir.
         out.write_text("kept\n")
         settings = {"outdir": str(out)}
+    has_flag = command != "backbone"
+    if not has_flag:
+        # backbone takes no --outdir; the config file names the one it must leave alone.
+        settings = {**settings, "outdir": str(out)}
     # A str is written as is (malformed JSON); anything else as its JSON.
     config = tmp_path / "config.json"
     config.write_text(settings if isinstance(settings, str) else json.dumps(settings))
     corpus = str(uf20_paths[0].parent)
-    assert_fails_once_before_any_work([command, corpus, "--config", str(config), *flags], out, capsys)
+    assert_fails_once_before_any_work(
+        [command, corpus, "--config", str(config), *flags], out, capsys, flag=has_flag
+    )
 
 
 @pytest.mark.parametrize(
@@ -742,6 +756,31 @@ def test_report_without_three_backbones_fails_once(tmp_path, capsys, sat, flags)
     assert_fails_once_before_any_work(["report", str(path), *flags], tmp_path / "out", capsys)
 
 
+def test_report_on_an_unreadable_summary_path_fails_once(tmp_path, capsys):
+    summary = tmp_path / analysis.SUMMARY_FILENAME
+    summary.mkdir()
+    out = tmp_path / "out"
+    assert run_cli(["report", str(summary), "--outdir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # IsADirectoryError's text depends on the platform.
+    assert captured.err.startswith(f"error: summary {summary}: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_computes_the_mean_slack_once_per_satisfiable_instance(tmp_path, uf20_paths, monkeypatch):
+    calls = []
+
+    def counted(f, models):
+        calls.append(f.source_name)
+        return cnf.mean_slack(f, models)
+
+    monkeypatch.setattr(cli, "mean_slack", counted)
+    corpus = str(uf20_paths[0].parent)
+    assert run_cli(["run", corpus, "--outdir", str(tmp_path / "out"), "--steps", "30"]) == 0
+    assert calls == [p.stem for p in uf20_paths] and len(calls) == 12
+
+
 def test_report_too_few_rows(tmp_path, capsys):
     path = tmp_path / analysis.SUMMARY_FILENAME
     path.write_text(analysis.summary_csv([]))
@@ -767,11 +806,20 @@ def test_gen_rejects_a_negative_clause_count(tmp_path, capsys, flags):
     assert_fails_once_before_any_work(["gen", "--n", "5", *flags], tmp_path / "out", capsys)
 
 
+@pytest.mark.parametrize("prefix", ["../escaped", "sub/x", "x/"])
+def test_gen_rejects_a_prefix_that_is_not_a_file_name(tmp_path, capsys, prefix):
+    work = tmp_path / "work"
+    work.mkdir()
+    args = ["gen", "--n", "5", "--m", "3", "--count", "1", "--prefix", prefix]
+    assert_fails_once_before_any_work(args, work / "out", capsys)
+    assert list(work.iterdir()) == []
+
+
 HELP_DEFAULTS = {
     "gen": ("seed", "outdir"),
-    "compile": ("seed", "outdir", "k_factor"),
-    "solve": ("seed", "outdir", "k_factor"),
-    "backbone": ("seed", "outdir", "k_factor", "cap"),
+    "compile": ("outdir", "k_factor"),
+    "solve": (),
+    "backbone": ("cap",),
     "anneal": ("seed", "outdir", "k_factor", "t0", "alpha", "steps"),
     "run": ("seed", "outdir", "k_factor", "t0", "alpha", "steps", "cap", "workers", "bins",
             "beta_window"),
@@ -792,6 +840,24 @@ def test_help_shows_run_config_defaults(capsys, command):
         elif not isinstance(value, str):
             value = f"{value:g}"
         assert f"(default {value})" in text, name
+
+
+@pytest.mark.parametrize(
+    "command, ignored",
+    [
+        ("compile", ("--seed",)),
+        ("solve", ("--outdir", "--seed", "--k-factor", "--paper-literal-gadget")),
+        ("backbone", ("--outdir", "--seed", "--k-factor", "--paper-literal-gadget")),
+    ],
+)
+def test_help_lists_no_flag_the_command_would_ignore(capsys, command, ignored):
+    # The output directory and gadget go to commands that compile, the seed
+    # to those that anneal.
+    with pytest.raises(SystemExit) as exited:
+        run_cli([command, "--help"])
+    assert exited.value.code == 0
+    text = capsys.readouterr().out
+    assert [flag for flag in ignored if flag in text] == []
 
 
 def test_cli_missing_input_path(tmp_path, capsys):

@@ -16,12 +16,11 @@ from spinsat.cnf import (
     clause_ratio,
     generate_random_3sat,
     mean_slack,
-    models_mean_slack,
     parse_dimacs,
     write_dimacs,
 )
 
-from reference import reference_clause_slack, reference_logical_energy
+from reference import reference_clause_slack, reference_logical_energy, reference_mean_slack
 
 
 def all_assignments(n):
@@ -195,12 +194,12 @@ def test_clause_slack_examples():
 
 def test_mean_slack_single_clause():
     f = parse_dimacs("p cnf 3 1\n1 2 3 0")
-    assert mean_slack(f, (True, True, True)) == 3.0
+    assert reference_mean_slack(f, (True, True, True)) == 3.0
 
 
 def test_mean_slack_empty_formula_errors():
     with pytest.raises(ValueError):
-        mean_slack(Formula(3, ()), (True, True, True))
+        reference_mean_slack(Formula(3, ()), (True, True, True))
 
 
 def test_mean_slack_small_formula_vs_hand_enumeration():
@@ -212,43 +211,43 @@ def test_mean_slack_small_formula_vs_hand_enumeration():
             continue
         first = int(a[0]) + int(a[1]) + int(a[2])
         second = int(not a[0]) + int(a[1])
-        assert mean_slack(f, a) == pytest.approx((first + second) / 2, abs=1e-15)
+        assert reference_mean_slack(f, a) == pytest.approx((first + second) / 2, abs=1e-15)
 
 
 def per_model_mean_slack(f: Formula, models) -> float:
-    return sum(mean_slack(f, a) for a in models) / len(models)
+    return sum(reference_mean_slack(f, a) for a in models) / len(models)
 
 
 def test_models_mean_slack_matches_per_model_sum_on_exact_sets(uf20_formulas):
     for f in uf20_formulas:
         models = satcore.brute_force_models(f).models
-        assert models_mean_slack(f, models) == per_model_mean_slack(f, models)
+        assert mean_slack(f, models) == per_model_mean_slack(f, models)
 
 
 def test_models_mean_slack_matches_per_model_sum_on_truncated_set(uf20_formulas):
     f = next(f for f in uf20_formulas if f.source_name == "uf20-sb-005")
     capped = satcore.enumerate_models(f, 120)
     assert capped.truncated and len(capped.models) == 120
-    assert models_mean_slack(f, capped.models) == per_model_mean_slack(f, capped.models)
+    assert mean_slack(f, capped.models) == per_model_mean_slack(f, capped.models)
 
 
 def test_models_mean_slack_counts_tautologies_and_short_clauses():
     f = parse_dimacs("p cnf 4 5\n1 -1 2 0\n-3 0\n2 4 0\n-2 3 -4 0\n4 -4 0\n")
     models = [a for a in all_assignments(4) if reference_unsat_count(f, a) == 0]
     assert models
-    assert models_mean_slack(f, models) == per_model_mean_slack(f, models)
+    assert mean_slack(f, models) == per_model_mean_slack(f, models)
     everything = all_assignments(4)
-    assert models_mean_slack(f, everything) == per_model_mean_slack(f, everything)
+    assert mean_slack(f, everything) == per_model_mean_slack(f, everything)
 
 
 def test_models_mean_slack_rejects_empty_inputs():
     f = parse_dimacs("p cnf 2 1\n1 2 0")
     with pytest.raises(ValueError):
-        models_mean_slack(f, [])
+        mean_slack(f, [])
     with pytest.raises(ValueError):
-        models_mean_slack(Formula(2, ()), [(True, False)])
+        mean_slack(Formula(2, ()), [(True, False)])
     with pytest.raises(ValueError):
-        models_mean_slack(f, [(True,)])
+        mean_slack(f, [(True,)])
 
 
 def test_clause_ratio(uf20_formulas):

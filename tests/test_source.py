@@ -37,12 +37,17 @@ def referenced_names(tree: ast.Module, modules: set[str]) -> set[str]:
     return found
 
 
+def sources_and_callers() -> tuple[list[Path], list[Path]]:
+    """The package's modules, and those plus the benchmark's non-test modules."""
+    sources = sorted(PACKAGE.glob("*.py"))
+    return sources, sources + sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
+
+
 def test_every_module_level_definition_in_src_is_used_outside_tests():
     # Test-only oracles live in tests/reference.py; a function or class that
     # only tests call does not belong in the package.
-    sources = sorted(PACKAGE.glob("*.py"))
+    sources, callers = sources_and_callers()
     modules = {path.stem for path in sources} | {"spinsat"}
-    callers = sources + sorted(p for p in (ROOT / "perfbench").glob("*.py") if not p.name.startswith("test_"))
     used: set[str] = set()
     for path in callers:
         used |= referenced_names(ast.parse(path.read_text(encoding="utf-8")), modules)
@@ -51,5 +56,29 @@ def test_every_module_level_definition_in_src_is_used_outside_tests():
         for path in sources
         for node in ast.parse(path.read_text(encoding="utf-8")).body
         if isinstance(node, DEFINITIONS) and node.name not in used
+    ]
+    assert unused == []
+
+
+def test_every_method_of_a_src_class_is_used_outside_tests():
+    # A method or property is reached as an attribute (``obj.name``); one
+    # that no attribute in src/ or perfbench/ names is test-only. Dunder
+    # methods are called by the language itself.
+    sources, callers = sources_and_callers()
+    used = {
+        node.attr
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+    }
+    unused = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in sources
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in used
     ]
     assert unused == []
