@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -211,17 +211,18 @@ def binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedC
     """Pool trajectory points into geometric temperature bins.
 
     The binned energy is the unsatisfied-clause count (the logical energy
-    column); bin centers are geometric midpoints of the bin edges. When every
-    trajectory holds the same temperature column, as the runs of one schedule
-    do, its bin indices are found once and repeated.
+    column); bin centers are geometric midpoints of the bin edges. Every
+    trajectory must hold the same temperature column, the one object or an
+    equal copy, as the runs of one schedule do; its bin indices are found
+    once and repeated.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
     if bins < 1:
         raise ValueError("need at least one bin")
-    column = trajectories[0].temperatures
-    shared = all(t.temperatures is column for t in trajectories)
-    temps = column if shared else np.concatenate([t.temperatures for t in trajectories])
+    temps = trajectories[0].temperatures
+    if not all(t.temperatures is temps or np.array_equal(t.temperatures, temps) for t in trajectories):
+        raise ValueError("trajectories do not share one temperature column")
     energies = np.concatenate([t.energy_logic.astype(np.float64) for t in trajectories])
     abs_m = np.concatenate([np.abs(t.magnetization) for t in trajectories])
     t_min = float(temps.min())
@@ -236,14 +237,12 @@ def binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedC
     edges = np.geomspace(t_min, t_max, bins + 1)
     centers = np.sqrt(edges[:-1] * edges[1:])
     which = np.clip(np.searchsorted(edges, temps, side="right") - 1, 0, bins - 1)
-    if shared:
-        which = np.tile(which, len(trajectories))
+    which = np.tile(which, len(trajectories))
     counts = np.bincount(which, minlength=bins)
     sum_e = np.bincount(which, weights=energies, minlength=bins)
     sum_m = np.bincount(which, weights=abs_m, minlength=bins)
-    with np.errstate(invalid="ignore"):
-        mean_e = np.where(counts > 0, sum_e / np.maximum(counts, 1), np.nan)
-        mean_m = np.where(counts > 0, sum_m / np.maximum(counts, 1), np.nan)
+    mean_e = np.where(counts > 0, sum_e / np.maximum(counts, 1), np.nan)
+    mean_m = np.where(counts > 0, sum_m / np.maximum(counts, 1), np.nan)
     return BinnedCurves(centers, mean_e, mean_m, counts)
 
 
@@ -344,24 +343,14 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-# (header, InstanceSummary field, parser of the cell text), in column order.
-_SUMMARY_COLUMNS = (
-    ("instance", "instance", str),
-    ("seed", "seed", int),
-    ("sat", "sat", _flag),
-    ("alpha_ratio", "alpha_ratio", float),
-    ("final_energy_h", "final_energy_h", float),
-    ("final_energy_logic", "final_energy_logic", float),
-    ("final_abs_M", "final_abs_magnetization", float),
-    ("backbone_capped", "backbone_capped", _optional(int)),
-    ("backbone_exact", "backbone_exact", _optional(int)),
-    ("backbone_exact_flag", "backbone_exact_flag", _flag),
-    ("mean_slack", "mean_slack", _optional(float)),
-    ("beta", "beta", _optional(float)),
-    ("beta_r2", "beta_r2", _optional(float)),
-    ("t0", "t0", float),
-    ("alpha", "alpha", float),
-    ("steps", "steps", int),
+# The parser of a cell's text, by the type of its InstanceSummary field.
+_PARSERS = {str: str, int: int, float: float, bool: _flag,
+            int | None: _optional(int), float | None: _optional(float)}
+# (header, InstanceSummary field, parser), in field order; one header
+# abbreviates its field's name.
+_SUMMARY_COLUMNS = tuple(
+    ({"final_abs_magnetization": "final_abs_M"}.get(name, name), name, _PARSERS[kind])
+    for name, kind in get_type_hints(InstanceSummary).items()
 )
 _SUMMARY_HEADER = ",".join(header for header, _, _ in _SUMMARY_COLUMNS)
 

@@ -159,14 +159,18 @@ def _outdir(flag: str | None, fallback):
 def _setting(name: str, kind, value):
     """``value`` for the ``RunConfig`` field ``name`` of type ``kind``, a list
     made a tuple. InputError unless it has that JSON type: an int passes for
-    a float and stays an int, as ``run_manifest.json`` shows; a bool is no int."""
+    a float and stays an int, as ``run_manifest.json`` shows; a bool is no int;
+    a list for a fixed-length tuple has that length."""
     is_tuple = typing.get_origin(kind) is tuple
-    element = typing.get_args(kind)[0] if is_tuple else kind
+    args = typing.get_args(kind)
+    element = args[0] if is_tuple else kind
+    length = len(args) if is_tuple and Ellipsis not in args else None
     accepted = (int, float) if element is float else (element,)
     items = value if is_tuple and isinstance(value, list) else [value]
-    if isinstance(value, list) == is_tuple and all(type(item) in accepted for item in items):
+    if (isinstance(value, list) == is_tuple and all(type(item) in accepted for item in items)
+            and length in (None, len(items))):
         return tuple(value) if is_tuple else value
-    expected = "a list of " * is_tuple + element.__name__
+    expected = "a list of " * is_tuple + element.__name__ + f" of length {length}" * (length is not None)
     raise InputError(f"config key {name} must be {expected}, got {value!r}")
 
 

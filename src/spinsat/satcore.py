@@ -53,21 +53,6 @@ class ModelSet:
     truncated: bool
 
 
-def _clause_masks(f: Formula) -> list[tuple[int, int]]:
-    # A clause (pos, neg) is satisfied iff a variable in pos is true or one
-    # in neg is false; bit v stands for variable v.
-    masks = []
-    for clause in f.clauses:
-        pos = neg = 0
-        for lit in clause.literals:
-            if lit.sign > 0:
-                pos |= 1 << lit.var
-            else:
-                neg |= 1 << lit.var
-        masks.append((pos, neg))
-    return masks
-
-
 Rows = list[tuple[int, int, int]]
 
 
@@ -336,9 +321,17 @@ def brute_force_models(f: Formula) -> ModelSet:
     if n > BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"exact enumeration limited to {BRUTE_FORCE_MAX_VARS} variables")
     by_lowest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for clause, masks in zip(f.clauses, _clause_masks(f)):
+    # A clause (pos, neg) is satisfied iff a variable in pos is true or one
+    # in neg is false; bit v stands for variable v.
+    for clause in f.clauses:
         if not clause.is_tautological:
-            by_lowest[min(clause.variables)].append(masks)
+            pos = neg = 0
+            for lit in clause.literals:
+                if lit.sign > 0:
+                    pos |= 1 << lit.var
+                else:
+                    neg |= 1 << lit.var
+            by_lowest[min(clause.variables)].append((pos, neg))
     front = np.zeros(1, dtype=np.uint32)
     for v in range(n - 1, -1, -1):
         front = np.concatenate((front, front | np.uint32(1 << v)))

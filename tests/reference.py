@@ -4,6 +4,8 @@
 ``cnf.mean_slack`` sums literal counts over a model list and ``satcore``
 works on bitmasks; these walk the formula, the polynomial, the spin list or
 every assignment directly, so tests can check the fast paths against them.
+``reference_clause_masks`` gives the clause-major masks that the satcore
+tests' reference DPLL propagates over.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
 ground states and equilibrium of a compiled Hamiltonian.
 ``reference_import_csv`` reads ``ising.export_csv``'s tables back with every
@@ -66,6 +68,23 @@ def reference_brute_force_models(f: Formula) -> ModelSet:
         if reference_logical_energy(f, a) == 0:
             models.append(a)
     return ModelSet(tuple(models), truncated=False)
+
+
+def reference_clause_masks(f: Formula) -> list[tuple[int, int]]:
+    """One ``(pos, neg)`` pair of variable masks per clause, in clause order,
+    bit v for variable v: the clause is satisfied iff a variable in pos is
+    true or one in neg is false. The clause-major form of the DPLL that
+    preceded ``satcore``'s variable-major rows."""
+    masks = []
+    for clause in f.clauses:
+        pos = neg = 0
+        for lit in clause.literals:
+            if lit.sign > 0:
+                pos |= 1 << lit.var
+            else:
+                neg |= 1 << lit.var
+        masks.append((pos, neg))
+    return masks
 
 
 def reference_spins_to_assignment(s: Sequence[int], core_count: int) -> Assignment:

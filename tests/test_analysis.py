@@ -313,8 +313,9 @@ def assert_same_curves(a, b) -> None:
 
 
 def test_binned_shared_temperature_column_matches_private_copies(uf20_formulas):
-    # The runs of one schedule share one temperature column, and binning
-    # finds its bin indices once; private copies take the general path.
+    # The runs of one schedule share one temperature column. Trajectories
+    # pickled back from a worker pool each hold an equal private copy, and
+    # bin through the same path to the same bytes.
     f = uf20_formulas[1]
     H = ising.compile(f)
     for sched, bins in ((Schedule(steps=400), 60), (Schedule(steps=400), 7), (Schedule(steps=0), 60)):
@@ -326,6 +327,15 @@ def test_binned_shared_temperature_column_matches_private_copies(uf20_formulas):
         assert int(curves.counts.sum()) == 4 * (sched.steps + 1)
     # Steps=0 leaves one temperature, so every point falls in the single bin.
     assert curves.counts.tolist() == [4]
+
+
+@pytest.mark.parametrize("other", [np.geomspace(0.1, 1.0, 10), np.geomspace(0.1, 1.0, 12)],
+                         ids=["same-length", "longer"])
+def test_binned_rejects_trajectories_of_different_columns(other):
+    first = make_trajectory(np.geomspace(0.1, 2.0, 10), np.ones(10), np.ones(10))
+    second = make_trajectory(other, np.ones(len(other)), np.ones(len(other)))
+    with pytest.raises(ValueError, match="do not share one temperature column"):
+        binned_curves([first, second])
 
 
 def test_binned_requires_input():
@@ -450,6 +460,36 @@ def test_unsat_summary_serializes_empty_columns():
     assert row[header.index("backbone_capped")] == ""
     assert row[header.index("mean_slack")] == ""
     assert read_summary_csv(text) == [summary]
+
+
+def test_summary_header_lists_the_fields_in_order():
+    header = summary_csv([]).splitlines()[0].split(",")
+    assert header == [
+        "instance", "seed", "sat", "alpha_ratio", "final_energy_h", "final_energy_logic",
+        "final_abs_M", "backbone_capped", "backbone_exact", "backbone_exact_flag",
+        "mean_slack", "beta", "beta_r2", "t0", "alpha", "steps",
+    ]
+
+
+def test_summary_csv_round_trips_every_parser():
+    # None in each optional column, both flags, a signed zero and a
+    # subnormal in float columns, and ints in every int column.
+    tiny = 5e-324
+    summaries = [
+        make_summary(sat=False, backbone_capped=None, backbone_exact=None,
+                     backbone_exact_flag=False, mean_slack=None, beta=None, beta_r2=None),
+        make_summary(instance="x", seed=0, final_energy_h=-0.0, final_energy_logic=tiny,
+                     final_abs_magnetization=-tiny, backbone_capped=0, beta=-0.0, beta_r2=tiny,
+                     t0=2.2250738585072014e-308 / 3, steps=0),
+    ]
+    back = read_summary_csv(summary_csv(summaries))
+    assert back == summaries
+    for before, after in zip(summaries, back):
+        for field in dataclasses.fields(InstanceSummary):
+            a, b = getattr(before, field.name), getattr(after, field.name)
+            assert type(a) is type(b), field.name
+            if isinstance(a, float):
+                assert math.copysign(1.0, a) == math.copysign(1.0, b), field.name
 
 
 # ---------------------------------------------------------------------------

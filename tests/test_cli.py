@@ -405,6 +405,8 @@ def test_invalid_schedule_fails_once_before_any_work(
         ("anneal", [], {"sweeps": "yes"}),
         ("anneal", [], {"t0": True}),
         ("run", [], {"beta_window": [0.05, "1"]}),
+        ("run", [], {"beta_window": [0.1]}),
+        ("run", [], {"beta_window": [0.05, 0.5, 1.0]}),
         ("anneal", [], {"inputs": [5]}),
         ("anneal", ["--t0", "inf"], {}),
         ("run", ["--beta-window", "0.05", "inf"], {}),
@@ -418,7 +420,8 @@ def test_invalid_schedule_fails_once_before_any_work(
          "k-factor", "gadget-mode", "cap-string", "bins-string", "window-scalar", "inputs-scalar",
          "not-object-number", "not-object-list", "malformed-json",
          "outdir-number", "workers-string", "seed-string", "steps-float", "steps-bool",
-         "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "inputs-number-item",
+         "cap-bool", "sweeps-string", "t0-bool", "window-string-item", "window-short", "window-long",
+         "inputs-number-item",
          "t0-inf", "window-inf", "workers-zero", "workers-negative",
          "outdir-file-run", "outdir-file-anneal", "outdir-file-compile"],
 )
@@ -871,6 +874,18 @@ def test_cli_rejects_unknown_config_keys(tmp_path, small_corpus, capsys):
     out = tmp_path / "out"
     assert run_cli(["run", str(small_corpus), "--config", str(config), "--outdir", str(out)]) == 1
     assert capsys.readouterr().err == "error: unknown config keys: stepz\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", [[0.1], [0.05, 0.5, 1.0]], ids=["short", "long"])
+def test_config_window_of_wrong_length_names_the_key(tmp_path, small_corpus, capsys, window):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"beta_window": window}))
+    out = tmp_path / "out"
+    assert run_cli(["run", str(small_corpus), "--config", str(config), "--outdir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: config key beta_window must be a list of float of length 2, got {window!r}\n"
+    )
     assert not out.exists()
 
 

@@ -18,7 +18,7 @@ from spinsat.cnf import (
 from spinsat import satcore
 from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, solve
 
-from reference import reference_brute_force_models, reference_logical_energy
+from reference import reference_brute_force_models, reference_clause_masks, reference_logical_energy
 
 # Recorded from the recursive dict-based DPLL that preceded the bitmask
 # solver. They pin its decisions: which model solve returns, and the order in
@@ -85,7 +85,7 @@ def reference_propagate(clauses: list[tuple[int, int]], true: int, false: int) -
 def reference_enumerate(f: Formula, cap: int) -> ModelSet:
     """Unpruned capped enumeration over a growing clause list, each model
     found by the clause-major DPLL that preceded the variable-major rows."""
-    clauses = satcore._clause_masks(f)
+    clauses = reference_clause_masks(f)
 
     def first_model() -> int | None:
         stack = [(0, 0)]
@@ -150,7 +150,7 @@ def test_propagate_matches_clause_major_reference(uf20_formulas):
         # formula becomes UNSAT.
         g = with_blocking_clauses(f, models[:k])
         rows, every = satcore._clause_rows(g)
-        clauses = satcore._clause_masks(g)
+        clauses = reference_clause_masks(g)
         for true, false in partial_states(rng, g, models, 30):
             result, _ = satcore._propagate(rows, every, true, false)
             assert result == reference_propagate(clauses, true, false)
