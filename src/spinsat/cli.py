@@ -131,6 +131,8 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
 
     Every output name is keyed on the file stem, so two different files with
     the same stem would overwrite each other's artifacts: that is an error.
+    So is a stem with a comma, a double quote or a line break, which would
+    split or break its row of the summary CSV, whose cells are not quoted.
     """
     files: dict[str, Path] = {}
     for raw in paths:
@@ -142,6 +144,11 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
         else:
             raise FileNotFoundError(raw)
         for path in found:
+            if any(c in path.stem for c in ',"\r\n'):
+                raise InputError(
+                    f"{path}: the stem {path.stem!r} holds a comma, a double quote "
+                    "or a line break, which the summary CSV cannot hold"
+                )
             first = files.setdefault(path.stem, path)
             if not first.samefile(path):
                 raise InputError(

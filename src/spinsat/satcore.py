@@ -14,20 +14,22 @@ N)``, where P and N are the clauses holding +v and -v as an integer with bit c
 for clause c. The clauses an assignment satisfies are then the OR of the rows
 of its literals, and one pass over the free variables' rows counts the free
 literals of every clause at once. Enumeration adds each blocking clause as
-the next clause bit of the rows.
+the next clause bit of the rows, in place.
 
 Each enumeration rerun differs from the last by that one clause, so it
-reuses what the last rerun learnt about the states it resolved: a subtree
-that held no model is skipped, and a result the clause provably leaves
-unchanged is taken as it was (`enumerate_models` gives the rules and their
-proofs), as in incremental SAT solving (Eén & Sörensson, SAT 2003). Given
-the exact model set, the search also keeps per variable and value an int
-with bit k for each model k that agrees, and skips a state that extends no
-model not yet found by ANDing them.
+reuses what the last rerun learnt about the states it resolved: a state
+inside a subtree that held no model is skipped, and a result the clause
+provably leaves unchanged is taken as it was (`enumerate_models` gives the
+rules and their proofs), as in incremental SAT solving (Eén & Sörensson, SAT
+2003). Given the exact model set, the search also keeps per variable and
+value an int with bit k for each model k that agrees, skips a state that
+extends no model not yet found by ANDing them, and returns the one model
+left at a state that only one extends, without propagating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -53,22 +55,26 @@ class ModelSet:
     truncated: bool
 
 
-Rows = list[tuple[int, int, int]]
+Rows = list[list[int]]
 
 
 def _clause_rows(f: Formula) -> tuple[Rows, int]:
-    """One row ``(1 << v, clauses holding +v, clauses holding -v)`` per
-    variable v, and the mask of every clause bit; bit c stands for clause c.
-    A clause holds a literal once, so each sum over ``f.occurrences`` is an OR."""
-    rows = [
-        (1 << v, sum(1 << c for c, sign in occ if sign > 0), sum(1 << c for c, sign in occ if sign < 0))
-        for v, occ in enumerate(f.occurrences)
-    ]
+    """One row ``[1 << v, clauses holding +v, clauses holding -v]`` per
+    variable v, and the mask of every clause bit; bit c stands for clause c."""
+    rows = []
+    for v, occ in enumerate(f.occurrences):
+        pos = neg = 0
+        for c, sign in occ:
+            if sign > 0:
+                pos |= 1 << c
+            else:
+                neg |= 1 << c
+        rows.append([1 << v, pos, neg])
     return rows, (1 << len(f.clauses)) - 1
 
 
 Result = tuple[int, int, bool] | None
-Resolved = dict[tuple[int, int], tuple[Result, bool]]
+Resolved = dict[tuple[int, int], tuple[Result, bool, int]]
 
 
 def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, bool]:
@@ -81,8 +87,8 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, b
     clauses, into ``ge1`` and ``ge2``: the clauses with at least one and at
     least two free literals. A clause outside ``ge1``, or a variable forced
     both ways, is a conflict. The clauses in ``ge1`` but not ``ge2`` are
-    units, all set together before the next round. Pure literals are set
-    only at a round with no unit.
+    units, all set together, in the pass that folds their rows in. Pure
+    literals are set only at a round with no unit.
 
     Unit propagation is confluent: in whatever order units are set, it
     reaches one closure, or a conflict. Pure literals and "all satisfied" are
@@ -98,16 +104,18 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, b
     satisfied = 0
     free = rows
     pured = False
+    # The assigned variables whose rows are still in ``free``.
+    fold = true | false
     while True:
-        assigned = true | false
-        unassigned = []
-        for row in free:
-            bit = row[0]
-            if bit & assigned:
-                satisfied |= row[1] if bit & true else row[2]
-            else:
-                unassigned.append(row)
-        free = unassigned
+        if fold:
+            unassigned = []
+            for row in free:
+                bit = row[0]
+                if bit & fold:
+                    satisfied |= row[1] if bit & true else row[2]
+                else:
+                    unassigned.append(row)
+            free = unassigned
         unsat = every & ~satisfied
         if not unsat:
             return (true, false, True), False
@@ -127,16 +135,21 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, b
             return None, False
         units = unsat ^ ge2
         if units:
-            forced_true = forced_false = 0
-            for bit, pos, neg in free:
+            unassigned = []
+            for row in free:
+                bit, pos, neg = row
                 if pos & units:
-                    forced_true |= bit
-                if neg & units:
-                    forced_false |= bit
-            if forced_true & forced_false:
-                return None, False
-            true |= forced_true
-            false |= forced_false
+                    if neg & units:
+                        return None, False
+                    true |= bit
+                    satisfied |= pos
+                elif neg & units:
+                    false |= bit
+                    satisfied |= neg
+                else:
+                    unassigned.append(row)
+            free = unassigned
+            fold = 0
             continue
         pure = pos_occurs ^ neg_occurs
         if not pure:
@@ -144,6 +157,7 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, b
         pured = True
         true |= pure & pos_occurs
         false |= pure & neg_occurs
+        fold = pure
 
 
 def _solve_masks(
@@ -153,6 +167,7 @@ def _solve_masks(
     blocked: int = 0,
     agree: list[list[int]] | None = None,
     alive: int = 0,
+    models: list[int] | None = None,
 ) -> tuple[int | None, Resolved | None]:
     """Mask of the true variables of the first model found, or None if
     UNSAT, and the states this run resolved.
@@ -161,59 +176,97 @@ def _solve_masks(
     unassigned variable, true branch first. ``previous``, when given, maps
     each state the last run resolved to what `_propagate` returned for it,
     over the clauses without the last one, which blocks the model with
-    true-mask ``blocked``. By the rules of `enumerate_models`, such a state
-    that assigns a variable against that model is skipped, and one whose
-    entry has ``keep`` takes its entry instead of a new call. This run's
-    states are returned the same way, or None when ``previous`` is None.
+    true-mask ``blocked``, and to the alive models the state carried. By the
+    rules of `enumerate_models`, a state that extends one of those states
+    assigning a variable against that model is skipped, and one whose entry
+    has ``keep`` takes its entry instead of a new call. This run's states
+    are returned the same way, or None when ``previous`` is None. Once the
+    search leaves a subtree that held no model, it keeps only the subtree's
+    root, which each state below it extends, so at most two states per
+    level of the path stay.
 
     ``agree``, when given, holds per variable the models with it true and
-    those with it false, each an int with bit k for model k, and ``alive``
-    the models of the clauses. A stack entry carries the alive models that
-    agree with the branch decisions on its path, and a state that none
-    agrees with is dropped before propagation. That drops exactly the states
-    no alive model extends: an alive model that agrees with the decisions
-    satisfies every unit literal on the path, and setting a pure literal in
-    it leaves an alive model with the same value at every later branch
-    variable. A subtree returns only a model that extends its state, so
-    every dropped subtree would have returned None, and the search finds
-    the same first model.
+    those with it false, each an int with bit k for model k, whose true-mask
+    is ``models[k]``, and ``alive`` the models of the clauses. A stack entry
+    carries the alive models that agree with the branch decisions on its
+    path, and a state that none agrees with is dropped before propagation.
+    That drops exactly the states no alive model extends: an alive model
+    that agrees with the decisions satisfies every unit literal on the path,
+    and setting a pure literal in it leaves an alive model with the same
+    value at every later branch variable. A subtree returns only a model
+    that extends its state, so every dropped subtree would have returned
+    None, and the search finds the same first model. A state that one alive
+    model agrees with returns it (the third rule of `enumerate_models`).
+
+    So with ``agree`` no subtree the search enters is left without a model,
+    and the last run resolved one path from the root, in order, each state
+    of it carrying its model and one more at least. This run follows that
+    path while each state takes its entry and still carries two alive models
+    or more: such a state branches as before, the branch it took before
+    still holds an alive model, and a true branch it passed over holds none.
+    Those states' entries are copied over as they are, and the search
+    starts at the first state past them.
     """
     resolved = None if previous is None else {}
-    # Without ``agree`` every entry carries -1, and nothing is dropped.
-    stack = [(0, 0, -1 if agree is None else alive)]
+    # Without ``agree`` every entry carries -1, and nothing is dropped. The
+    # last item is how many of this run's states stay when the entry is
+    # popped: those on its path and the roots of finished subtrees beside it.
+    stack = [(0, 0, -1 if agree is None else alive, 0)]
+    dead = ()
+    if previous and agree is None:
+        # No model of the clauses extends these states.
+        dead = [(t, f) for t, f in previous if t & ~blocked or f & blocked]
+    elif previous:
+        last = len(previous) - 1
+        for depth, (state, (_, keep, compatible)) in enumerate(previous.items()):
+            compatible &= alive
+            if not keep or not compatible & (compatible - 1) or depth == last:
+                break
+        resolved = dict(islice(previous.items(), depth))
+        stack = [(*state, compatible, depth)]
     while stack:
-        true, false, compatible = stack.pop()
-        if not compatible:
-            continue
-        state = true, false
-        known = previous.get(state) if previous else None
-        if known is not None and (true & ~blocked or false & blocked):
-            resolved[state] = known
-            continue
-        if known is None or not known[1]:
-            known = _propagate(rows, every, true, false)
+        true, false, compatible, mark = stack.pop()
         if resolved is not None:
-            resolved[state] = known
-        result = known[0]
-        if result is None:
-            continue
-        true, false, satisfied = result
-        if satisfied:
-            # Variables left unassigned are unconstrained; complete them as False.
-            return true, resolved
-        assigned = true | false
-        branch = ~assigned & (assigned + 1)
-        with_true = with_false = compatible
-        if agree is not None:
-            if_true, if_false = agree[branch.bit_length() - 1]
-            with_true, with_false = compatible & if_true, compatible & if_false
-        stack.append((true, false | branch, with_false))
-        stack.append((true | branch, false, with_true))
+            while len(resolved) > mark:
+                resolved.popitem()
+        # Descend through true branches; a false branch waits on the stack.
+        while compatible:
+            if not compatible & (compatible - 1):
+                return models[compatible.bit_length() - 1], resolved
+            state = true, false
+            if dead and any(true & t == t and false & f == f for t, f in dead):
+                resolved[state] = None, False, compatible
+                break
+            known = previous.get(state) if previous else None
+            if known is None or not known[1]:
+                known = _propagate(rows, every, true, false)
+            if resolved is not None:
+                resolved[state] = known[0], known[1], compatible
+                mark = len(resolved)
+            result = known[0]
+            if result is None:
+                break
+            true, false, satisfied = result
+            if satisfied:
+                # Variables left unassigned are unconstrained; complete them as False.
+                return true, resolved
+            assigned = true | false
+            branch = ~assigned & (assigned + 1)
+            with_false = compatible
+            if agree is not None:
+                if_true, if_false = agree[branch.bit_length() - 1]
+                compatible, with_false = compatible & if_true, compatible & if_false
+            if with_false:
+                # Popped, it keeps the true branch's root.
+                stack.append((true, false | branch, with_false, mark + 1))
+            true |= branch
     return None, resolved
 
 
 def _assignment(true: int, num_vars: int) -> Assignment:
-    return tuple(bool(true >> v & 1) for v in range(num_vars))
+    # The binary digits of ``true`` with a 1 put above bit num_vars - 1,
+    # past "0b1" and reversed: character v is bit v.
+    return tuple([digit == "1" for digit in bin(true | 1 << num_vars)[:2:-1]])
 
 
 def solve(f: Formula) -> Assignment | None:
@@ -236,64 +289,80 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     The result is the same as without it.
 
     A rerun differs from the last only by the blocking clause C of the
-    model m just found, which has a literal of every variable. Of the states
-    the last rerun resolved, the next one skips or reuses two kinds:
+    model m just found, which has a literal of every variable. The next
+    rerun skips or reuses three kinds of state:
 
-    - A state S that assigns a variable against m is skipped with its whole
-      subtree. The last rerun resolved S before it found m, and a model
-      found in S's subtree would extend S, so that subtree held none. The
-      search is complete (pure literals keep a satisfiable state
-      satisfiable, and a dropped or skipped subtree holds no model either),
-      so the clauses with S have no model, and with C added still none.
+    - A state S that extends a state T of the last rerun which assigns a
+      variable against m is skipped with its whole subtree. The last rerun
+      resolved T before it found m, and a model found in T's subtree would
+      extend T, so that subtree held none. The search is complete (pure
+      literals keep a satisfiable state satisfiable, and a dropped or
+      skipped subtree holds no model either), so no model of the clauses
+      extends T, nor S, and with C added still none. So once a rerun leaves
+      a subtree without a model, it need keep only the subtree's root.
     - A state S whose result has ``keep`` takes that result. Every round of
       that call had at least two free variables, so C, while unsatisfied,
       had at least two free literals: it was never a unit nor empty, and
       every round repeats. At the end each free variable occurs both ways,
       as none was pure, so C's literals make none pure, and the call ends
       open at the same masks, again with ``keep``.
+    - With ``exact``, a state S that one alive model m' agrees with (one
+      not yet found that agrees with every branch decision on the path to
+      S) returns m' without propagating. Some alive model extends S and
+      agrees with those decisions (see `_solve_masks`), so it is m'. Then S
+      is satisfiable, and the complete search below it returns a model that
+      extends S: a model of the clauses, so alive, and one that agrees with
+      the decisions, so m' again. The subtree could return no other.
 
     Only the last rerun's states are kept, so each entry is checked against
-    exactly one new clause.
+    exactly one new clause. A found model stays an int, its true-mask, until
+    the result is built.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    agree = None
+    agree = models = None
     alive = 0
     if exact is not None:
         if exact.truncated:
             raise ValueError("exact model set must not be truncated")
+        if f.num_vars > BRUTE_FORCE_MAX_VARS:
+            raise ValueError(f"exact model sets are limited to {BRUTE_FORCE_MAX_VARS} variables")
         alive = (1 << len(exact.models)) - 1
-        # Variable v's column of the model table, packed into an int with
-        # bit k for model k, is the set of models with v true.
-        table = np.array(exact.models, dtype=bool).reshape(len(exact.models), f.num_vars)
-        agree = []
-        for column in table.T:
-            true = int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
-            agree.append([true, alive ^ true])
-        index = {model: k for k, model in enumerate(exact.models)}
+        n = f.num_vars
+        table = np.fromiter(chain.from_iterable(exact.models), bool, len(exact.models) * n)
+        table = table.reshape(len(exact.models), n)
+        # Row k of the model table, read in binary, is model k's true-mask,
+        # which fits an int64 at up to 24 variables. Variable v's column,
+        # packed into an int with bit k for model k, is the set of models
+        # with v true.
+        models = (table @ (1 << np.arange(n, dtype=np.int64))).tolist()
+        index = {model: k for k, model in enumerate(models)}
+        columns = np.packbits(table.T, axis=1, bitorder="little")
+        agree = [[true, alive ^ true] for true in (int.from_bytes(c.tobytes(), "little") for c in columns)]
     rows, every = _clause_rows(f)
     resolved: Resolved = {}
     true = 0
-    models: list[Assignment] = []
-    while len(models) < cap:
-        true, resolved = _solve_masks(rows, every, resolved, true, agree, alive)
+    found: list[int] = []
+    while len(found) < cap:
+        true, resolved = _solve_masks(rows, every, resolved, true, agree, alive, models)
         if true is None:
-            return ModelSet(tuple(models), truncated=False)
-        model = _assignment(true, f.num_vars)
-        models.append(model)
+            break
+        found.append(true)
         # The blocking clause holds -v for every variable v true in the
         # model and +v for every other; it takes the next clause bit.
         block = every + 1
         every |= block
-        rows = [(bit, pos, neg | block) if bit & true else (bit, pos | block, neg)
-                for bit, pos, neg in rows]
+        for row in rows:
+            row[2 if row[0] & true else 1] |= block
         if agree is not None:
-            alive &= ~(1 << index[model])
-    if agree is not None:
+            alive &= ~(1 << index[true])
+    if true is None:
+        truncated = False
+    elif agree is not None:
         truncated = bool(alive)
     else:
         truncated = _solve_masks(rows, every, resolved, true)[0] is not None
-    return ModelSet(tuple(models), truncated=truncated)
+    return ModelSet(tuple(_assignment(true, f.num_vars) for true in found), truncated=truncated)
 
 
 def backbone(ms: ModelSet) -> tuple[tuple[int, bool], ...]:

@@ -219,6 +219,24 @@ def test_run_rejects_inputs_sharing_a_stem(tmp_path, uf20_paths, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_a_stem_the_summary_csv_cannot_hold(tmp_path, uf20_paths, capsys):
+    # A comma in the stem would add a cell to its summary row, which
+    # `report` then refuses; the run stops before any output instead.
+    source = next(p for p in uf20_paths if p.stem == "uf20-sb-001")
+    (tmp_path / "a,b.cnf").write_bytes(source.read_bytes())
+    out = tmp_path / "out"
+    code = run_cli(["run", str(tmp_path / "a,b.cnf"), "--outdir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "'a,b'" in err
+    assert not out.exists()
+    for stem in ('a"b', "a\rb", "a\nb"):
+        (tmp_path / f"{stem}.cnf").write_bytes(source.read_bytes())
+        assert run_cli(["run", str(tmp_path / f"{stem}.cnf"), "--outdir", str(out)]) == 1
+        assert "summary CSV" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_directory_skips_subdirectories_named_cnf(tmp_path, uf20_paths, capsys):
     corpus = tmp_path / "in"
     (corpus / "sub.cnf").mkdir(parents=True)

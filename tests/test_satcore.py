@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -139,6 +140,59 @@ def partial_states(rng: np.random.Generator, f: Formula, models, count: int):
         yield true, false
 
 
+@dataclass
+class Run:
+    """One `_solve_masks` call: the last run's states, the model they were
+    checked against, the states this run kept and the model it found."""
+
+    previous: dict
+    blocked: int
+    states: dict
+    found: int | None
+    calls: int
+
+    def dead(self) -> list[tuple[int, int]]:
+        """The last run's states that assign a variable against its model."""
+        return [(t, f) for t, f in self.previous if t & ~self.blocked or f & self.blocked]
+
+    def skipped(self) -> list[tuple[int, int]]:
+        """The states kept here that extend one of `dead`."""
+        dead = self.dead()
+        return [(true, false) for true, false in self.states
+                if any(true & t == t and false & f == f for t, f in dead)]
+
+
+@dataclass
+class SearchLog:
+    """What each `_propagate` call returned and what each run kept."""
+
+    fresh: list = field(default_factory=list)
+    runs: list[Run] = field(default_factory=list)
+
+
+@pytest.fixture
+def search_log(monkeypatch) -> SearchLog:
+    """Count the search's work: every new `_propagate` call and every
+    `_solve_masks` run, through the module attributes the search calls."""
+    log = SearchLog()
+    propagate, solve_masks = satcore._propagate, satcore._solve_masks
+
+    def counted_propagate(*args):
+        outcome = propagate(*args)
+        log.fresh.append(outcome)
+        return outcome
+
+    def logged_solve(rows, every, previous=None, blocked=0, *rest):
+        calls = len(log.fresh)
+        true, states = solve_masks(rows, every, previous, blocked, *rest)
+        log.runs.append(Run(previous or {}, blocked, states or {}, true, len(log.fresh) - calls))
+        return true, states
+
+    monkeypatch.setattr(satcore, "_propagate", counted_propagate)
+    monkeypatch.setattr(satcore, "_solve_masks", logged_solve)
+    return log
+
+
 def test_propagate_matches_clause_major_reference(uf20_formulas):
     rng = np.random.default_rng(53)
     cases = [(f, k) for f in uf20_formulas for k in (0, 1, 30, 119)]
@@ -158,7 +212,7 @@ def test_propagate_matches_clause_major_reference(uf20_formulas):
     assert outcomes == {"conflict", False, True}
 
 
-def test_enumerate_matches_clause_major_reference_beyond_brute_force(monkeypatch):
+def test_enumerate_matches_clause_major_reference_beyond_brute_force(search_log):
     # n = 50 is beyond brute_force_models, so this is the unpruned search,
     # and with the blocking clauses the rows hold more than 200 clause bits.
     f = generate_random_3sat(50, 200, seed=7)
@@ -166,37 +220,45 @@ def test_enumerate_matches_clause_major_reference_beyond_brute_force(monkeypatch
     assert len(ms.models) == 8 and ms.truncated
     assert ms == reference_enumerate(f, cap=8)
     assert len(f.clauses) + len(ms.models) > 200
+    # Past 64 variables a true-mask no longer fits an int64; each model is
+    # read off a Python int.
+    for seed in (1, 2, 3):
+        f = generate_random_3sat(70, 150, seed=seed)
+        ms = enumerate_models(f, cap=5)
+        assert len(ms.models) == 5 and ms.truncated
+        assert any(model[64:] != (False,) * 6 for model in ms.models)
+        assert ms == reference_enumerate(f, cap=5)
     # This one backtracks: each rerun after the first skips subtrees that
     # held no model in the rerun before, as well as reusing open states.
     f = generate_random_3sat(50, 218, seed=2)
-    fresh = []
-    skipped = []
-    resolved = 0
-
-    def counted_propagate(*args):
-        outcome = propagate(*args)
-        fresh.append(outcome)
-        return outcome
-
-    def counted_solve(rows, every, previous=None, blocked=0, *rest):
-        nonlocal resolved
-        true, states = solve_masks(rows, every, previous, blocked, *rest)
-        resolved += len(states)
-        skipped.append(sum(1 for set_true, set_false in states.keys() & (previous or {}).keys()
-                           if set_true & ~blocked or set_false & blocked))
-        return true, states
-
-    propagate, solve_masks = satcore._propagate, satcore._solve_masks
-    monkeypatch.setattr(satcore, "_propagate", counted_propagate)
-    monkeypatch.setattr(satcore, "_solve_masks", counted_solve)
+    search_log.fresh.clear()
+    search_log.runs.clear()
     ms = enumerate_models(f, cap=40)
     assert len(ms.models) == 40 and ms.truncated
-    assert len(skipped) == 41 and min(skipped[1:]) > 0
-    assert any(result is None for result, _ in fresh)
-    # The reruns resolve 1,216 states, 250 of them skipped, and all but 412
-    # take what the rerun before returned for them.
-    assert (resolved, sum(skipped), len(fresh)) == (1216, 250, 412)
+    runs = search_log.runs
+    skipped = [len(run.skipped()) for run in runs]
+    # Each rerun after the first keeps a skipped state, but one: rerun 32
+    # backtracks, and every state it skips lies in a subtree it left.
+    assert len(runs) == 41 and skipped[0] == 0 and skipped[1:].count(0) == 1
+    assert any(result is None for result, _ in search_log.fresh)
+    # The reruns keep 888 states, 229 of them skipped, and make 411 new
+    # calls. A kept root stands for the states below it, which extend it,
+    # so a rerun skips them wherever it meets them.
+    resolved = sum(len(run.states) for run in runs)
+    assert (resolved, sum(skipped), len(search_log.fresh)) == (888, 229, 411)
     assert ms == reference_enumerate(f, cap=40)
+
+
+def test_unsat_rerun_keeps_two_states_per_level(search_log):
+    # Only the path and the root of each finished subtree beside it stay:
+    # this UNSAT search resolves 8,453 states and keeps 23 of them.
+    f = generate_random_3sat(75, 320, seed=1)
+    ms = enumerate_models(f, cap=1)
+    assert ms == ModelSet((), truncated=False)
+    (run,) = search_log.runs
+    assert len(search_log.fresh) == 8453
+    assert len(run.states) <= 2 * (f.num_vars + 1)
+    assert len(run.states) == 23
 
 
 def test_keep_leaves_propagation_unchanged(uf20_formulas):
@@ -226,28 +288,22 @@ def test_keep_leaves_propagation_unchanged(uf20_formulas):
     assert outcomes == {"keep", "refused", "refused, changed"}
 
 
-def test_skipped_states_extend_no_model_left(uf20_formulas, monkeypatch):
-    # A rerun skips each state of the last rerun that assigns a variable
-    # against the model just blocked: no model of the clauses, blocking
-    # clauses included, may extend it.
+def test_skipped_states_extend_no_model_left(uf20_formulas, search_log):
+    # A rerun skips each state that extends a state of the last rerun which
+    # assigns a variable against the model just blocked: no model of the
+    # clauses, blocking clauses included, may extend it.
     skipped = 0
-
-    def checked_solve(rows, every, previous=None, blocked=0, *rest):
-        nonlocal skipped
-        for set_true, set_false in previous or ():
-            if set_true & ~blocked or set_false & blocked:
-                skipped += 1
-                assert not any(m & set_true == set_true and not m & set_false for m in alive)
-        true, states = solve_masks(rows, every, previous, blocked, *rest)
-        alive.discard(true)
-        return true, states
-
-    solve_masks = satcore._solve_masks
-    monkeypatch.setattr(satcore, "_solve_masks", checked_solve)
     for f in list(uf20_formulas) + frozen_family():
+        search_log.runs.clear()
+        enumerate_models(f, cap=50)
         alive = {sum(1 << v for v, value in enumerate(model) if value)
                  for model in brute_force_models(f).models}
-        enumerate_models(f, cap=50)
+        for run in search_log.runs:
+            dead = run.dead() + run.skipped()
+            skipped += len(dead)
+            for set_true, set_false in dead:
+                assert not any(m & set_true == set_true and not m & set_false for m in alive)
+            alive.discard(run.found)
     assert skipped > 0
 
 
@@ -491,6 +547,13 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
     assert brute_force_models(sparse) == reference_brute_force_models(sparse)
     assert {type(value) for model in brute_force_models(sparse).models for value in model} == {bool}
     cases += [(sparse, cap) for cap in (1, 120, 300)]
+    # Few clauses leave many models, so a state agrees with many of them
+    # down to deep states, and one that only one model agrees with comes late.
+    rng = np.random.default_rng(83)
+    for n in (4, 8, 12, 16):
+        for alpha in (0.5, 1, 2):
+            f = generate_random_3sat(n, max(1, int(alpha * n)), seed=int(rng.integers(10**6)))
+            cases += [(f, cap) for cap in (1, 7, 120)]
     for f, cap in cases:
         pruned = enumerate_models(f, cap, brute_force_models(f))
         assert pruned == enumerate_models(f, cap)
@@ -498,49 +561,66 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
         assert (pruned.models[0] if pruned.models else None) == solve(f)
 
 
-def test_pruned_enumeration_never_backtracks(uf20_paths, monkeypatch):
+def test_pruned_enumeration_never_backtracks(uf20_paths, search_log):
     # Every state the pruned search resolves extends a model not yet found,
     # so no state ends in a conflict and each model costs at most one state
     # per variable plus the root.
     f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
     exact = brute_force_models(f)
     alive = {sum(1 << v for v, value in enumerate(model) if value) for model in exact.models}
-    fresh = []
-    resolved = []
-
-    def counted_propagate(*args):
-        outcome = propagate(*args)
-        fresh.append(outcome)
-        return outcome
-
-    def counted_solve(*args):
-        true, states = solve_masks(*args)
-        for set_true, set_false in states:
-            assert any(m & set_true == set_true and not m & set_false for m in alive)
-        resolved.extend(states.values())
-        alive.discard(true)
-        return true, states
-
-    propagate, solve_masks = satcore._propagate, satcore._solve_masks
-    monkeypatch.setattr(satcore, "_propagate", counted_propagate)
-    monkeypatch.setattr(satcore, "_solve_masks", counted_solve)
     ms = enumerate_models(f, cap=120, exact=exact)
     assert len(ms.models) == 120 and ms.truncated
-    results = [result for result, _ in resolved]
+    results = []
+    for run in search_log.runs:
+        for set_true, set_false in run.states:
+            assert any(m & set_true == set_true and not m & set_false for m in alive)
+        results.extend(result for result, _, _ in run.states.values())
+        alive.discard(run.found)
     assert results and None not in results
     assert len(results) <= (f.num_vars + 1) * len(ms.models)
     # The exact count of resolved states pins the search tree itself:
     # propagation that returned other masks on some state would branch
     # differently and move it. The count of new calls pins the reuse: every
-    # other state takes what the previous rerun returned for it.
-    assert len(results) == 1288
-    assert len(fresh) == 234
+    # other state takes what the previous rerun returned for it, or returns
+    # the one model not yet found that agrees with it, unresolved.
+    assert len(results) == 1156
+    assert len(search_log.fresh) == 169
+
+
+def test_one_alive_model_needs_no_propagation(uf20_paths, search_log):
+    # uf20-sb-002 has one model: the first run returns it at the root, and
+    # the second finds no model left, both without a call to _propagate.
+    f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-002"))
+    exact = brute_force_models(f)
+    assert len(exact.models) == 1
+    assert enumerate_models(f, cap=120, exact=exact) == exact
+    assert [(run.found, run.calls) for run in search_log.runs] == [
+        (sum(1 << v for v, value in enumerate(exact.models[0]) if value), 0),
+        (None, 0),
+    ]
+    assert search_log.fresh == []
+    # uf20-sb-005 enumerated to the end: 47 of its 145 models, and the
+    # empty rest, are found without a call.
+    f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
+    exact = brute_force_models(f)
+    search_log.runs.clear()
+    assert enumerate_models(f, cap=200, exact=exact).models == enumerate_models(f, cap=200).models
+    pruned = search_log.runs[:len(exact.models) + 1]
+    assert pruned[-1].found is None and pruned[-1].calls == 0
+    assert [run.calls for run in pruned].count(0) == 48
 
 
 def test_enumerate_rejects_truncated_exact_set():
     f = Formula(4, ())
     with pytest.raises(ValueError):
         enumerate_models(f, cap=3, exact=enumerate_models(f, cap=3))
+
+
+def test_enumerate_rejects_exact_set_past_brute_force():
+    f = Formula(satcore.BRUTE_FORCE_MAX_VARS + 1, ())
+    exact = ModelSet(((False,) * f.num_vars,), truncated=False)
+    with pytest.raises(ValueError, match="limited to 24 variables"):
+        enumerate_models(f, cap=1, exact=exact)
 
 
 def test_brute_force_matches_scan_in_order(uf20_formulas):
