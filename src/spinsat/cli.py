@@ -362,7 +362,7 @@ def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
     exact_models, models = _model_sets(formula, config.cap)
-    if not models.models:
+    if not len(models.models):
         return f"{formula.source_name}: sat=false"
     size = len(backbone(models))
     normalized = f"{size / formula.num_vars:.3f}" if formula.num_vars else "n/a"
@@ -397,7 +397,7 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
     H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
 
     exact_models, capped_models = _model_sets(formula, config.cap)
-    sat = bool(capped_models.models)
+    sat = len(capped_models.models) > 0
     capped_size = exact_size = slack_value = None
     if sat:
         capped_size = len(backbone(capped_models))

@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import compress
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -216,28 +215,30 @@ def write_dimacs(f: Formula) -> str:
     return "\n".join(lines) + "\n"
 
 
-def mean_slack(f: Formula, models: Sequence[Sequence[bool]]) -> float:
-    """Mean over ``models`` of each model's average clause slack, the number
+def mean_slack(f: Formula, models: np.ndarray) -> float:
+    """Mean over the rows of the bool table ``models`` (a
+    ``satcore.ModelSet``'s) of each model's average clause slack, the number
     of its satisfied literals divided by the number of clauses.
 
     An assignment's satisfied-literal total is linear in its values: every
     negative literal counts when all variables are false, and setting v true
-    adds pos_count[v] - neg_count[v]. Each total is an exact integer, divided
-    by m, and the quotients are summed left to right in model order, so no
-    clause is walked once per model.
+    adds pos_count[v] - neg_count[v]. Each total is an exact integer (in a
+    float64, below 2**53), built one column at a time and divided by m. The
+    quotients are summed strictly left to right in model order (``np.cumsum``
+    is sequential), not by the builtin ``sum``, which compensates float sums
+    since Python 3.12.
     """
-    if not models:
+    if not len(models):
         raise ValueError("mean slack undefined for an empty model list")
     if f.num_clauses == 0:
         raise ValueError("mean slack undefined for a formula with no clauses")
-    gain = [sum(sign for _, sign in occ) for occ in f.occurrences]
-    base = sum(sign < 0 for occ in f.occurrences for _, sign in occ)
-    per_model = []
-    for a in models:
-        if len(a) != f.num_vars:
-            raise ValueError(f"assignment length {len(a)} != num_vars {f.num_vars}")
-        per_model.append((base + sum(compress(gain, a))) / f.num_clauses)
-    return sum(per_model) / len(models)
+    if models.shape[1] != f.num_vars:
+        raise ValueError(f"assignment length {models.shape[1]} != num_vars {f.num_vars}")
+    totals = np.full(len(models), float(sum(sign < 0 for occ in f.occurrences for _, sign in occ)))
+    for v, occ in enumerate(f.occurrences):
+        np.add(totals, sum(sign for _, sign in occ), out=totals, where=models[:, v])
+    totals /= f.num_clauses
+    return float(np.cumsum(totals, out=totals)[-1]) / len(models)
 
 
 def clause_ratio(f: Formula) -> float:

@@ -29,7 +29,7 @@ left at a state that only one extends, without propagating.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 
@@ -47,11 +47,12 @@ __all__ = [
 BRUTE_FORCE_MAX_VARS = 24
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSet:
-    """A set of satisfying assignments; ``truncated`` if more exist."""
+    """Satisfying assignments as a read-only ``(count, num_vars)`` bool table,
+    row k for model k and column v for variable v; ``truncated`` if more exist."""
 
-    models: tuple[Assignment, ...]
+    models: np.ndarray
     truncated: bool
 
 
@@ -232,7 +233,7 @@ def _solve_masks(
         # Descend through true branches; a false branch waits on the stack.
         while compatible:
             if not compatible & (compatible - 1):
-                return models[compatible.bit_length() - 1], resolved
+                return int(models[compatible.bit_length() - 1]), resolved
             state = true, false
             if dead and any(true & t == t and false & f == f for t, f in dead):
                 resolved[state] = None, False, compatible
@@ -263,16 +264,24 @@ def _solve_masks(
     return None, resolved
 
 
-def _assignment(true: int, num_vars: int) -> Assignment:
-    # The binary digits of ``true`` with a 1 put above bit num_vars - 1,
-    # past "0b1" and reversed: character v is bit v.
-    return tuple([digit == "1" for digit in bin(true | 1 << num_vars)[:2:-1]])
+def _table(masks: np.ndarray | list[int], num_vars: int) -> np.ndarray:
+    """Read-only bool table of true-masks, a uint32 array or a list of ints:
+    row k is mask k and column v its bit v, unpacked from little-endian bytes."""
+    if isinstance(masks, np.ndarray):
+        width, data = 4, masks.astype("<u4", copy=False)
+    else:
+        width = (num_vars + 7) // 8
+        data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    rows = np.frombuffer(data, np.uint8).reshape(len(masks), width)
+    table = np.unpackbits(rows, axis=1, count=num_vars, bitorder="little").view(bool)
+    table.flags.writeable = False
+    return table
 
 
 def solve(f: Formula) -> Assignment | None:
     """Find one satisfying assignment, or None when the formula is UNSAT."""
     true, _ = _solve_masks(*_clause_rows(f))
-    return None if true is None else _assignment(true, f.num_vars)
+    return None if true is None else tuple(_table([true], f.num_vars)[0].tolist())
 
 
 def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) -> ModelSet:
@@ -283,10 +292,11 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     branching order. ``truncated`` is True iff a further model exists beyond
     the cap.
 
-    ``exact``, the complete model set of ``f`` (``brute_force_models``),
-    prunes the search: a partial assignment that extends no model not yet
-    found is skipped, and ``truncated`` is read off the models left over.
-    The result is the same as without it.
+    ``exact``, the complete model set of ``f`` in ascending order of
+    true-mask (``brute_force_models``), prunes the search: a partial
+    assignment that extends no model not yet found is skipped, and
+    ``truncated`` is read off the models left over. The result is the same
+    as without it.
 
     A rerun differs from the last only by the blocking clause C of the
     model m just found, which has a literal of every variable. The next
@@ -327,18 +337,17 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
             raise ValueError("exact model set must not be truncated")
         if f.num_vars > BRUTE_FORCE_MAX_VARS:
             raise ValueError(f"exact model sets are limited to {BRUTE_FORCE_MAX_VARS} variables")
-        alive = (1 << len(exact.models)) - 1
-        n = f.num_vars
-        table = np.fromiter(chain.from_iterable(exact.models), bool, len(exact.models) * n)
-        table = table.reshape(len(exact.models), n)
-        # Row k of the model table, read in binary, is model k's true-mask,
-        # which fits an int64 at up to 24 variables. Variable v's column,
-        # packed into an int with bit k for model k, is the set of models
-        # with v true.
-        models = (table @ (1 << np.arange(n, dtype=np.int64))).tolist()
-        index = {model: k for k, model in enumerate(models)}
-        columns = np.packbits(table.T, axis=1, bitorder="little")
-        agree = [[true, alive ^ true] for true in (int.from_bytes(c.tobytes(), "little") for c in columns)]
+        table = exact.models
+        alive = (1 << len(table)) - 1
+        # Row k, packed into bytes, is model k's true-mask, which fits a uint32
+        # at up to 24 variables; the masks ascend, so a found model's index is
+        # a binary search. Variable v's column, packed into an int with bit k
+        # for model k, is the set of models with v true.
+        packed = np.zeros((len(table), 4), np.uint8)
+        packed[:, :(f.num_vars + 7) // 8] = np.packbits(table, axis=1, bitorder="little")
+        models = packed.view("<u4").ravel()
+        columns = (np.packbits(column, bitorder="little").tobytes() for column in table.T)
+        agree = [[true, alive ^ true] for true in (int.from_bytes(c, "little") for c in columns)]
     rows, every = _clause_rows(f)
     resolved: Resolved = {}
     true = 0
@@ -355,25 +364,23 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         for row in rows:
             row[2 if row[0] & true else 1] |= block
         if agree is not None:
-            alive &= ~(1 << index[true])
+            alive &= ~(1 << int(models.searchsorted(np.uint32(true))))
     if true is None:
         truncated = False
     elif agree is not None:
         truncated = bool(alive)
     else:
         truncated = _solve_masks(rows, every, resolved, true)[0] is not None
-    return ModelSet(tuple(_assignment(true, f.num_vars) for true in found), truncated=truncated)
+    return ModelSet(_table(found, f.num_vars), truncated=truncated)
 
 
 def backbone(ms: ModelSet) -> tuple[tuple[int, bool], ...]:
     """The ``(variable, value)`` pairs every model in ``ms`` shares; from a
     truncated set, a superset of the true backbone."""
-    if not ms.models:
+    if not len(ms.models):
         raise ValueError("backbone undefined for an empty model set (UNSAT)")
-    first, *rest = ms.models
-    return tuple(
-        (v, value) for v, value in enumerate(first) if all(model[v] == value for model in rest)
-    )
+    always, ever = ms.models.all(axis=0), ms.models.any(axis=0)
+    return tuple((int(v), bool(always[v])) for v in np.flatnonzero(always | ~ever))
 
 
 def brute_force_models(f: Formula) -> ModelSet:
@@ -407,12 +414,4 @@ def brute_force_models(f: Formula) -> ModelSet:
         for pos, neg in by_lowest[v]:
             front = front[((front & np.uint32(pos)) != 0) | ((~front & np.uint32(neg)) != 0)]
     front.sort()
-    # Rows become tuples of bools 4,096 at a time, so beside the tuples only
-    # one block's bit table and Python lists are alive.
-    shifts = np.arange(n, dtype=np.uint32)
-    models = tuple(
-        model
-        for a in range(0, len(front), 4096)
-        for model in map(tuple, ((front[a:a + 4096, None] >> shifts) & 1).astype(bool).tolist())
-    )
-    return ModelSet(models, truncated=False)
+    return ModelSet(_table(front, n), truncated=False)

@@ -1,9 +1,10 @@
 """Test-only oracles: plain per-clause and per-spin evaluations the library never runs.
 
 ``anneal`` keeps clause slacks, flip costs and energies incrementally,
-``cnf.mean_slack`` sums literal counts over a model list and ``satcore``
+``cnf.mean_slack`` sums literal counts over a model table and ``satcore``
 works on bitmasks; these walk the formula, the polynomial, the spin list or
 every assignment directly, so tests can check the fast paths against them.
+``model_tuples`` reads a ``satcore.ModelSet``'s bool table as tuples.
 ``reference_clause_masks`` gives the clause-major masks that the satcore
 tests' reference DPLL propagates over.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
@@ -59,7 +60,13 @@ def reference_mean_slack(f: Formula, a: Sequence[bool]) -> float:
     return sum(reference_clause_slack(c, a) for c in f.clauses) / f.num_clauses
 
 
-def reference_brute_force_models(f: Formula) -> ModelSet:
+def model_tuples(ms: ModelSet) -> tuple[Assignment, ...]:
+    """The rows of ``ms.models``, a bool table, as one tuple of Python bools
+    per model: the form the tests compare, hash and put into sets."""
+    return tuple(map(tuple, ms.models.tolist()))
+
+
+def reference_brute_force_models(f: Formula) -> tuple[Assignment, ...]:
     """``satcore.brute_force_models`` one assignment at a time, in ascending
     index order (bit v of the index is variable v), one tuple of bools per model."""
     models = []
@@ -67,7 +74,7 @@ def reference_brute_force_models(f: Formula) -> ModelSet:
         a = tuple(bool(index >> v & 1) for v in range(f.num_vars))
         if reference_logical_energy(f, a) == 0:
             models.append(a)
-    return ModelSet(tuple(models), truncated=False)
+    return tuple(models)
 
 
 def reference_clause_masks(f: Formula) -> list[tuple[int, int]]:

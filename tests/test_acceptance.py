@@ -19,7 +19,7 @@ from spinsat.cnf import generate_random_3sat, parse_dimacs_file
 from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL
 from spinsat.satcore import backbone, brute_force_models, enumerate_models
 
-from reference import reference_core_minima, reference_mean_slack, reference_polynomial_value
+from reference import model_tuples, reference_core_minima, reference_mean_slack, reference_polynomial_value
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -43,7 +43,7 @@ def equivalence_violations(f, gadget_mode) -> int:
     minima = reference_core_minima(H)
     normalized = [value - H.energy_floor for value in minima]
     best = min(normalized)
-    models = set(brute_force_models(f).models)
+    models = set(model_tuples(brute_force_models(f)))
     n = f.num_vars
     argmin = {
         tuple(bool((k >> v) & 1) for v in range(n))
@@ -132,7 +132,7 @@ def test_criterion_05_backbone_consistency(uf20_formulas):
 def test_criterion_06_slack_window(uf20_formulas):
     values = []
     for f in uf20_formulas[:10]:
-        models = brute_force_models(f).models
+        models = model_tuples(brute_force_models(f))
         assert models, f.source_name
         values.append(sum(reference_mean_slack(f, m) for m in models) / len(models))
     ok = all(1.50 <= v <= 1.90 for v in values)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import math
 import pickle
@@ -21,6 +22,7 @@ from spinsat.cnf import (
 )
 
 from reference import reference_clause_slack, reference_logical_energy, reference_mean_slack
+from test_golden import GOLDEN, artifact_digests
 
 
 def all_assignments(n):
@@ -215,7 +217,11 @@ def test_mean_slack_small_formula_vs_hand_enumeration():
 
 
 def per_model_mean_slack(f: Formula, models) -> float:
-    return sum(reference_mean_slack(f, a) for a in models) / len(models)
+    # Strictly left to right: the builtin sum compensates floats since 3.12.
+    total = 0.0
+    for a in models:
+        total += reference_mean_slack(f, a)
+    return total / len(models)
 
 
 def test_models_mean_slack_matches_per_model_sum_on_exact_sets(uf20_formulas):
@@ -235,19 +241,44 @@ def test_models_mean_slack_counts_tautologies_and_short_clauses():
     f = parse_dimacs("p cnf 4 5\n1 -1 2 0\n-3 0\n2 4 0\n-2 3 -4 0\n4 -4 0\n")
     models = [a for a in all_assignments(4) if reference_unsat_count(f, a) == 0]
     assert models
-    assert mean_slack(f, models) == per_model_mean_slack(f, models)
+    assert mean_slack(f, np.array(models)) == per_model_mean_slack(f, models)
     everything = all_assignments(4)
-    assert mean_slack(f, everything) == per_model_mean_slack(f, everything)
+    assert mean_slack(f, np.array(everything)) == per_model_mean_slack(f, everything)
+
+
+def neumaier_sum(iterable, /, start=0):
+    """The builtin ``sum`` as CPython 3.12 and later compute it: once the
+    total is a float, each further float is added with Neumaier's compensation."""
+    total, compensation = start, 0.0
+    for x in iterable:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+def test_artifacts_do_not_depend_on_the_interpreters_sum(tmp_path, monkeypatch):
+    # The golden digests were recorded where ``sum`` adds floats left to
+    # right. Under a compensated ``sum``, 5 of the 12 uf20 mean slacks and
+    # both summary CSVs moved, until the mean slack stopped using it.
+    assert neumaier_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert neumaier_sum(x / 10 for x in range(10)) == math.fsum(x / 10 for x in range(10))
+    monkeypatch.delenv("SPINSAT_OUTDIR", raising=False)
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert artifact_digests(tmp_path) == GOLDEN
 
 
 def test_models_mean_slack_rejects_empty_inputs():
     f = parse_dimacs("p cnf 2 1\n1 2 0")
     with pytest.raises(ValueError):
-        mean_slack(f, [])
+        mean_slack(f, np.zeros((0, 2), dtype=bool))
     with pytest.raises(ValueError):
-        mean_slack(Formula(2, ()), [(True, False)])
+        mean_slack(Formula(2, ()), np.array([(True, False)]))
     with pytest.raises(ValueError):
-        mean_slack(f, [(True,)])
+        mean_slack(f, np.array([(True,)]))
 
 
 def test_clause_ratio(uf20_formulas):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import sys
+import tracemalloc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,13 +14,19 @@ from spinsat.cnf import (
     Formula,
     Literal,
     generate_random_3sat,
+    mean_slack,
     parse_dimacs,
     parse_dimacs_file,
 )
 from spinsat import satcore
 from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, solve
 
-from reference import reference_brute_force_models, reference_clause_masks, reference_logical_energy
+from reference import (
+    model_tuples,
+    reference_brute_force_models,
+    reference_clause_masks,
+    reference_logical_energy,
+)
 
 # Recorded from the recursive dict-based DPLL that preceded the bitmask
 # solver. They pin its decisions: which model solve returns, and the order in
@@ -105,13 +112,22 @@ def reference_enumerate(f: Formula, cap: int) -> ModelSet:
 
     every_var = (1 << f.num_vars) - 1
     models = []
+    truncated = False
     while len(models) < cap:
         true = first_model()
         if true is None:
-            return ModelSet(tuple(models), truncated=False)
+            break
         models.append(tuple(bool(true >> v & 1) for v in range(f.num_vars)))
         clauses.append((every_var ^ true, true))
-    return ModelSet(tuple(models), truncated=first_model() is not None)
+    else:
+        truncated = first_model() is not None
+    return ModelSet(np.array(models, dtype=bool).reshape(len(models), f.num_vars), truncated)
+
+
+def same(a: ModelSet, b: ModelSet) -> bool:
+    """Whether two model sets list the same models in the same order and
+    agree on truncation (``ModelSet`` compares by identity)."""
+    return a.truncated == b.truncated and np.array_equal(a.models, b.models)
 
 
 def with_blocking_clauses(f: Formula, models) -> Formula:
@@ -199,7 +215,7 @@ def test_propagate_matches_clause_major_reference(uf20_formulas):
     cases += [(f, k) for f in frozen_family() for k in (0, 1, 3)]
     outcomes = set()
     for f, k in cases:
-        models = brute_force_models(f).models
+        models = model_tuples(brute_force_models(f))
         # With k at least the model count, every model is blocked and the
         # formula becomes UNSAT.
         g = with_blocking_clauses(f, models[:k])
@@ -218,7 +234,7 @@ def test_enumerate_matches_clause_major_reference_beyond_brute_force(search_log)
     f = generate_random_3sat(50, 200, seed=7)
     ms = enumerate_models(f, cap=8)
     assert len(ms.models) == 8 and ms.truncated
-    assert ms == reference_enumerate(f, cap=8)
+    assert same(ms, reference_enumerate(f, cap=8))
     assert len(f.clauses) + len(ms.models) > 200
     # Past 64 variables a true-mask no longer fits an int64; each model is
     # read off a Python int.
@@ -226,8 +242,8 @@ def test_enumerate_matches_clause_major_reference_beyond_brute_force(search_log)
         f = generate_random_3sat(70, 150, seed=seed)
         ms = enumerate_models(f, cap=5)
         assert len(ms.models) == 5 and ms.truncated
-        assert any(model[64:] != (False,) * 6 for model in ms.models)
-        assert ms == reference_enumerate(f, cap=5)
+        assert any(model[64:] != (False,) * 6 for model in model_tuples(ms))
+        assert same(ms, reference_enumerate(f, cap=5))
     # This one backtracks: each rerun after the first skips subtrees that
     # held no model in the rerun before, as well as reusing open states.
     f = generate_random_3sat(50, 218, seed=2)
@@ -246,7 +262,7 @@ def test_enumerate_matches_clause_major_reference_beyond_brute_force(search_log)
     # so a rerun skips them wherever it meets them.
     resolved = sum(len(run.states) for run in runs)
     assert (resolved, sum(skipped), len(search_log.fresh)) == (888, 229, 411)
-    assert ms == reference_enumerate(f, cap=40)
+    assert same(ms, reference_enumerate(f, cap=40))
 
 
 def test_unsat_rerun_keeps_two_states_per_level(search_log):
@@ -254,7 +270,7 @@ def test_unsat_rerun_keeps_two_states_per_level(search_log):
     # this UNSAT search resolves 8,453 states and keeps 23 of them.
     f = generate_random_3sat(75, 320, seed=1)
     ms = enumerate_models(f, cap=1)
-    assert ms == ModelSet((), truncated=False)
+    assert model_tuples(ms) == () and not ms.truncated
     (run,) = search_log.runs
     assert len(search_log.fresh) == 8453
     assert len(run.states) <= 2 * (f.num_vars + 1)
@@ -272,7 +288,7 @@ def test_keep_leaves_propagation_unchanged(uf20_formulas):
     outcomes = set()
     for f in cases:
         n = f.num_vars
-        models = brute_force_models(f).models if n <= satcore.BRUTE_FORCE_MAX_VARS else ()
+        models = model_tuples(brute_force_models(f)) if n <= satcore.BRUTE_FORCE_MAX_VARS else ()
         rows, every = satcore._clause_rows(f)
         for true, false in partial_states(rng, f, models, 30):
             outcome = satcore._propagate(rows, every, true, false)
@@ -325,7 +341,7 @@ def test_solve_agrees_with_brute_force():
         n = int(rng.integers(3, 13))
         m = int(rng.integers(1, 4 * n))
         f = generate_random_3sat(n, m, seed=int(rng.integers(10**6)))
-        expected = reference_models(f) if n <= 10 else set(brute_force_models(f).models)
+        expected = reference_models(f) if n <= 10 else set(model_tuples(brute_force_models(f)))
         model = solve(f)
         assert (model is not None) == bool(expected)
         if model is not None:
@@ -342,13 +358,13 @@ def test_enumerate_two_var_clause():
     ms = enumerate_models(f, cap=10)
     assert len(ms.models) == 3
     assert not ms.truncated
-    assert set(ms.models) == {(True, False), (False, True), (True, True)}
+    assert set(model_tuples(ms)) == {(True, False), (False, True), (True, True)}
 
 
 def test_enumerate_unsat_empty():
     f = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
     ms = enumerate_models(f, cap=10)
-    assert ms.models == ()
+    assert model_tuples(ms) == ()
     assert not ms.truncated
 
 
@@ -365,9 +381,9 @@ def test_enumerate_equals_brute_force_when_uncapped():
         f = generate_random_3sat(n, m, seed=int(rng.integers(10**6)))
         ms = enumerate_models(f, cap=1 << n)
         bf = brute_force_models(f)
-        assert set(ms.models) == set(bf.models)
+        assert set(model_tuples(ms)) == set(model_tuples(bf))
         assert not ms.truncated
-        assert len(set(ms.models)) == len(ms.models)
+        assert len(set(model_tuples(ms))) == len(ms.models)
 
 
 def test_enumerate_truncation_flag():
@@ -382,24 +398,24 @@ def test_enumerate_truncation_flag():
 
 
 def test_backbone_single_model():
-    ms = ModelSet(((True, False, True),), truncated=False)
+    ms = ModelSet(np.array([(True, False, True)]), truncated=False)
     assert backbone(ms) == ((0, True), (1, False), (2, True))
 
 
 def test_backbone_two_models():
-    ms = ModelSet(((True, True), (True, False)), truncated=False)
+    ms = ModelSet(np.array([(True, True), (True, False)]), truncated=False)
     assert backbone(ms) == ((0, True),)
 
 
 def test_backbone_empty_errors():
     with pytest.raises(ValueError):
-        backbone(ModelSet((), truncated=False))
+        backbone(ModelSet(np.zeros((0, 3), dtype=bool), truncated=False))
 
 
 def test_backbone_order_invariant():
     models = [(True, False, True), (True, True, True), (True, False, False)]
-    a = backbone(ModelSet(tuple(models), False))
-    b = backbone(ModelSet(tuple(reversed(models)), False))
+    a = backbone(ModelSet(np.array(models), False))
+    b = backbone(ModelSet(np.array(models[::-1]), False))
     assert a == b == ((0, True),)
 
 
@@ -420,7 +436,28 @@ def test_brute_force_examples():
     f = parse_dimacs("p cnf 3 1\n1 2 3 0")
     assert len(brute_force_models(f).models) == 7
     f2 = parse_dimacs("p cnf 2 2\n1 0\n2 0")
-    assert brute_force_models(f2).models == ((True, True),)
+    assert model_tuples(brute_force_models(f2)) == ((True, True),)
+
+
+def test_dense_model_set_is_one_compact_table():
+    # p cnf 21 1 has 1,835,008 models. Held as tuples of bools, the exact set,
+    # pruned enumeration, mean slack and backbone peaked at 723 MB traced;
+    # the bool table needs about 60 MB. The bound is a quarter of the tuples'.
+    f = generate_random_3sat(21, 1, 1)
+    tracemalloc.start()
+    try:
+        exact = brute_force_models(f)
+        capped = enumerate_models(f, cap=120, exact=exact)
+        slack = mean_slack(f, exact.models)
+        frozen = backbone(exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * 2**20, peak
+    assert exact.models.shape == (1835008, 21)
+    assert len(capped.models) == 120 and same(capped, enumerate_models(f, cap=120))
+    # The values the tuple model sets gave.
+    assert slack.hex() == "0x1.b6db6db6db6dbp+0" and frozen == ()
 
 
 def test_brute_force_limit():
@@ -433,7 +470,7 @@ def test_brute_force_matches_reference_oracle():
     for _ in range(30):
         n = int(rng.integers(3, 9))
         f = generate_random_3sat(n, int(rng.integers(1, 4 * n)), seed=int(rng.integers(10**6)))
-        assert set(brute_force_models(f).models) == reference_models(f)
+        assert set(model_tuples(brute_force_models(f))) == reference_models(f)
 
 
 def test_uf20_capped_vs_exact_backbone(uf20_formulas):
@@ -446,14 +483,14 @@ def test_uf20_capped_vs_exact_backbone(uf20_formulas):
 
 def test_enumeration_order_deterministic(uf20_formulas):
     f = uf20_formulas[0]
-    assert enumerate_models(f, cap=20).models == enumerate_models(f, cap=20).models
+    assert model_tuples(enumerate_models(f, cap=20)) == model_tuples(enumerate_models(f, cap=20))
 
 
 def test_solver_handles_formula_without_variables():
     empty = Formula(0, ())
     assert solve(empty) == ()
     ms = enumerate_models(empty, cap=4)
-    assert ms.models == ((),)
+    assert model_tuples(ms) == ((),)
     assert not ms.truncated
 
 
@@ -542,10 +579,11 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
     # 10,752 models: the agree ints span many bytes of the packed model table.
     sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
     assert len(brute_force_models(sparse).models) == 10752
-    # The same models, in the same order and as Python bools, as one
-    # assignment at a time gives, across three blocks of rows.
-    assert brute_force_models(sparse) == reference_brute_force_models(sparse)
-    assert {type(value) for model in brute_force_models(sparse).models for value in model} == {bool}
+    # The same models, in the same order, as one assignment at a time gives,
+    # in a read-only bool table.
+    exact = brute_force_models(sparse)
+    assert model_tuples(exact) == reference_brute_force_models(sparse)
+    assert exact.models.dtype == bool and not exact.models.flags.writeable
     cases += [(sparse, cap) for cap in (1, 120, 300)]
     # Few clauses leave many models, so a state agrees with many of them
     # down to deep states, and one that only one model agrees with comes late.
@@ -556,9 +594,10 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
             cases += [(f, cap) for cap in (1, 7, 120)]
     for f, cap in cases:
         pruned = enumerate_models(f, cap, brute_force_models(f))
-        assert pruned == enumerate_models(f, cap)
+        assert same(pruned, enumerate_models(f, cap))
         # `spinsat run` reads satisfiability off the capped set instead of calling solve.
-        assert (pruned.models[0] if pruned.models else None) == solve(f)
+        models = model_tuples(pruned)
+        assert (models[0] if models else None) == solve(f)
 
 
 def test_pruned_enumeration_never_backtracks(uf20_paths, search_log):
@@ -593,7 +632,7 @@ def test_one_alive_model_needs_no_propagation(uf20_paths, search_log):
     f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-002"))
     exact = brute_force_models(f)
     assert len(exact.models) == 1
-    assert enumerate_models(f, cap=120, exact=exact) == exact
+    assert same(enumerate_models(f, cap=120, exact=exact), exact)
     assert [(run.found, run.calls) for run in search_log.runs] == [
         (sum(1 << v for v, value in enumerate(exact.models[0]) if value), 0),
         (None, 0),
@@ -604,7 +643,7 @@ def test_one_alive_model_needs_no_propagation(uf20_paths, search_log):
     f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
     exact = brute_force_models(f)
     search_log.runs.clear()
-    assert enumerate_models(f, cap=200, exact=exact).models == enumerate_models(f, cap=200).models
+    assert same(enumerate_models(f, cap=200, exact=exact), enumerate_models(f, cap=200))
     pruned = search_log.runs[:len(exact.models) + 1]
     assert pruned[-1].found is None and pruned[-1].calls == 0
     assert [run.calls for run in pruned].count(0) == 48
@@ -618,7 +657,7 @@ def test_enumerate_rejects_truncated_exact_set():
 
 def test_enumerate_rejects_exact_set_past_brute_force():
     f = Formula(satcore.BRUTE_FORCE_MAX_VARS + 1, ())
-    exact = ModelSet(((False,) * f.num_vars,), truncated=False)
+    exact = ModelSet(np.zeros((1, f.num_vars), dtype=bool), truncated=False)
     with pytest.raises(ValueError, match="limited to 24 variables"):
         enumerate_models(f, cap=1, exact=exact)
 
@@ -638,7 +677,7 @@ def test_brute_force_matches_scan_in_order(uf20_formulas):
     ]
     for f in cases:
         ms = brute_force_models(f)
-        assert ms.models == scan_models(f)
+        assert model_tuples(ms) == scan_models(f)
         assert not ms.truncated
 
 
