@@ -1,7 +1,7 @@
 """Reduce trajectories to summary statistics and plot-ready tables.
 
-All functions here are pure; summary assembly is a deterministic fold over
-immutable inputs.
+The functions here are pure; ``BinSums`` is a running fold over the
+trajectories of one schedule.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ __all__ = [
     "CorrelationMatrix",
     "BetaFit",
     "BinnedCurves",
+    "BinSums",
     "DegenerateSeriesError",
     "tail_mean",
     "pearson",
@@ -207,43 +208,63 @@ class BinnedCurves:
         return "\n".join(lines) + "\n"
 
 
+class BinSums:
+    """Running per-bin counts and sums of energy and |M|, one trajectory at a time.
+
+    Every trajectory added must hold ``temperatures``, the one object or an
+    equal copy, as the runs of one schedule do. ``np.add.at`` adds in index
+    order, so a fold in trajectory order sums each bin as ``np.bincount``
+    over their concatenation would. One temperature (``steps=0``) makes one
+    bin, whose means stay numpy's pairwise means over its kept rows.
+    """
+
+    def __init__(self, temperatures: np.ndarray, bins: int = 60):
+        if bins < 1:
+            raise ValueError("need at least one bin")
+        self.temps, self.added = temperatures, 0
+        t_min, t_max = float(temperatures.min()), float(temperatures.max())
+        self.rows: list | None = [] if t_min == t_max else None
+        if self.rows is not None:
+            self.bin_t, self.which = np.array([t_min]), np.zeros(len(temperatures), dtype=np.intp)
+        else:
+            edges = np.geomspace(t_min, t_max, bins + 1)
+            self.bin_t = np.sqrt(edges[:-1] * edges[1:])
+            self.which = np.clip(np.searchsorted(edges, temperatures, side="right") - 1, 0, bins - 1)
+        self.per_trajectory = np.bincount(self.which, minlength=len(self.bin_t))
+        self.sums = np.zeros((2, len(self.bin_t)))
+
+    def add(self, traj: Trajectory) -> None:
+        if not (traj.temperatures is self.temps or np.array_equal(traj.temperatures, self.temps)):
+            raise ValueError("trajectories do not share one temperature column")
+        row = (traj.energy_logic.astype(np.float64), np.abs(traj.magnetization))
+        for sums, values in zip(self.sums, row):
+            np.add.at(sums, self.which, values)
+        self.added += 1
+        if self.rows is not None:
+            self.rows.append(row)
+
+    def curves(self) -> BinnedCurves:
+        counts = self.per_trajectory * self.added
+        if self.rows is not None:
+            means = [np.array([np.concatenate(column).mean()]) for column in zip(*self.rows)]
+        else:
+            means = np.where(counts > 0, self.sums / np.maximum(counts, 1), np.nan)
+        return BinnedCurves(self.bin_t, *means, counts)
+
+
 def binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedCurves:
-    """Pool trajectory points into geometric temperature bins.
+    """Pool trajectory points into geometric temperature bins, folding them in
+    order through ``BinSums``.
 
     The binned energy is the unsatisfied-clause count (the logical energy
-    column); bin centers are geometric midpoints of the bin edges. Every
-    trajectory must hold the same temperature column, the one object or an
-    equal copy, as the runs of one schedule do; its bin indices are found
-    once and repeated.
+    column); bin centers are geometric midpoints of the bin edges.
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    if bins < 1:
-        raise ValueError("need at least one bin")
-    temps = trajectories[0].temperatures
-    if not all(t.temperatures is temps or np.array_equal(t.temperatures, temps) for t in trajectories):
-        raise ValueError("trajectories do not share one temperature column")
-    energies = np.concatenate([t.energy_logic.astype(np.float64) for t in trajectories])
-    abs_m = np.concatenate([np.abs(t.magnetization) for t in trajectories])
-    t_min = float(temps.min())
-    t_max = float(temps.max())
-    if t_min == t_max:
-        return BinnedCurves(
-            bin_t=np.array([t_min]),
-            mean_energy=np.array([energies.mean()]),
-            mean_abs_magnetization=np.array([abs_m.mean()]),
-            counts=np.array([len(energies)]),
-        )
-    edges = np.geomspace(t_min, t_max, bins + 1)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    which = np.clip(np.searchsorted(edges, temps, side="right") - 1, 0, bins - 1)
-    which = np.tile(which, len(trajectories))
-    counts = np.bincount(which, minlength=bins)
-    sum_e = np.bincount(which, weights=energies, minlength=bins)
-    sum_m = np.bincount(which, weights=abs_m, minlength=bins)
-    mean_e = np.where(counts > 0, sum_e / np.maximum(counts, 1), np.nan)
-    mean_m = np.where(counts > 0, sum_m / np.maximum(counts, 1), np.nan)
-    return BinnedCurves(centers, mean_e, mean_m, counts)
+    sums = BinSums(trajectories[0].temperatures, bins)
+    for traj in trajectories:
+        sums.add(traj)
+    return sums.curves()
 
 
 @dataclass(frozen=True)

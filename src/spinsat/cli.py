@@ -20,7 +20,7 @@ import os
 import sys
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -275,40 +275,48 @@ def _isolated(work, job: tuple[str, RunConfig]) -> tuple[bool, object, list[str]
     return ok, value, [str(warning.message) for warning in caught]
 
 
-def _for_each_file(config: RunConfig, work) -> tuple[list[Path], list, list[tuple[str, str]]]:
+def _outcomes(isolated, jobs: list[tuple[str, RunConfig]], workers: int):
+    """``isolated(job)`` for each job, in job order. More than one worker runs
+    them in a process pool, submitting the next job as it takes the oldest
+    outcome, so at most ``2 * workers`` are in flight."""
+    if workers == 1 or len(jobs) == 1:
+        yield from map(isolated, jobs)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        window = deque()
+        for job in jobs:
+            window.append(pool.submit(isolated, job))
+            if len(window) == 2 * workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
+def _for_each_file(config: RunConfig, work):
     """Apply ``work`` to the job ``(path, config)`` of every input file.
 
-    Each warning a job raises is reported as one ``warning: <path>:
-    <message>`` line, unless the settings check already printed it. A file
-    whose job raises is then reported as one ``error: <path>: <Type>:
-    <message>`` line and the batch goes on. Returns the input files, the
-    results of the jobs that worked and the ``(path, "<Type>: <message>")``
-    failures, both in stem order. ``config.workers > 1`` runs the jobs in
-    a process pool, so ``work`` must be a module-level function. Settings
+    Yields ``(path, ok, value)`` per file in stem order as its job ends,
+    ``value`` being the job's result or ``"<Type>: <message>"``. Each warning
+    a job raises is reported as one ``warning: <path>: <message>`` line,
+    unless the settings check already printed it, and a failure as one
+    ``error: <path>: <Type>: <message>`` line; the batch goes on. Settings
     are checked once first, so none fails every file with the same error.
+    ``config.workers > 1`` runs the jobs in a process pool, so ``work``
+    must be a module-level function.
     """
     printed = _check_settings(config)
     files = _collect_inputs(list(config.inputs))
     if not files:
         raise InputError("no input files")
-    jobs = [(str(path), config) for path in files]
-    isolated = partial(_isolated, work)
-    if config.workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(isolated, jobs))
-    else:
-        outcomes = [isolated(job) for job in jobs]
-    results, failures = [], []
-    for (path_text, _), (ok, value, messages) in zip(jobs, outcomes):
+    outcomes = _outcomes(partial(_isolated, work), [(str(p), config) for p in files], config.workers)
+    for path, (ok, value, messages) in zip(files, outcomes):
         for message in messages:
             if message not in printed:
-                print(f"warning: {path_text}: {message}", file=sys.stderr)
-        if ok:
-            results.append(value)
-        else:
-            failures.append((path_text, value))
-            print(f"error: {path_text}: {value}", file=sys.stderr)
-    return files, results, failures
+                print(f"warning: {path}: {message}", file=sys.stderr)
+        if not ok:
+            print(f"error: {path}: {value}", file=sys.stderr)
+        yield path, ok, value
 
 
 def _print_lines(args: argparse.Namespace, work, writes: bool = False) -> int:
@@ -317,10 +325,12 @@ def _print_lines(args: argparse.Namespace, work, writes: bool = False) -> int:
     config = _merge_config(args)
     if writes:
         _check_outdir(config.outdir)
-    _, lines, failures = _for_each_file(config, work)
-    for line in lines:
-        print(line)
-    return 1 if failures else 0
+    failed = False
+    for _, ok, line in _for_each_file(config, work):
+        if ok:
+            print(line)
+        failed |= not ok
+    return 1 if failed else 0
 
 
 def _model_sets(formula: Formula, cap: int) -> tuple[ModelSet | None, ModelSet]:
@@ -428,16 +438,25 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _merge_config(args)
     outdir = _check_outdir(config.outdir)
-    files, results, failures = _for_each_file(config, _run_instance)
-    for _, H, traj in results:
+    files, summaries, failures, sums = [], [], [], None
+    # An instance's files are written as it arrives; its summary row is kept.
+    for path, ok, value in _for_each_file(config, _run_instance):
+        files.append(path)
+        if not ok:
+            failures.append({"file": str(path), "error": value})
+            continue
+        summary, H, traj = value
         _write_hamiltonian(outdir, H)
         _write_trajectory(outdir, traj)
+        if sums is None:
+            sums = analysis.BinSums(traj.temperatures, config.bins)
+        sums.add(traj)
+        summaries.append(summary)
 
-    summaries = [summary for summary, _, _ in results]
     pooled_beta = None
-    if results:
+    if summaries:
         _atomic_write(outdir / analysis.SUMMARY_FILENAME, analysis.summary_csv(summaries))
-        curves = analysis.binned_curves([traj for _, _, traj in results], bins=config.bins)
+        curves = sums.curves()
         _atomic_write(outdir / "binned_curves.csv", curves.to_csv())
         try:
             pooled = analysis.fit_beta(
@@ -457,7 +476,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             {"file": str(path), "instance": path.stem, "seed": derive_seed(config.seed, path.stem)}
             for path in files
         ],
-        "failures": [{"file": f, "error": e} for f, e in failures],
+        "failures": failures,
         "pooled_beta": pooled_beta,
     }
     _atomic_write(outdir / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")

@@ -9,6 +9,9 @@ every assignment directly, so tests can check the fast paths against them.
 tests' reference DPLL propagates over.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
 ground states and equilibrium of a compiled Hamiltonian.
+``reference_binned_curves`` bins the concatenation of every trajectory at
+once, with ``np.bincount``, as ``analysis.binned_curves`` did before it
+became a running fold.
 ``reference_import_csv`` reads ``ising.export_csv``'s tables back with every
 check a reader of outside input needs, so a round trip proves the export
 lossless, ancilla labels and parent couplings included.
@@ -22,6 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
+from spinsat.analysis import BinnedCurves
+from spinsat.anneal import Trajectory
 from spinsat.cnf import Assignment, Clause, Formula, Literal
 from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, GadgetRecord, Hamiltonian
 from spinsat.satcore import ModelSet
@@ -327,3 +332,37 @@ def reference_boltzmann_unsat(H: Hamiltonian, f: Formula, T: float) -> float:
         z += w.sum()
         weighted += w @ unsat
     return weighted / z
+
+
+def reference_binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedCurves:
+    """Geometric temperature bins of energy and |M| over the concatenation of
+    every trajectory, summed by ``np.bincount``; one temperature gives one
+    bin holding numpy's pairwise means."""
+    if not trajectories:
+        raise ValueError("need at least one trajectory")
+    if bins < 1:
+        raise ValueError("need at least one bin")
+    temps = trajectories[0].temperatures
+    if not all(t.temperatures is temps or np.array_equal(t.temperatures, temps) for t in trajectories):
+        raise ValueError("trajectories do not share one temperature column")
+    energies = np.concatenate([t.energy_logic.astype(np.float64) for t in trajectories])
+    abs_m = np.concatenate([np.abs(t.magnetization) for t in trajectories])
+    t_min = float(temps.min())
+    t_max = float(temps.max())
+    if t_min == t_max:
+        return BinnedCurves(
+            bin_t=np.array([t_min]),
+            mean_energy=np.array([energies.mean()]),
+            mean_abs_magnetization=np.array([abs_m.mean()]),
+            counts=np.array([len(energies)]),
+        )
+    edges = np.geomspace(t_min, t_max, bins + 1)
+    centers = np.sqrt(edges[:-1] * edges[1:])
+    which = np.clip(np.searchsorted(edges, temps, side="right") - 1, 0, bins - 1)
+    which = np.tile(which, len(trajectories))
+    counts = np.bincount(which, minlength=bins)
+    sum_e = np.bincount(which, weights=energies, minlength=bins)
+    sum_m = np.bincount(which, weights=abs_m, minlength=bins)
+    mean_e = np.where(counts > 0, sum_e / np.maximum(counts, 1), np.nan)
+    mean_m = np.where(counts > 0, sum_m / np.maximum(counts, 1), np.nan)
+    return BinnedCurves(centers, mean_e, mean_m, counts)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -24,6 +26,9 @@ from spinsat.analysis import (
     tail_mean,
 )
 from spinsat.anneal import Schedule, Trajectory, anneal
+from spinsat.cli import derive_seed
+
+from reference import reference_binned_curves
 
 
 def make_trajectory(temps, energy_logic, magnetization, energy_h=None, instance="synthetic", seed=0):
@@ -327,6 +332,28 @@ def test_binned_shared_temperature_column_matches_private_copies(uf20_formulas):
         assert int(curves.counts.sum()) == 4 * (sched.steps + 1)
     # Steps=0 leaves one temperature, so every point falls in the single bin.
     assert curves.counts.tolist() == [4]
+
+
+@pytest.mark.parametrize("steps", [6000, 0])
+def test_binned_fold_matches_the_concatenating_reference_bit_for_bit(uf20_formulas, steps):
+    # The fold adds trajectory by trajectory; the reference bins their
+    # concatenation at once. Both must give the same bytes, the one-bin case
+    # at steps=0 included, where numpy's pairwise mean over 8 or more values
+    # is not the left-to-right sum.
+    sched = Schedule(steps=steps)
+    f = uf20_formulas[0]
+    H = ising.compile(f)
+    runs = [
+        [anneal(ising.compile(g), g, sched, derive_seed(1, g.source_name)) for g in uf20_formulas],
+        [anneal(H, f, sched, seed) for seed in range(20)],
+    ]
+    for trajectories in (*runs, runs[1][:9], runs[0][:1]):
+        for bins in (1, 7, 60, steps + 1):
+            assert_same_curves(binned_curves(trajectories, bins), reference_binned_curves(trajectories, bins))
+    if steps == 0:
+        abs_m = [abs(float(t.magnetization[0])) for t in runs[1][:9]]
+        sequential = functools.reduce(operator.add, abs_m) / len(abs_m)
+        assert reference_binned_curves(runs[1][:9]).mean_abs_magnetization[0] != sequential
 
 
 @pytest.mark.parametrize("other", [np.geomspace(0.1, 1.0, 10), np.geomspace(0.1, 1.0, 12)],

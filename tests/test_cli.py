@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import concurrent.futures
 import functools
 import json
 import os
@@ -10,6 +11,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -23,7 +25,7 @@ from spinsat.cnf import ParseWarning, parse_dimacs_file
 from spinsat.ising import compile as compile_hamiltonian
 from spinsat.satcore import brute_force_models
 
-from reference import model_tuples, reference_logical_energy
+from reference import model_tuples, reference_binned_curves, reference_logical_energy
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 # Stands for the path of a regular file in a test's config settings.
@@ -45,6 +47,15 @@ def run_process(argv: list[str]) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "spinsat", *argv], capture_output=True, text=True, env=env
     )
+
+
+def copies(corpus: Path, uf20_paths: list[Path], count: int) -> Path:
+    """``corpus`` holding ``count`` copies of the uf20 files, cycled, named
+    ``copy-000.cnf`` onwards."""
+    corpus.mkdir()
+    for k in range(count):
+        shutil.copyfile(uf20_paths[k % len(uf20_paths)], corpus / f"copy-{k:03d}.cnf")
+    return corpus
 
 
 @pytest.fixture()
@@ -591,12 +602,20 @@ def test_run_orders_rows_by_stem_and_writes_what_compile_and_anneal_write(
     assert set(run) == set(per_file) | pooled
 
 
-def test_run_without_steps_bins_every_row_at_t0_and_fits_no_beta(tmp_path, small_corpus):
+def test_run_without_steps_bins_every_row_at_t0_and_fits_no_beta(tmp_path, uf20_paths):
+    # Nine rows: numpy's pairwise mean over 8 or more values is not a
+    # left-to-right sum, and the one bin must keep the pairwise mean.
+    corpus = copies(tmp_path / "corpus", uf20_paths, 9)
     out = tmp_path / "out"
-    assert run_cli(["run", str(small_corpus), "--outdir", str(out), "--steps", "0"]) == 0
+    assert run_cli(["run", str(corpus), "--outdir", str(out), "--steps", "0"]) == 0
     lines = (out / "binned_curves.csv").read_text().splitlines()
     assert lines[0] == "bin_T,mean_E,mean_absM,count"
-    assert len(lines) == 2 and lines[1].startswith("2.5,") and lines[1].endswith(",3")
+    assert len(lines) == 2 and lines[1].startswith("2.5,") and lines[1].endswith(",9")
+    trajectories = []
+    for path in sorted(corpus.glob("*.cnf")):
+        f = parse_dimacs_file(path)
+        trajectories.append(anneal(compile_hamiltonian(f), f, Schedule(steps=0), derive_seed(0, path.stem)))
+    assert (out / "binned_curves.csv").read_text() == reference_binned_curves(trajectories).to_csv()
     assert json.loads((out / "run_manifest.json").read_text())["pooled_beta"] is None
 
 
@@ -613,6 +632,111 @@ def test_run_parallel_matches_serial(tmp_path, small_corpus):
     for manifest in manifests:
         del manifest["config"]["workers"]  # the one setting the runs differ in
     assert manifests[0] == manifests[1]
+
+
+def test_importing_cli_loads_no_process_pool():
+    # Only a pooled run imports the process pool; every other command would
+    # pay for multiprocessing, socket, logging and queue at start-up.
+    env = {**os.environ, "PYTHONPATH": str(Path(spinsat.__file__).resolve().parent.parent)}
+    code = ("import sys, spinsat.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+def test_run_peak_memory_does_not_grow_with_the_batch(tmp_path, uf20_paths):
+    # Each instance's Hamiltonian and trajectory are written and dropped as
+    # it finishes, so four times the inputs cost no more memory at the peak.
+    def peak(count: int) -> int:
+        corpus = copies(tmp_path / f"corpus{count}", uf20_paths, count)
+        tracemalloc.start()
+        try:
+            argv = ["run", str(corpus), "--outdir", str(tmp_path / f"out{count}"), "--steps", "600"]
+            assert run_cli(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert run_cli(["run", str(uf20_paths[0]), "--outdir", str(tmp_path / "warm"), "--steps", "600"]) == 0
+    small, large = peak(12), peak(48)
+    assert large <= small + 1_000_000, (small, large)
+
+
+def test_pooled_run_keeps_at_most_twice_the_workers_in_flight(tmp_path, uf20_paths, monkeypatch):
+    pending: set = set()
+    sizes: list[int] = []
+
+    class Future:
+        def __init__(self, call):
+            self.call = call
+            pending.add(self)
+            sizes.append(len(pending))
+
+        def result(self):
+            pending.remove(self)
+            return self.call()
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def submit(self, fn, *args):
+            return Future(functools.partial(fn, *args))
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    corpus = copies(tmp_path / "corpus", uf20_paths, 20)
+    out = tmp_path / "out"
+    runs = []
+    for workers in ("1", "2"):
+        assert run_cli(["run", str(corpus), "--steps", "40", "--outdir", str(out), "--workers", workers]) == 0
+        runs.append(read_all_outputs(out))
+        shutil.rmtree(out)
+    assert len(sizes) == 20 and max(sizes) == 4 and not pending
+    manifests = [json.loads(run.pop("run_manifest.json")) for run in runs]
+    assert runs[0] == runs[1] and len(runs[0]) == 62
+    for manifest in manifests:
+        del manifest["config"]["workers"]
+    assert manifests[0] == manifests[1]
+
+
+def test_run_streams_past_a_failed_file_alike_serial_and_pooled(tmp_path, uf20_paths):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    shutil.copyfile(uf20_paths[0], corpus / "a.cnf")
+    (corpus / "b.cnf").write_text("not a cnf\n")
+    shutil.copyfile(uf20_paths[1], corpus / "c.cnf")
+    (corpus / "d.cnf").write_text("p cnf 3 3\n1 2 3 0\n-1 -2 0\n")
+    runs = []
+    for workers in ("1", "3"):
+        out = tmp_path / "out"
+        result = run_process(["run", str(corpus), "--lenient", "--steps", "40", "--outdir", str(out),
+                              "--workers", workers])
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        del manifest["config"]["workers"]
+        outputs = read_all_outputs(out)
+        del outputs["run_manifest.json"]
+        runs.append((result.returncode, result.stdout, result.stderr, manifest, outputs))
+        shutil.rmtree(out)
+    assert runs[0] == runs[1]
+    code, _, stderr, manifest, outputs = runs[0]
+    assert code == 1
+    error = "DimacsError: line 1: expected 'p cnf' header, got 'not a cnf'"
+    assert stderr.splitlines() == [
+        f"error: {corpus / 'b.cnf'}: {error}",
+        f"warning: {corpus / 'd.cnf'}: header declares 3 clauses, found 2",
+    ]
+    assert manifest["failures"] == [{"file": str(corpus / "b.cnf"), "error": error}]
+    assert [row["instance"] for row in manifest["instances"]] == ["a", "b", "c", "d"]
+    for stem in "acd":
+        assert {f"ising_nodes_{stem}.csv", f"ising_edges_{stem}.csv"} <= set(outputs)
+        assert len([name for name in outputs if name.startswith(f"traj_{stem}_")]) == 1
+    assert not [name for name in outputs if name.endswith("_b.csv") or name.startswith("traj_b_")]
 
 
 def test_run_reads_satisfiability_from_the_capped_models(tmp_path, small_corpus, monkeypatch):
