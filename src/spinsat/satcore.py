@@ -21,15 +21,15 @@ reuses what the last rerun learnt about the states it resolved: a state
 inside a subtree that held no model is skipped, and a result the clause
 provably leaves unchanged is taken as it was (`enumerate_models` gives the
 rules and their proofs), as in incremental SAT solving (Eén & Sörensson, SAT
-2003). Given the exact model set, the search also keeps per variable and
-value an int with bit k for each model k that agrees, skips a state that
-extends no model not yet found by ANDing them, and returns the one model
-left at a state that only one extends, without propagating.
+2003). Given the exact model set, a rerun needs no search: it keeps per
+variable an int with bit k for each model k with the variable true, and walks
+one path from the root without a stack, into the branch that a model not yet
+found which agrees with the path's decisions takes, until one such model is
+left, which it returns without propagating.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -75,7 +75,7 @@ def _clause_rows(f: Formula) -> tuple[Rows, int]:
 
 
 Result = tuple[int, int, bool] | None
-Resolved = dict[tuple[int, int], tuple[Result, bool, int]]
+Resolved = dict[tuple[int, int], tuple[Result, bool]]
 
 
 def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, bool]:
@@ -161,89 +161,42 @@ def _propagate(rows: Rows, every: int, true: int, false: int) -> tuple[Result, b
         fold = pure
 
 
-def _solve_masks(
-    rows: Rows,
-    every: int,
-    previous: Resolved | None = None,
-    blocked: int = 0,
-    agree: list[list[int]] | None = None,
-    alive: int = 0,
-    models: list[int] | None = None,
-) -> tuple[int | None, Resolved | None]:
+def _solve_masks(rows: Rows, every: int, previous: Resolved, blocked: int) -> tuple[int | None, Resolved]:
     """Mask of the true variables of the first model found, or None if
     UNSAT, and the states this run resolved.
 
     Depth-first search with an explicit stack: branch on the lowest
-    unassigned variable, true branch first. ``previous``, when given, maps
-    each state the last run resolved to what `_propagate` returned for it,
-    over the clauses without the last one, which blocks the model with
-    true-mask ``blocked``, and to the alive models the state carried. By the
-    rules of `enumerate_models`, a state that extends one of those states
-    assigning a variable against that model is skipped, and one whose entry
-    has ``keep`` takes its entry instead of a new call. This run's states
-    are returned the same way, or None when ``previous`` is None. Once the
-    search leaves a subtree that held no model, it keeps only the subtree's
-    root, which each state below it extends, so at most two states per
-    level of the path stay.
-
-    ``agree``, when given, holds per variable the models with it true and
-    those with it false, each an int with bit k for model k, whose true-mask
-    is ``models[k]``, and ``alive`` the models of the clauses. A stack entry
-    carries the alive models that agree with the branch decisions on its
-    path, and a state that none agrees with is dropped before propagation.
-    That drops exactly the states no alive model extends: an alive model
-    that agrees with the decisions satisfies every unit literal on the path,
-    and setting a pure literal in it leaves an alive model with the same
-    value at every later branch variable. A subtree returns only a model
-    that extends its state, so every dropped subtree would have returned
-    None, and the search finds the same first model. A state that one alive
-    model agrees with returns it (the third rule of `enumerate_models`).
-
-    So with ``agree`` no subtree the search enters is left without a model,
-    and the last run resolved one path from the root, in order, each state
-    of it carrying its model and one more at least. This run follows that
-    path while each state takes its entry and still carries two alive models
-    or more: such a state branches as before, the branch it took before
-    still holds an alive model, and a true branch it passed over holds none.
-    Those states' entries are copied over as they are, and the search
-    starts at the first state past them.
+    unassigned variable, true branch first. ``previous`` maps each state the
+    last run resolved to what `_propagate` returned for it, over the clauses
+    without the last one, which blocks the model with true-mask ``blocked``;
+    a first run passes it empty. By the rules of `enumerate_models`, a state
+    that extends one of those states assigning a variable against that model
+    is skipped, and one whose entry has ``keep`` takes its entry instead of a
+    new call. This run's states are returned the same way. Once the search
+    leaves a subtree that held no model, it keeps only the subtree's root,
+    which each state below it extends, so at most two states per level of
+    the path stay.
     """
-    resolved = None if previous is None else {}
-    # Without ``agree`` every entry carries -1, and nothing is dropped. The
-    # last item is how many of this run's states stay when the entry is
+    resolved: Resolved = {}
+    # No model of the clauses extends these states.
+    dead = [(t, f) for t, f in previous if t & ~blocked or f & blocked]
+    # The last item is how many of this run's states stay when the entry is
     # popped: those on its path and the roots of finished subtrees beside it.
-    stack = [(0, 0, -1 if agree is None else alive, 0)]
-    dead = ()
-    if previous and agree is None:
-        # No model of the clauses extends these states.
-        dead = [(t, f) for t, f in previous if t & ~blocked or f & blocked]
-    elif previous:
-        last = len(previous) - 1
-        for depth, (state, (_, keep, compatible)) in enumerate(previous.items()):
-            compatible &= alive
-            if not keep or not compatible & (compatible - 1) or depth == last:
-                break
-        resolved = dict(islice(previous.items(), depth))
-        stack = [(*state, compatible, depth)]
+    stack = [(0, 0, 0)]
     while stack:
-        true, false, compatible, mark = stack.pop()
-        if resolved is not None:
-            while len(resolved) > mark:
-                resolved.popitem()
+        true, false, mark = stack.pop()
+        while len(resolved) > mark:
+            resolved.popitem()
         # Descend through true branches; a false branch waits on the stack.
-        while compatible:
-            if not compatible & (compatible - 1):
-                return int(models[compatible.bit_length() - 1]), resolved
+        while True:
             state = true, false
             if dead and any(true & t == t and false & f == f for t, f in dead):
-                resolved[state] = None, False, compatible
+                resolved[state] = None, False
                 break
-            known = previous.get(state) if previous else None
+            known = previous.get(state)
             if known is None or not known[1]:
                 known = _propagate(rows, every, true, false)
-            if resolved is not None:
-                resolved[state] = known[0], known[1], compatible
-                mark = len(resolved)
+            resolved[state] = known
             result = known[0]
             if result is None:
                 break
@@ -253,15 +206,57 @@ def _solve_masks(
                 return true, resolved
             assigned = true | false
             branch = ~assigned & (assigned + 1)
-            with_false = compatible
-            if agree is not None:
-                if_true, if_false = agree[branch.bit_length() - 1]
-                compatible, with_false = compatible & if_true, compatible & if_false
-            if with_false:
-                # Popped, it keeps the true branch's root.
-                stack.append((true, false | branch, with_false, mark + 1))
+            # Popped, it keeps the true branch's root.
+            stack.append((true, false | branch, len(resolved) + 1))
             true |= branch
     return None, resolved
+
+
+def _descend(
+    rows: Rows, every: int, previous: Resolved, columns: list[int], alive: int, models: np.ndarray
+) -> tuple[int | None, Resolved]:
+    """What `_solve_masks` returns, found by one walk from the root given
+    the exact model set.
+
+    ``columns`` holds per variable the models with it true, an int with bit
+    k for model k, whose true-mask is ``models[k]``, and ``alive`` the
+    models of the clauses. From the root, each state takes the last run's
+    entry when it has ``keep`` and calls `_propagate` otherwise, and branches
+    on the lowest unassigned variable. Of the alive models that agree with
+    the branch decisions so far, the descent keeps those that agree with the
+    next one: it branches true if one of them has the variable true.
+
+    Some alive model that agrees with the decisions extends each state on
+    the path: it satisfies every unit literal, and setting a pure literal in
+    it leaves an alive model with the same value at every later branch
+    variable. So no state ends in a conflict, and a true branch holds an
+    alive model exactly when an agreeing model has the variable true. The
+    search of `_solve_masks` would enter the same branches and leave none of
+    them, so it returns the same model, and the states resolved here form
+    one path from the root. Once one alive model agrees, it is returned
+    without propagating (the third rule of `enumerate_models`); None when
+    none is left.
+    """
+    resolved: Resolved = {}
+    true = false = 0
+    while alive & (alive - 1):
+        state = true, false
+        known = previous.get(state)
+        if known is None or not known[1]:
+            known = _propagate(rows, every, true, false)
+        resolved[state] = known
+        true, false, satisfied = known[0]
+        if satisfied:
+            return true, resolved
+        assigned = true | false
+        branch = ~assigned & (assigned + 1)
+        with_true = alive & columns[branch.bit_length() - 1]
+        if with_true:
+            alive = with_true
+            true |= branch
+        else:
+            false |= branch
+    return (int(models[alive.bit_length() - 1]) if alive else None), resolved
 
 
 def _table(masks: np.ndarray | list[int], num_vars: int) -> np.ndarray:
@@ -280,7 +275,7 @@ def _table(masks: np.ndarray | list[int], num_vars: int) -> np.ndarray:
 
 def solve(f: Formula) -> Assignment | None:
     """Find one satisfying assignment, or None when the formula is UNSAT."""
-    true, _ = _solve_masks(*_clause_rows(f))
+    true, _ = _solve_masks(*_clause_rows(f), {}, 0)
     return None if true is None else tuple(_table([true], f.num_vars)[0].tolist())
 
 
@@ -293,8 +288,8 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     the cap.
 
     ``exact``, the complete model set of ``f`` in ascending order of
-    true-mask (``brute_force_models``), prunes the search: a partial
-    assignment that extends no model not yet found is skipped, and
+    true-mask (``brute_force_models``), lets each rerun walk one path from
+    the root with `_descend` instead of searching with `_solve_masks`, and
     ``truncated`` is read off the models left over. The result is the same
     as without it.
 
@@ -306,10 +301,10 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
       variable against m is skipped with its whole subtree. The last rerun
       resolved T before it found m, and a model found in T's subtree would
       extend T, so that subtree held none. The search is complete (pure
-      literals keep a satisfiable state satisfiable, and a dropped or
-      skipped subtree holds no model either), so no model of the clauses
-      extends T, nor S, and with C added still none. So once a rerun leaves
-      a subtree without a model, it need keep only the subtree's root.
+      literals keep a satisfiable state satisfiable, and a skipped subtree
+      holds no model either), so no model of the clauses extends T, nor S,
+      and with C added still none. So once a rerun leaves a subtree
+      without a model, it need keep only the subtree's root.
     - A state S whose result has ``keep`` takes that result. Every round of
       that call had at least two free variables, so C, while unsatisfied,
       had at least two free literals: it was never a unit nor empty, and
@@ -319,7 +314,7 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     - With ``exact``, a state S that one alive model m' agrees with (one
       not yet found that agrees with every branch decision on the path to
       S) returns m' without propagating. Some alive model extends S and
-      agrees with those decisions (see `_solve_masks`), so it is m'. Then S
+      agrees with those decisions (see `_descend`), so it is m'. Then S
       is satisfiable, and the complete search below it returns a model that
       extends S: a model of the clauses, so alive, and one that agrees with
       the decisions, so m' again. The subtree could return no other.
@@ -330,14 +325,14 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
-    agree = models = None
-    alive = 0
     if exact is not None:
         if exact.truncated:
             raise ValueError("exact model set must not be truncated")
         if f.num_vars > BRUTE_FORCE_MAX_VARS:
             raise ValueError(f"exact model sets are limited to {BRUTE_FORCE_MAX_VARS} variables")
         table = exact.models
+        if table.shape[1] != f.num_vars:
+            raise ValueError(f"exact model set width {table.shape[1]} != num_vars {f.num_vars}")
         alive = (1 << len(table)) - 1
         # Row k, packed into bytes, is model k's true-mask, which fits a uint32
         # at up to 24 variables; the masks ascend, so a found model's index is
@@ -346,14 +341,17 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         packed = np.zeros((len(table), 4), np.uint8)
         packed[:, :(f.num_vars + 7) // 8] = np.packbits(table, axis=1, bitorder="little")
         models = packed.view("<u4").ravel()
-        columns = (np.packbits(column, bitorder="little").tobytes() for column in table.T)
-        agree = [[true, alive ^ true] for true in (int.from_bytes(c, "little") for c in columns)]
+        columns = [int.from_bytes(np.packbits(column, bitorder="little").tobytes(), "little")
+                   for column in table.T]
     rows, every = _clause_rows(f)
     resolved: Resolved = {}
     true = 0
     found: list[int] = []
     while len(found) < cap:
-        true, resolved = _solve_masks(rows, every, resolved, true, agree, alive, models)
+        if exact is None:
+            true, resolved = _solve_masks(rows, every, resolved, true)
+        else:
+            true, resolved = _descend(rows, every, resolved, columns, alive, models)
         if true is None:
             break
         found.append(true)
@@ -363,14 +361,12 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         every |= block
         for row in rows:
             row[2 if row[0] & true else 1] |= block
-        if agree is not None:
+        if exact is not None:
             alive &= ~(1 << int(models.searchsorted(np.uint32(true))))
-    if true is None:
-        truncated = False
-    elif agree is not None:
+    if exact is not None:
         truncated = bool(alive)
     else:
-        truncated = _solve_masks(rows, every, resolved, true)[0] is not None
+        truncated = true is not None and _solve_masks(rows, every, resolved, true)[0] is not None
     return ModelSet(_table(found, f.num_vars), truncated=truncated)
 
 

@@ -5,8 +5,10 @@
 works on bitmasks; these walk the formula, the polynomial, the spin list or
 every assignment directly, so tests can check the fast paths against them.
 ``model_tuples`` reads a ``satcore.ModelSet``'s bool table as tuples.
-``reference_clause_masks`` gives the clause-major masks that the satcore
-tests' reference DPLL propagates over.
+``reference_clause_masks`` gives the clause-major masks that
+``reference_propagate`` propagates over, and ``reference_enumerate`` is the
+unpruned capped enumeration of the clause-major DPLL that preceded
+``satcore``'s variable-major rows.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
 ground states and equilibrium of a compiled Hamiltonian.
 ``reference_binned_curves`` bins the concatenation of every trajectory at
@@ -97,6 +99,78 @@ def reference_clause_masks(f: Formula) -> list[tuple[int, int]]:
                 neg |= 1 << lit.var
         masks.append((pos, neg))
     return masks
+
+
+def reference_propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[int, int, bool] | None:
+    """The clause-major propagation that preceded the variable-major rows.
+
+    Each pass visits the clauses in order, so a unit set early in a pass is
+    seen by later clauses; pure literals are taken only after a pass that
+    set no unit.
+    """
+    while True:
+        changed = False
+        all_satisfied = True
+        pos_occurs = neg_occurs = 0
+        for pos, neg in clauses:
+            if pos & true or neg & false:
+                continue
+            all_satisfied = False
+            free = ~(true | false)
+            pos_free, neg_free = pos & free, neg & free
+            width = pos_free.bit_count() + neg_free.bit_count()
+            if width == 0:
+                return None
+            if width == 1:
+                true |= pos_free
+                false |= neg_free
+                changed = True
+            else:
+                pos_occurs |= pos_free
+                neg_occurs |= neg_free
+        if all_satisfied:
+            return true, false, True
+        if changed:
+            continue
+        pure = pos_occurs ^ neg_occurs
+        if not pure:
+            return true, false, False
+        true |= pure & pos_occurs
+        false |= pure & neg_occurs
+
+
+def reference_enumerate(f: Formula, cap: int) -> ModelSet:
+    """Unpruned capped enumeration over a growing clause list, each model
+    found by the clause-major DPLL that preceded the variable-major rows."""
+    clauses = reference_clause_masks(f)
+
+    def first_model() -> int | None:
+        stack = [(0, 0)]
+        while stack:
+            state = reference_propagate(clauses, *stack.pop())
+            if state is None:
+                continue
+            true, false, satisfied = state
+            if satisfied:
+                return true
+            assigned = true | false
+            branch = ~assigned & (assigned + 1)
+            stack.append((true, false | branch))
+            stack.append((true | branch, false))
+        return None
+
+    every_var = (1 << f.num_vars) - 1
+    models = []
+    truncated = False
+    while len(models) < cap:
+        true = first_model()
+        if true is None:
+            break
+        models.append(tuple(bool(true >> v & 1) for v in range(f.num_vars)))
+        clauses.append((every_var ^ true, true))
+    else:
+        truncated = first_model() is not None
+    return ModelSet(np.array(models, dtype=bool).reshape(len(models), f.num_vars), truncated)
 
 
 def reference_spins_to_assignment(s: Sequence[int], core_count: int) -> Assignment:

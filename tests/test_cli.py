@@ -25,7 +25,12 @@ from spinsat.cnf import ParseWarning, parse_dimacs_file
 from spinsat.ising import compile as compile_hamiltonian
 from spinsat.satcore import brute_force_models
 
-from reference import model_tuples, reference_binned_curves, reference_logical_energy
+from reference import (
+    model_tuples,
+    reference_binned_curves,
+    reference_enumerate,
+    reference_logical_energy,
+)
 
 UNSAT_CNF = "p cnf 1 2\n1 0\n-1 0\n"
 # Stands for the path of a regular file in a test's config settings.
@@ -294,17 +299,18 @@ def test_backbone_of_a_formula_without_variables(tmp_path, capsys):
     )
 
 
-def random_dimacs(rng: random.Random) -> str:
-    """DIMACS text over at most 24 variables, now and then malformed: clauses
-    of 0-4 literals, literals past the header's count, a wrong clause count,
-    a missing final ``0`` and a SATLIB ``%`` footer. With few clauses, a
-    formula near 24 variables has millions of models."""
-    n = rng.randint(0, 24)
+def random_dimacs(rng: random.Random, low: int = 0, high: int = 24, ratio: int = 2) -> str:
+    """DIMACS text over ``low`` to ``high`` variables and up to ``ratio``
+    clauses a variable, now and then malformed: clauses of 0-4 literals,
+    literals past the header's count, a wrong clause count, a missing final
+    ``0`` and a SATLIB ``%`` footer. With few clauses, a formula near 24
+    variables has millions of models."""
+    n = rng.randint(low, high)
     top = n + 2 if rng.random() < 0.1 else n
     lengths = (0, 1, 2, 3, 3, 3, 4) if rng.random() < 0.2 else (1, 2, 3, 3, 3)
     clauses = [
         [rng.choice((-1, 1)) * rng.randint(1, top) for _ in range(rng.choice(lengths) if top else 0)]
-        for _ in range(rng.randint(0, 2 * n + 2))
+        for _ in range(rng.randint(0, ratio * n + 2))
     ]
     m = len(clauses) + (rng.choice((-1, 1)) if rng.random() < 0.1 else 0)
     lines = [" ".join(map(str, [*clause, 0])) for clause in clauses]
@@ -322,46 +328,109 @@ EXPECTED_ERROR = re.compile(
 )
 
 
-def test_seeded_fuzz_inputs_fail_cleanly_or_work(tmp_path, capsys):
-    rng = random.Random(2111)
+def fuzz_corpus(tmp_path: Path, texts: list[str]) -> Path:
+    """A corpus of the given DIMACS texts; stems with a space and with
+    non-ASCII text name their outputs too."""
     corpus = tmp_path / "fuzz"
     corpus.mkdir()
-    # Stems with a space and with non-ASCII text name their outputs too.
-    for k in range(120):
+    for k, text in enumerate(texts):
         stem = ("f{:03d}", "f {:03d}", "fé{:03d}", "f-数-{:03d}")[k % 4].format(k)
-        (corpus / f"{stem}.cnf").write_text(random_dimacs(rng), encoding="utf-8")
-    failed = {}
-    for command, flags in [
-        ("solve", []), ("backbone", ["--exact"]), ("compile", ["--outdir", str(tmp_path / "compile")]),
-        ("run", ["--steps", "30", "--outdir", str(tmp_path / "run")]),
+        (corpus / f"{stem}.cnf").write_text(text, encoding="utf-8")
+    return corpus
+
+
+def run_fuzz_commands(tmp_path: Path, corpus: Path, capsys, flags: list[str]):
+    """Run solve, backbone, compile, run and report over ``corpus``, with
+    ``flags`` for backbone and run. Every error line must name a file and an
+    expected error, and each command exits 1 iff it printed one. Returns per
+    command the files that failed and the stdout lines as ``(stem, rest)``;
+    report, over the run's summary, must exit 0 or print one error line."""
+    failed, lines = {}, {}
+    for command, args in [
+        ("solve", []), ("backbone", ["--exact", *flags]),
+        ("compile", ["--outdir", str(tmp_path / "compile")]),
+        ("run", ["--steps", "30", "--outdir", str(tmp_path / "run"), *flags]),
     ]:
-        code = run_cli([command, str(corpus), *flags])
+        code = run_cli([command, str(corpus), *args])
         captured = capsys.readouterr()
         errors = [line for line in captured.err.splitlines() if not line.startswith("warning: ")]
         matches = [EXPECTED_ERROR.fullmatch(line) for line in errors]
         assert all(matches), errors
         failed[command] = {match[1] for match in matches}
         assert code == (1 if errors else 0)
-        for line in captured.out.splitlines():
-            name, _, rest = line.partition(": ")
-            if command == "solve":
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", ParseWarning)
-                    f = parse_dimacs_file(corpus / f"{name}.cnf")
-                if rest == "sat=false":
-                    assert not model_tuples(brute_force_models(f)), line
-                else:
-                    model = tuple(int(t) > 0 for t in rest.split("model=")[1].split())
-                    assert reference_logical_energy(f, model) == 0, line
-            elif command == "backbone" and "truncated=false" in rest:
-                fields = dict(item.split("=") for item in rest.split())
-                assert fields["backbone"] == fields["backbone_exact"], line
+        lines[command] = [line.partition(": ")[::2] for line in captured.out.splitlines()]
+    summary = tmp_path / "run" / analysis.SUMMARY_FILENAME
+    code = run_cli(["report", str(summary), "--outdir", str(tmp_path / "report")])
+    err = capsys.readouterr().err.splitlines()
+    assert (code, err) == (0, []) or code == 1 and len(err) == 1 and err[0].startswith("error: ")
+    return failed, lines
+
+
+def parse_fuzz_file(corpus: Path, stem: str) -> cnf.Formula:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParseWarning)
+        return parse_dimacs_file(corpus / f"{stem}.cnf")
+
+
+def test_seeded_fuzz_inputs_fail_cleanly_or_work(tmp_path, capsys):
+    rng = random.Random(2111)
+    corpus = fuzz_corpus(tmp_path, [random_dimacs(rng) for _ in range(120)])
+    failed, lines = run_fuzz_commands(tmp_path, corpus, capsys, [])
+    for name, rest in lines["solve"]:
+        f = parse_fuzz_file(corpus, name)
+        if rest == "sat=false":
+            assert not model_tuples(brute_force_models(f)), name
+        else:
+            model = tuple(int(t) > 0 for t in rest.split("model=")[1].split())
+            assert reference_logical_energy(f, model) == 0, name
+    for name, rest in lines["backbone"]:
+        if "truncated=false" in rest:
+            fields = dict(item.split("=") for item in rest.split())
+            assert fields["backbone"] == fields["backbone_exact"], name
     summary = (tmp_path / "run" / analysis.SUMMARY_FILENAME).read_text()
     assert len(analysis.read_summary_csv(summary)) == 120 - len(failed["run"])
     # Only parsing fails solve and backbone; compile and run fail on more.
     assert 0 < len(failed["solve"]) < 120
     assert failed["solve"] == failed["backbone"] <= failed["compile"] <= failed["run"]
     assert failed["run"] - failed["solve"]
+
+
+def test_seeded_fuzz_past_brute_force_matches_the_reference_enumeration(tmp_path, capsys):
+    # Past 24 variables there is no exact model set: backbone_exact is never
+    # printed, and enumeration runs the backtracking search. The oracle is
+    # the clause-major DPLL of tests/reference.py, which shares no code with
+    # it. Up to 4 clauses a variable, some states end in a conflict.
+    rng = random.Random(2909)
+    corpus = fuzz_corpus(tmp_path, [random_dimacs(rng, 25, 40, 4) for _ in range(40)])
+    cap = 40
+    failed, lines = run_fuzz_commands(tmp_path, corpus, capsys, ["--cap", str(cap)])
+    sat = {}
+    for name, rest in lines["solve"]:
+        f = parse_fuzz_file(corpus, name)
+        sat[name] = rest != "sat=false"
+        if sat[name]:
+            model = tuple(int(t) > 0 for t in rest.split("model=")[1].split())
+            assert reference_logical_energy(f, model) == 0, name
+        else:
+            assert not len(reference_enumerate(f, 1).models), name
+    assert sorted(name for name, _ in lines["backbone"]) == sorted(sat)
+    for name, rest in lines["backbone"]:
+        expected = reference_enumerate(parse_fuzz_file(corpus, name), cap)
+        assert (rest != "sat=false") == sat[name] == bool(len(expected.models)), name
+        if sat[name]:
+            always, ever = expected.models.all(axis=0), expected.models.any(axis=0)
+            size = int((always | ~ever).sum())
+            assert dict(item.split("=") for item in rest.split()) == {
+                "models>": str(len(expected.models)),
+                "truncated": str(expected.truncated).lower(),
+                "backbone": str(size),
+                "normalized": f"{size / expected.models.shape[1]:.3f}",
+            }, name
+    summary = (tmp_path / "run" / analysis.SUMMARY_FILENAME).read_text()
+    assert len(analysis.read_summary_csv(summary)) == 40 - len(failed["run"])
+    assert failed["solve"] == failed["backbone"] <= failed["run"]
+    # Satisfiable and unsatisfiable formulas both occur.
+    assert {True, False} <= set(sat.values())
 
 
 @pytest.mark.parametrize("cap", [1, 3, 120])

@@ -25,7 +25,9 @@ from reference import (
     model_tuples,
     reference_brute_force_models,
     reference_clause_masks,
+    reference_enumerate,
     reference_logical_energy,
+    reference_propagate,
 )
 
 # Recorded from the recursive dict-based DPLL that preceded the bitmask
@@ -50,78 +52,6 @@ def reference_models(f: Formula) -> set[tuple[bool, ...]]:
         if ok:
             out.add(a)
     return out
-
-
-def reference_propagate(clauses: list[tuple[int, int]], true: int, false: int) -> tuple[int, int, bool] | None:
-    """The clause-major propagation that preceded the variable-major rows.
-
-    Each pass visits the clauses in order, so a unit set early in a pass is
-    seen by later clauses; pure literals are taken only after a pass that
-    set no unit.
-    """
-    while True:
-        changed = False
-        all_satisfied = True
-        pos_occurs = neg_occurs = 0
-        for pos, neg in clauses:
-            if pos & true or neg & false:
-                continue
-            all_satisfied = False
-            free = ~(true | false)
-            pos_free, neg_free = pos & free, neg & free
-            width = pos_free.bit_count() + neg_free.bit_count()
-            if width == 0:
-                return None
-            if width == 1:
-                true |= pos_free
-                false |= neg_free
-                changed = True
-            else:
-                pos_occurs |= pos_free
-                neg_occurs |= neg_free
-        if all_satisfied:
-            return true, false, True
-        if changed:
-            continue
-        pure = pos_occurs ^ neg_occurs
-        if not pure:
-            return true, false, False
-        true |= pure & pos_occurs
-        false |= pure & neg_occurs
-
-
-def reference_enumerate(f: Formula, cap: int) -> ModelSet:
-    """Unpruned capped enumeration over a growing clause list, each model
-    found by the clause-major DPLL that preceded the variable-major rows."""
-    clauses = reference_clause_masks(f)
-
-    def first_model() -> int | None:
-        stack = [(0, 0)]
-        while stack:
-            state = reference_propagate(clauses, *stack.pop())
-            if state is None:
-                continue
-            true, false, satisfied = state
-            if satisfied:
-                return true
-            assigned = true | false
-            branch = ~assigned & (assigned + 1)
-            stack.append((true, false | branch))
-            stack.append((true | branch, false))
-        return None
-
-    every_var = (1 << f.num_vars) - 1
-    models = []
-    truncated = False
-    while len(models) < cap:
-        true = first_model()
-        if true is None:
-            break
-        models.append(tuple(bool(true >> v & 1) for v in range(f.num_vars)))
-        clauses.append((every_var ^ true, true))
-    else:
-        truncated = first_model() is not None
-    return ModelSet(np.array(models, dtype=bool).reshape(len(models), f.num_vars), truncated)
 
 
 def same(a: ModelSet, b: ModelSet) -> bool:
@@ -158,8 +88,9 @@ def partial_states(rng: np.random.Generator, f: Formula, models, count: int):
 
 @dataclass
 class Run:
-    """One `_solve_masks` call: the last run's states, the model they were
-    checked against, the states this run kept and the model it found."""
+    """One `_solve_masks` or `_descend` call: the last run's states, the
+    model they were checked against, the states this run kept and the model
+    it found."""
 
     previous: dict
     blocked: int
@@ -189,23 +120,34 @@ class SearchLog:
 @pytest.fixture
 def search_log(monkeypatch) -> SearchLog:
     """Count the search's work: every new `_propagate` call and every
-    `_solve_masks` run, through the module attributes the search calls."""
+    `_solve_masks` or `_descend` run, through the module attributes the
+    search calls."""
     log = SearchLog()
-    propagate, solve_masks = satcore._propagate, satcore._solve_masks
+    propagate, solve_masks, descend = satcore._propagate, satcore._solve_masks, satcore._descend
 
     def counted_propagate(*args):
         outcome = propagate(*args)
         log.fresh.append(outcome)
         return outcome
 
-    def logged_solve(rows, every, previous=None, blocked=0, *rest):
+    def logged(search, blocked, rows, every, previous, *args):
+        """Run ``search`` and log it as a run whose new clause blocks ``blocked``."""
         calls = len(log.fresh)
-        true, states = solve_masks(rows, every, previous, blocked, *rest)
-        log.runs.append(Run(previous or {}, blocked, states or {}, true, len(log.fresh) - calls))
+        true, states = search(rows, every, previous, *args)
+        log.runs.append(Run(previous, blocked, states, true, len(log.fresh) - calls))
         return true, states
+
+    def logged_solve(rows, every, previous, blocked):
+        return logged(solve_masks, blocked, rows, every, previous, blocked)
+
+    def logged_descend(rows, every, previous, *exact):
+        # A rerun's previous states come from the run before it, whose model
+        # the rerun's new clause blocks.
+        return logged(descend, log.runs[-1].found if previous else 0, rows, every, previous, *exact)
 
     monkeypatch.setattr(satcore, "_propagate", counted_propagate)
     monkeypatch.setattr(satcore, "_solve_masks", logged_solve)
+    monkeypatch.setattr(satcore, "_descend", logged_descend)
     return log
 
 
@@ -576,7 +518,7 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
     cases += [(f, cap) for f in frozen_family() for cap in (1, 3, 50)]
     cases += [(Formula(0, ()), cap) for cap in (1, 3)]
     cases += [(Formula(4, ()), cap) for cap in (5, 16)]
-    # 10,752 models: the agree ints span many bytes of the packed model table.
+    # 10,752 models: the column ints span many bytes of the packed model table.
     sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
     assert len(brute_force_models(sparse).models) == 10752
     # The same models, in the same order, as one assignment at a time gives,
@@ -613,7 +555,7 @@ def test_pruned_enumeration_never_backtracks(uf20_paths, search_log):
     for run in search_log.runs:
         for set_true, set_false in run.states:
             assert any(m & set_true == set_true and not m & set_false for m in alive)
-        results.extend(result for result, _, _ in run.states.values())
+        results.extend(result for result, _ in run.states.values())
         alive.discard(run.found)
     assert results and None not in results
     assert len(results) <= (f.num_vars + 1) * len(ms.models)
@@ -624,6 +566,25 @@ def test_pruned_enumeration_never_backtracks(uf20_paths, search_log):
     # the one model not yet found that agrees with it, unresolved.
     assert len(results) == 1156
     assert len(search_log.fresh) == 169
+
+
+def test_exact_path_reruns_resolve_one_chain_from_the_root(uf20_formulas, search_log):
+    # With the exact model set a rerun never backtracks: each state it
+    # resolves extends the one resolved before it, and the first is the root.
+    sb005 = next(f for f in uf20_formulas if f.source_name == "uf20-sb-005")
+    sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
+    cases = [(f, 120) for f in uf20_formulas] + [(sb005, 200), (sparse, 120)]
+    chains = 0
+    for f, cap in cases:
+        search_log.runs.clear()
+        enumerate_models(f, cap, brute_force_models(f))
+        for run in search_log.runs:
+            states = list(run.states)
+            assert states[:1] in ([], [(0, 0)])
+            for (t0, f0), (t1, f1) in zip(states, states[1:]):
+                assert t1 & t0 == t0 and f1 & f0 == f0 and (t1, f1) != (t0, f0)
+            chains += len(states) > 1
+    assert chains > len(cases)
 
 
 def test_one_alive_model_needs_no_propagation(uf20_paths, search_log):
@@ -660,6 +621,16 @@ def test_enumerate_rejects_exact_set_past_brute_force():
     exact = ModelSet(np.zeros((1, f.num_vars), dtype=bool), truncated=False)
     with pytest.raises(ValueError, match="limited to 24 variables"):
         enumerate_models(f, cap=1, exact=exact)
+
+
+def test_enumerate_rejects_exact_set_of_another_width():
+    # 13 models over 10 variables; a narrower or wider exact set once gave
+    # 1 or 4 of them without an error.
+    f = generate_random_3sat(10, 30, seed=3)
+    assert len(brute_force_models(f).models) == 13
+    for other in (generate_random_3sat(8, 20, seed=5), generate_random_3sat(12, 30, seed=1)):
+        with pytest.raises(ValueError, match="width"):
+            enumerate_models(f, cap=120, exact=brute_force_models(other))
 
 
 def test_brute_force_matches_scan_in_order(uf20_formulas):
