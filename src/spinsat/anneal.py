@@ -23,13 +23,15 @@ schedule runs one flat loop over attempts; ``sweeps=True`` loops over steps
 and over each step's attempts. Both loops accept by the same test and hand
 the stream to ``_next_accept`` at the same attempt. The formula holds its
 occurrence index (``Formula.occurrences``) and the Hamiltonian its neighbour
-lists, so runs over one instance build their set-up once.
+lists and coupling table, so runs over one instance build their set-up once,
+and runs of one schedule share its temperatures, as an array and a list.
 
 Compiled Hamiltonians, and any read back losslessly from ``export_csv``
 tables, have dyadic coefficients (see ``spinsat.ising``), so every kept cost
 and the first energy equal the sums recomputed from scratch bit for bit, in
 any order. A hand-built Hamiltonian with inexact floats still anneals
-deterministically, but its kept costs and energies may round differently
+deterministically, with its first fields and energy added in a fixed
+per-spin order, but its kept costs and energies may round differently
 from a recomputation.
 
 Late in a schedule the state freezes and almost every proposal is
@@ -46,13 +48,15 @@ and every trajectory are the scalar loop's own.
 
 Rows are steps, row 0 the initial state. Only a step that accepts a flip
 appends a (step, energy, unsatisfied count, core spin sum) record to one
-list, which becomes rows at the end. ``trajectory_csv`` renders the step and
-temperature columns once per schedule, the rest once per run of equal rows.
+list, which becomes rows at the end, one ``np.repeat`` per column.
+``trajectory_csv`` renders the step and temperature columns once per
+schedule, the rest once per run of equal rows.
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import islice
@@ -84,6 +88,11 @@ class Schedule:
             raise ValueError("t0 must be positive and finite")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie strictly between 0 and 1")
+        # An integer, held as int: Schedule(steps=3.0) would be an equal cache key.
+        try:
+            object.__setattr__(self, "steps", operator.index(self.steps))
+        except TypeError:
+            raise ValueError(f"steps must be an integer, got {self.steps!r}") from None
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
         # The temperature only falls, so a positive last one covers every step.
@@ -136,11 +145,12 @@ _LEAST = math.ulp(0.0)
 
 
 @functools.lru_cache(maxsize=1)
-def _temperatures(sched: Schedule) -> np.ndarray:
-    """``sched.temperature(t)`` for t = 0..steps, read-only, reused while runs share ``sched``."""
-    temperatures = np.array(list(map(sched.temperature, range(sched.steps + 1))))
+def _temperatures(sched: Schedule) -> tuple[np.ndarray, list[float]]:
+    """``sched.temperature(t)`` for t = 0..steps, as a read-only column and a list."""
+    temperature_list = list(map(sched.temperature, range(sched.steps + 1)))
+    temperatures = np.array(temperature_list)
     temperatures.flags.writeable = False
-    return temperatures
+    return temperatures, temperature_list
 
 
 class _Uniforms:
@@ -247,7 +257,8 @@ def anneal(
     num_spins = H.num_spins
     n_core = H.core_count
     rng = np.random.Generator(np.random.PCG64(seed))
-    spins = (2 * rng.integers(0, 2, size=num_spins) - 1).tolist()
+    state = 2 * rng.integers(0, 2, size=num_spins) - 1
+    spins = state.tolist()
 
     attempts_per_step = num_spins if sweeps else 1
     total_attempts = sched.steps * attempts_per_step
@@ -258,11 +269,11 @@ def anneal(
     uniforms = _Uniforms(rng, total_attempts).take
 
     adjacency = H.adjacency
-    # field[i] = h_i + sum_j J_ij s_j, from which the kept flip costs start.
-    field = list(H.fields)
-    for i, neighbors in enumerate(adjacency):
-        for j, jf in neighbors:
-            field[i] += jf * spins[j]
+    # field[i] = h_i + sum_j J_ij s_j, from which the kept flip costs start. np.add.at
+    # adds h_i, then the neighbours in ``adjacency`` order: a per-spin loop's sum.
+    fields, rows, cols, values = H.coupling_table
+    field = fields.copy()
+    np.add.at(field, rows, values * state[cols])
     occurrences = f.occurrences
     # slack[j] counts the literals of clause j that the spins satisfy.
     slack = [0] * f.num_clauses
@@ -273,13 +284,13 @@ def anneal(
     unsat = slack.count(0)
     core_sum = sum(spins[:n_core])
     # sum_i s_i field_i counts each coupling twice, so this is the raw energy.
-    energy_raw = H.offset + sum(s * (h + hf) for s, h, hf in zip(spins, H.fields, field)) / 2
+    energy_raw = H.offset + sum((state * (fields + field)).tolist()) / 2
     # cost[i] = -2 s_i field[i], the energy change of flipping spin i.
-    cost = [-2.0 * s * hf for s, hf in zip(spins, field)]
+    cost = ((-2.0 * state) * field).tolist()
 
     # The state after step 0 and after each step that accepted a flip.
     records = [(0, energy_raw, unsat, core_sum)]
-    temperatures = _temperatures(sched)
+    temperatures, temperature_list = _temperatures(sched)
 
     exp = math.exp
     # A step that accepts nothing at or after step ``wake`` hands the stream to
@@ -296,7 +307,7 @@ def anneal(
                 range(k + 1, stop + 1),
                 flip_indices[k:stop].tolist(),
                 uniforms(k, stop).tolist(),
-                temperatures[k + 1:stop + 1].tolist(),
+                temperature_list[k + 1:stop + 1],
             )
             k = stop
             block = min(2 * block, _BLOCK_DRAWS)
@@ -338,7 +349,7 @@ def anneal(
             draws = zip(flip_indices[k:stop].tolist(), uniforms(k, stop).tolist())
             k = stop
             block = min(2 * block, _BLOCK_DRAWS)
-            for t, temperature in zip(range(first, last + 1), temperatures[first:last + 1].tolist()):
+            for t, temperature in zip(range(first, last + 1), temperature_list[first:last + 1]):
                 accepted = False
                 for i, u in islice(draws, attempts_per_step):
                     d_e = cost[i]
@@ -374,15 +385,16 @@ def anneal(
 
     # Row t repeats the last record at or before step t.
     rec_step, rec_energy, rec_unsat, rec_core_sum = zip(*records)
-    row = np.repeat(np.arange(len(records)), np.diff(rec_step, append=sched.steps + 1))
+    bounds = np.array((*rec_step, sched.steps + 1))
+    counts = bounds[1:] - bounds[:-1]
     return Trajectory(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
         temperatures=temperatures,
-        energy_h=(np.array(rec_energy, dtype=np.float64) - H.energy_floor)[row],
-        energy_logic=np.array(rec_unsat, dtype=np.int32)[row],
-        magnetization=(np.array(rec_core_sum, dtype=np.float64) / n_core)[row],
+        energy_h=np.repeat(np.array(rec_energy, dtype=np.float64) - H.energy_floor, counts),
+        energy_logic=np.repeat(np.array(rec_unsat, dtype=np.int32), counts),
+        magnetization=np.repeat(np.array(rec_core_sum, dtype=np.float64) / n_core, counts),
         final_state=np.array(spins, dtype=np.int8),
     )
 
@@ -395,10 +407,10 @@ def _column_texts(patterns: np.ndarray) -> list[str]:
 
 
 @functools.lru_cache(maxsize=1)
-def _row_prefixes(temperatures: bytes) -> tuple[str, ...]:
-    # Every trajectory of one schedule has the same step and temperature columns.
-    pairs = enumerate(np.frombuffer(temperatures).tolist())
-    return tuple(f"{step},{format_float(temperature)}," for step, temperature in pairs)
+def _row_prefixes(key: Schedule | bytes) -> tuple[str, ...]:
+    """Row prefixes of a schedule's own column, or of the column with float64 bytes ``key``."""
+    temperatures = _temperatures(key)[1] if isinstance(key, Schedule) else np.frombuffer(key).tolist()
+    return tuple(f"{step},{format_float(temperature)}," for step, temperature in enumerate(temperatures))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
@@ -409,7 +421,10 @@ def trajectory_csv(traj: Trajectory) -> str:
     is rendered once per run of rows with equal bit patterns, so -0.0 and
     0.0 stay apart.
     """
-    prefixes = _row_prefixes(np.asarray(traj.temperatures, dtype=np.float64).tobytes())
+    # Runs of one schedule share its column; a copied or hand-built one is known by its bytes.
+    column = traj.temperatures
+    own = column is _temperatures(traj.schedule)[0]
+    prefixes = _row_prefixes(traj.schedule if own else np.asarray(column, dtype=np.float64).tobytes())
     energy = np.ascontiguousarray(traj.energy_h, dtype=np.float64).view(np.int64)
     logic = np.asarray(traj.energy_logic, dtype=np.int64)
     magnetization = np.ascontiguousarray(traj.magnetization, dtype=np.float64).view(np.int64)

@@ -163,8 +163,8 @@ class Hamiltonian:
     """Pairwise spin energy: offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
 
     Core spins occupy indices [0, core_count); ancilla spins follow. The
-    object is immutable by convention after compile; the neighbor lists are
-    cached lazily.
+    object is immutable by convention after compile; the neighbor lists and
+    the coupling table are cached lazily.
 
     ``energy_floor`` is the analytic minimum constant (sum of per-clause
     gadgetized minima), so energy - energy_floor is 0 exactly on satisfying
@@ -194,6 +194,19 @@ class Hamiltonian:
             neighbors[i].append((j, coeff))
             neighbors[j].append((i, coeff))
         return tuple(tuple(sorted(entry)) for entry in neighbors)
+
+    @cached_property
+    def coupling_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(fields, rows, cols, values)``: the fields as an array, then each
+        coupling twice, as (i, j, J_ij) and (j, i, J_ij), with each row's
+        entries in ascending col order, the order of ``adjacency``."""
+        m = len(self.couplings)
+        first, second = np.array([*zip(*self.couplings)], dtype=np.intp).reshape(2, m)
+        coeffs = np.fromiter(self.couplings.values(), np.float64, m)
+        cols = np.concatenate((second, first))
+        order = np.argsort(cols, kind="stable")
+        rows = np.concatenate((first, second))[order]
+        return np.array(self.fields), rows, cols[order], np.concatenate((coeffs, coeffs))[order]
 
 
 @functools.lru_cache(maxsize=256)

@@ -9,6 +9,8 @@ every assignment directly, so tests can check the fast paths against them.
 ``reference_propagate`` propagates over, and ``reference_enumerate`` is the
 unpruned capped enumeration of the clause-major DPLL that preceded
 ``satcore``'s variable-major rows.
+``reference_first_energy`` sums a run's first energy in the per-spin order
+``anneal`` keeps, which inexact coefficients can tell apart from others.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
 ground states and equilibrium of a compiled Hamiltonian.
 ``reference_binned_curves`` bins the concatenation of every trajectory at
@@ -206,6 +208,21 @@ def reference_hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
     for (i, j), coeff in sorted(H.couplings.items()):
         total += coeff * s[i] * s[j]
     return total
+
+
+def reference_first_energy(H: Hamiltonian, spins: Sequence[int]) -> float:
+    """Raw energy of ``spins`` added up in the order ``anneal`` adds its first energy.
+
+    Each field h_i + sum_j J_ij s_j starts at h_i and adds the neighbours in
+    ``H.adjacency`` order; the energy is offset + sum_i s_i (h_i + field_i) / 2,
+    by the builtin ``sum`` in spin order. For dyadic coefficients this equals
+    ``reference_hamiltonian_energy``; for inexact ones it pins every rounding.
+    """
+    field = list(H.fields)
+    for i, neighbors in enumerate(H.adjacency):
+        for j, jf in neighbors:
+            field[i] += jf * spins[j]
+    return H.offset + sum(s * (h + hf) for s, h, hf in zip(spins, H.fields, field)) / 2
 
 
 def reference_magnetization(s: Sequence[int], core_count: int) -> float:

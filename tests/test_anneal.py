@@ -15,6 +15,7 @@ from spinsat.ising import Hamiltonian, format_float
 
 from reference import (
     reference_boltzmann_unsat,
+    reference_first_energy,
     reference_hamiltonian_energy,
     reference_import_csv,
     reference_logical_energy,
@@ -132,10 +133,15 @@ def uf20_compiled(uf20_formulas):
 def test_schedule_defaults():
     sched = Schedule()
     assert (sched.t0, sched.alpha, sched.steps) == (2.5, 0.999, 6000)
+    assert type(Schedule(steps=np.int64(3)).steps) is int
 
 
 @pytest.mark.parametrize(
-    "kwargs", [dict(t0=0), dict(t0=math.inf), dict(alpha=0), dict(alpha=1), dict(steps=-1)]
+    "kwargs",
+    [
+        dict(t0=0), dict(t0=math.inf), dict(alpha=0), dict(alpha=1), dict(steps=-1),
+        dict(steps=2.5), dict(steps=3.0), dict(steps=np.float64(3)), dict(steps="3"),
+    ],
 )
 def test_schedule_validation(kwargs):
     with pytest.raises(ValueError):
@@ -336,15 +342,22 @@ def test_kernel_matches_reference_when_a_sweep_step_cancels_out():
 
 
 def test_set_up_caches_follow_the_instance(uf20_formulas):
-    # Each formula holds its occurrence index and each Hamiltonian caches its
-    # neighbour lists; going to another instance and back must use each
-    # instance's own set-up only.
+    # Each formula holds its occurrence index, each Hamiltonian its neighbour
+    # lists and coupling table, and each schedule its temperatures and row
+    # prefixes; going to another instance and schedule and back must use each
+    # one's own set-up only.
     f1, f2 = uf20_formulas[4:6]
     H1, H2 = ising.compile(f1), ising.compile(f2)
     exported = ising.export_csv(ising.compile(f1))
-    sched = Schedule(steps=800)
-    for H, f in ((H1, f1), (H2, f2), (H1, f1)):
-        assert_same_run(anneal(H, f, sched, 9), reference_anneal(H, f, sched, 9))
+    first, second = Schedule(steps=800), Schedule(t0=1.5, steps=800)
+    for H, f, sched in ((H1, f1, first), (H2, f2, second), (H1, f1, first)):
+        traj = anneal(H, f, sched, 9)
+        assert_same_run(traj, reference_anneal(H, f, sched, 9))
+        text = trajectory_csv(traj)
+        assert text == rendered_rows(traj)
+        # A pooled ``run`` gets its trajectories back with copied columns.
+        copied = dataclasses.replace(traj, temperatures=traj.temperatures.copy())
+        assert trajectory_csv(copied) == text
     assert ising.export_csv(H1) == exported
 
 
@@ -377,6 +390,27 @@ def test_first_energy_is_hamiltonian_energy_of_the_initial_spins(uf20_formulas, 
         if sched.steps == 0:
             assert traj.final_state.tolist() == spins
         expected = reference_hamiltonian_energy(H, spins) - H.energy_floor
+        assert float(traj.energy_h[0]).hex() == expected.hex(), seed
+
+
+def test_first_energy_adds_inexact_coefficients_in_the_per_spin_order():
+    # Multiples of 0.1 are inexact in float64, so the order in which the first
+    # fields and the energy are added shows in the last bits of row 0.
+    rng = np.random.default_rng(71)
+    for seed in range(40):
+        n = 12
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        rng.shuffle(pairs)
+        H = Hamiltonian(
+            offset=int(rng.integers(-50, 51)) / 10,
+            fields=tuple(int(x) / 10 for x in rng.integers(-30, 31, size=n)),
+            couplings={pair: float(rng.integers(1, 31) * rng.choice([-0.1, 0.1])) for pair in pairs},
+            core_count=n,
+            ancillas=(),
+            energy_floor=int(rng.integers(-50, 51)) / 10,
+        )
+        traj = anneal(H, free_spins(H), Schedule(steps=0), seed)
+        expected = reference_first_energy(H, traj.final_state.tolist()) - H.energy_floor
         assert float(traj.energy_h[0]).hex() == expected.hex(), seed
 
 
