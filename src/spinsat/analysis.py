@@ -12,7 +12,7 @@ from typing import Sequence, get_type_hints
 import numpy as np
 
 from .cnf import Formula, clause_ratio
-from .anneal import Trajectory
+from .anneal import Schedule, Trajectory
 from .ising import format_float
 
 __all__ = [
@@ -211,17 +211,18 @@ class BinnedCurves:
 class BinSums:
     """Running per-bin counts and sums of energy and |M|, one trajectory at a time.
 
-    Every trajectory added must hold ``temperatures``, the one object or an
-    equal copy, as the runs of one schedule do. ``np.add.at`` adds in index
-    order, so a fold in trajectory order sums each bin as ``np.bincount``
-    over their concatenation would. One temperature (``steps=0``) makes one
-    bin, whose means stay numpy's pairwise means over its kept rows.
+    Every trajectory added must be a run of ``schedule``, whose temperatures
+    it bins. ``np.add.at`` adds in index order, so a fold in trajectory order
+    sums each bin as ``np.bincount`` over their concatenation would. One
+    temperature (``steps=0``) makes one bin, whose means stay numpy's
+    pairwise means over its kept rows.
     """
 
-    def __init__(self, temperatures: np.ndarray, bins: int = 60):
+    def __init__(self, schedule: Schedule, bins: int = 60):
         if bins < 1:
             raise ValueError("need at least one bin")
-        self.temps, self.added = temperatures, 0
+        self.schedule, self.added = schedule, 0
+        temperatures = schedule.temperatures
         t_min, t_max = float(temperatures.min()), float(temperatures.max())
         self.rows: list | None = [] if t_min == t_max else None
         if self.rows is not None:
@@ -234,8 +235,8 @@ class BinSums:
         self.sums = np.zeros((2, len(self.bin_t)))
 
     def add(self, traj: Trajectory) -> None:
-        if not (traj.temperatures is self.temps or np.array_equal(traj.temperatures, self.temps)):
-            raise ValueError("trajectories do not share one temperature column")
+        if traj.schedule != self.schedule:
+            raise ValueError("trajectories do not share one schedule")
         row = (traj.energy_logic.astype(np.float64), np.abs(traj.magnetization))
         for sums, values in zip(self.sums, row):
             np.add.at(sums, self.which, values)
@@ -261,7 +262,7 @@ def binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedC
     """
     if not trajectories:
         raise ValueError("need at least one trajectory")
-    sums = BinSums(trajectories[0].temperatures, bins)
+    sums = BinSums(trajectories[0].schedule, bins)
     for traj in trajectories:
         sums.add(traj)
     return sums.curves()
@@ -315,7 +316,7 @@ def fit_beta(
 def fit_beta_trajectory(
     traj: Trajectory, window: tuple[float, float] = (0.05, 1.0)
 ) -> BetaFit:
-    return fit_beta(traj.temperatures, np.abs(traj.magnetization), window)
+    return fit_beta(traj.schedule.temperatures, np.abs(traj.magnetization), window)
 
 
 def build_summary(

@@ -24,7 +24,7 @@ and over each step's attempts. Both loops accept by the same test and hand
 the stream to ``_next_accept`` at the same attempt. The formula holds its
 occurrence index (``Formula.occurrences``) and the Hamiltonian its neighbour
 lists and coupling table, so runs over one instance build their set-up once,
-and runs of one schedule share its temperatures, as an array and a list.
+and each schedule owns its temperatures, built once as an array and a list.
 
 Compiled Hamiltonians, and any read back losslessly from ``export_csv``
 tables, have dyadic coefficients (see ``spinsat.ising``), so every kept cost
@@ -105,6 +105,11 @@ class Schedule:
     def temperature(self, t: int) -> float:
         return self.t0 * self.alpha**t
 
+    @property
+    def temperatures(self) -> np.ndarray:
+        """``temperature(t)`` for t = 0..steps, one read-only column per schedule."""
+        return _temperatures(self)[0]
+
 
 @dataclass
 class Trajectory:
@@ -112,20 +117,19 @@ class Trajectory:
 
     ``energy_h`` is offset-normalized (raw Hamiltonian energy minus the
     compile-time floor constant), so it reads as residual constraint energy.
-    ``temperatures`` is read-only: consecutive runs of one schedule share it.
+    Row t ran at ``schedule.temperatures[t]``.
     """
 
     instance: str
     seed: int
     schedule: Schedule
-    temperatures: np.ndarray
     energy_h: np.ndarray
     energy_logic: np.ndarray
     magnetization: np.ndarray
     final_state: SpinState
 
     def __len__(self) -> int:
-        return len(self.temperatures)
+        return len(self.energy_h)
 
 
 # ``anneal`` draws the flip indices this many at a time, and draws uniforms and
@@ -391,7 +395,6 @@ def anneal(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        temperatures=temperatures,
         energy_h=np.repeat(np.array(rec_energy, dtype=np.float64) - H.energy_floor, counts),
         energy_logic=np.repeat(np.array(rec_unsat, dtype=np.int32), counts),
         magnetization=np.repeat(np.array(rec_core_sum, dtype=np.float64) / n_core, counts),
@@ -407,24 +410,19 @@ def _column_texts(patterns: np.ndarray) -> list[str]:
 
 
 @functools.lru_cache(maxsize=1)
-def _row_prefixes(key: Schedule | bytes) -> tuple[str, ...]:
-    """Row prefixes of a schedule's own column, or of the column with float64 bytes ``key``."""
-    temperatures = _temperatures(key)[1] if isinstance(key, Schedule) else np.frombuffer(key).tolist()
-    return tuple(f"{step},{format_float(temperature)}," for step, temperature in enumerate(temperatures))
+def _row_prefixes(sched: Schedule) -> tuple[str, ...]:
+    """The ``step,temperature,`` prefix of each row of a schedule."""
+    return tuple(f"{step},{format_float(t)}," for step, t in enumerate(_temperatures(sched)[1]))
 
 
 def trajectory_csv(traj: Trajectory) -> str:
     """Render a trajectory as CSV (LF endings, 17-significant-digit floats).
 
     Row t's step is t. The ``step,temperature,`` prefixes are reused while
-    consecutive trajectories share the temperature column; the rest of a row
-    is rendered once per run of rows with equal bit patterns, so -0.0 and
-    0.0 stay apart.
+    consecutive trajectories share a schedule; the rest of a row is rendered
+    once per run of rows with equal bit patterns, so -0.0 and 0.0 stay apart.
     """
-    # Runs of one schedule share its column; a copied or hand-built one is known by its bytes.
-    column = traj.temperatures
-    own = column is _temperatures(traj.schedule)[0]
-    prefixes = _row_prefixes(traj.schedule if own else np.asarray(column, dtype=np.float64).tobytes())
+    prefixes = _row_prefixes(traj.schedule)
     energy = np.ascontiguousarray(traj.energy_h, dtype=np.float64).view(np.int64)
     logic = np.asarray(traj.energy_logic, dtype=np.int64)
     magnetization = np.ascontiguousarray(traj.magnetization, dtype=np.float64).view(np.int64)

@@ -277,9 +277,10 @@ def _isolated(work, job: tuple[str, RunConfig]) -> tuple[bool, object, list[str]
 
 def _outcomes(isolated, jobs: list[tuple[str, RunConfig]], workers: int):
     """``isolated(job)`` for each job, in job order. More than one worker runs
-    them in a process pool, submitting the next job as it takes the oldest
-    outcome, so at most ``2 * workers`` are in flight."""
-    if workers == 1 or len(jobs) == 1:
+    them in a pool of at most one process per job, submitting the next job as
+    it takes the oldest outcome, so at most ``2 * workers`` are in flight."""
+    workers = min(workers, len(jobs))
+    if workers == 1:
         yield from map(isolated, jobs)
         return
     from concurrent.futures import ProcessPoolExecutor
@@ -449,7 +450,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _write_hamiltonian(outdir, H)
         _write_trajectory(outdir, traj)
         if sums is None:
-            sums = analysis.BinSums(traj.temperatures, config.bins)
+            sums = analysis.BinSums(traj.schedule, config.bins)
         sums.add(traj)
         summaries.append(summary)
 

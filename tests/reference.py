@@ -427,15 +427,16 @@ def reference_boltzmann_unsat(H: Hamiltonian, f: Formula, T: float) -> float:
 
 def reference_binned_curves(trajectories: Sequence[Trajectory], bins: int = 60) -> BinnedCurves:
     """Geometric temperature bins of energy and |M| over the concatenation of
-    every trajectory, summed by ``np.bincount``; one temperature gives one
-    bin holding numpy's pairwise means."""
+    every trajectory of one schedule, summed by ``np.bincount``; one
+    temperature gives one bin holding numpy's pairwise means."""
     if not trajectories:
         raise ValueError("need at least one trajectory")
     if bins < 1:
         raise ValueError("need at least one bin")
-    temps = trajectories[0].temperatures
-    if not all(t.temperatures is temps or np.array_equal(t.temperatures, temps) for t in trajectories):
-        raise ValueError("trajectories do not share one temperature column")
+    sched = trajectories[0].schedule
+    if any(t.schedule != sched for t in trajectories):
+        raise ValueError("trajectories do not share one schedule")
+    temps = np.array([sched.t0 * sched.alpha**t for t in range(sched.steps + 1)])
     energies = np.concatenate([t.energy_logic.astype(np.float64) for t in trajectories])
     abs_m = np.concatenate([np.abs(t.magnetization) for t in trajectories])
     t_min = float(temps.min())

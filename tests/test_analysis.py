@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import math
 import operator
+import pickle
 
 import numpy as np
 import pytest
@@ -25,20 +26,22 @@ from spinsat.analysis import (
     summary_csv,
     tail_mean,
 )
-from spinsat.anneal import Schedule, Trajectory, anneal
+from spinsat.anneal import Schedule, Trajectory, anneal, trajectory_csv
 from spinsat.cli import derive_seed
 
 from reference import reference_binned_curves
 
 
-def make_trajectory(temps, energy_logic, magnetization, energy_h=None, instance="synthetic", seed=0):
-    temps = np.asarray(temps, dtype=np.float64)
-    n = len(temps)
+def cooling(t0, t_last, rows) -> Schedule:
+    """The schedule that cools from ``t0`` to about ``t_last`` over ``rows`` rows."""
+    return Schedule(t0=t0, alpha=(t_last / t0) ** (1 / (rows - 1)), steps=rows - 1)
+
+
+def make_trajectory(sched, energy_logic, magnetization, energy_h=None, instance="synthetic", seed=0):
     return Trajectory(
         instance=instance,
         seed=seed,
-        schedule=Schedule(t0=float(temps[0]), alpha=0.999, steps=n - 1),
-        temperatures=temps,
+        schedule=sched,
         energy_h=np.asarray(energy_h if energy_h is not None else energy_logic, dtype=np.float64),
         energy_logic=np.asarray(energy_logic),
         magnetization=np.asarray(magnetization, dtype=np.float64),
@@ -273,27 +276,25 @@ def test_aggregate_skips_missing_values():
 
 
 def test_binned_constant_energy_is_flat():
-    temps = np.geomspace(0.01, 2.5, 200)
-    traj = make_trajectory(temps, np.full(200, 4), np.zeros(200))
+    traj = make_trajectory(cooling(2.5, 0.01, 200), np.full(200, 4), np.zeros(200))
     curves = binned_curves([traj], bins=20)
     filled = curves.counts > 0
     assert np.allclose(curves.mean_energy[filled], 4.0)
 
 
 def test_binned_single_bin_is_global_mean():
-    temps = np.geomspace(0.1, 1.0, 50)
     energy = np.arange(50, dtype=float)
-    traj = make_trajectory(temps, energy, np.linspace(0, 1, 50))
+    traj = make_trajectory(cooling(1.0, 0.1, 50), energy, np.linspace(0, 1, 50))
     curves = binned_curves([traj], bins=1)
     assert curves.counts[0] == 50
     assert curves.mean_energy[0] == pytest.approx(energy.mean())
 
 
 def test_binned_symmetric_energies_cancel():
-    temps = np.geomspace(0.1, 1.0, 64)
+    sched = cooling(1.0, 0.1, 64)
     e = np.linspace(1, 5, 64)
-    up = make_trajectory(temps, e, np.zeros(64))
-    down = make_trajectory(temps, -e, np.zeros(64))
+    up = make_trajectory(sched, e, np.zeros(64))
+    down = make_trajectory(sched, -e, np.zeros(64))
     curves = binned_curves([up, down], bins=8)
     filled = curves.counts > 0
     assert np.allclose(curves.mean_energy[filled], 0.0, atol=1e-12)
@@ -301,14 +302,14 @@ def test_binned_symmetric_energies_cancel():
 
 def test_binned_reproduces_raw_points_at_matching_resolution():
     n = 40
-    temps = np.geomspace(0.1, 1.0, n)
     energy = np.arange(n, dtype=float)
     abs_m = np.linspace(0.2, 0.9, n)
-    traj = make_trajectory(temps, energy, abs_m)
+    traj = make_trajectory(cooling(1.0, 0.1, n), energy, abs_m)
     curves = binned_curves([traj], bins=n)
     assert np.all(curves.counts == 1)
-    assert np.allclose(curves.mean_energy, energy)
-    assert np.allclose(curves.mean_abs_magnetization, np.abs(abs_m))
+    # The schedule cools, so the last row falls in the coolest bin.
+    assert np.allclose(curves.mean_energy, energy[::-1])
+    assert np.allclose(curves.mean_abs_magnetization, np.abs(abs_m[::-1]))
 
 
 def assert_same_curves(a, b) -> None:
@@ -317,18 +318,23 @@ def assert_same_curves(a, b) -> None:
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
 
-def test_binned_shared_temperature_column_matches_private_copies(uf20_formulas):
-    # The runs of one schedule share one temperature column. Trajectories
-    # pickled back from a worker pool each hold an equal private copy, and
-    # bin through the same path to the same bytes.
+def test_pooled_trajectories_share_the_parents_temperature_column(uf20_formulas):
+    # A pooled ``run`` gets each trajectory back pickled. It carries its
+    # schedule and no temperatures, so its rows read the parent's one column,
+    # and it renders and bins to the original's bytes.
     f = uf20_formulas[1]
     H = ising.compile(f)
     for sched, bins in ((Schedule(steps=400), 60), (Schedule(steps=400), 7), (Schedule(steps=0), 60)):
-        shared = [anneal(H, f, sched, seed) for seed in range(4)]
-        assert all(t.temperatures is shared[0].temperatures for t in shared)
-        private = [dataclasses.replace(t, temperatures=t.temperatures.copy()) for t in shared]
-        curves = binned_curves(shared, bins)
-        assert_same_curves(curves, binned_curves(private, bins))
+        runs = [anneal(H, f, sched, seed) for seed in range(4)]
+        pooled = [pickle.loads(pickle.dumps(traj)) for traj in runs]
+        for traj, back in zip(runs, pooled):
+            arrays = {name for name, value in vars(back).items() if isinstance(value, np.ndarray)}
+            assert arrays == {"energy_h", "energy_logic", "magnetization", "final_state"}
+            assert back.schedule is not traj.schedule
+            assert back.schedule.temperatures is traj.schedule.temperatures
+            assert trajectory_csv(back) == trajectory_csv(traj)
+        curves = binned_curves(runs, bins)
+        assert_same_curves(curves, binned_curves(pooled, bins))
         assert int(curves.counts.sum()) == 4 * (sched.steps + 1)
     # Steps=0 leaves one temperature, so every point falls in the single bin.
     assert curves.counts.tolist() == [4]
@@ -356,12 +362,14 @@ def test_binned_fold_matches_the_concatenating_reference_bit_for_bit(uf20_formul
         assert reference_binned_curves(runs[1][:9]).mean_abs_magnetization[0] != sequential
 
 
-@pytest.mark.parametrize("other", [np.geomspace(0.1, 1.0, 10), np.geomspace(0.1, 1.0, 12)],
+@pytest.mark.parametrize("other", [cooling(1.0, 0.1, 10), cooling(1.0, 0.1, 12)],
                          ids=["same-length", "longer"])
 def test_binned_rejects_trajectories_of_different_columns(other):
-    first = make_trajectory(np.geomspace(0.1, 2.0, 10), np.ones(10), np.ones(10))
-    second = make_trajectory(other, np.ones(len(other)), np.ones(len(other)))
-    with pytest.raises(ValueError, match="do not share one temperature column"):
+    # Trajectories of two schedules bin over two temperature columns.
+    first = make_trajectory(cooling(2.0, 0.1, 10), np.ones(10), np.ones(10))
+    rows = other.steps + 1
+    second = make_trajectory(other, np.ones(rows), np.ones(rows))
+    with pytest.raises(ValueError, match="do not share one schedule"):
         binned_curves([first, second])
 
 
@@ -371,8 +379,7 @@ def test_binned_requires_input():
 
 
 def test_binned_csv_format():
-    temps = np.geomspace(0.1, 1.0, 10)
-    traj = make_trajectory(temps, np.ones(10), np.ones(10))
+    traj = make_trajectory(cooling(1.0, 0.1, 10), np.ones(10), np.ones(10))
     text = binned_curves([traj], bins=5).to_csv()
     assert text.splitlines()[0] == "bin_T,mean_E,mean_absM,count"
 
@@ -452,25 +459,22 @@ def test_build_summary_round_trips_through_csv(uf20_formulas):
 
 def test_build_summary_abs_before_mean():
     # alternating +-0.5 magnetization: |.| first gives 0.5, mean first gives 0
-    temps = np.geomspace(0.01, 2.5, 10)
     mags = np.array([0.5, -0.5] * 5)
-    traj = make_trajectory(temps, np.zeros(10), mags, instance="")
+    traj = make_trajectory(cooling(2.5, 0.01, 10), np.zeros(10), mags, instance="")
     f = cnf.Formula(2, (), source_name="")
     summary = build_summary(f, traj, sat=True)
     assert summary.final_abs_magnetization == 0.5
 
 
 def test_build_summary_frozen_satisfied_trajectory():
-    temps = np.geomspace(0.01, 2.5, 10)
-    traj = make_trajectory(temps, np.zeros(10, dtype=int), np.ones(10), instance="")
+    traj = make_trajectory(cooling(2.5, 0.01, 10), np.zeros(10, dtype=int), np.ones(10), instance="")
     f = cnf.Formula(2, (), source_name="")
     summary = build_summary(f, traj, sat=True)
     assert summary.final_energy_logic == 0.0
 
 
 def test_build_summary_label_mismatch():
-    temps = np.geomspace(0.01, 2.5, 4)
-    traj = make_trajectory(temps, np.zeros(4), np.zeros(4), instance="other")
+    traj = make_trajectory(cooling(2.5, 0.01, 4), np.zeros(4), np.zeros(4), instance="other")
     f = cnf.Formula(2, (), source_name="one")
     with pytest.raises(ValueError, match="instance labels disagree"):
         build_summary(f, traj, sat=True)

@@ -98,11 +98,12 @@ def reference_anneal(
         energy_h.append(energy_raw - H.energy_floor)
         energy_logic.append(unsat)
         mags.append(core_sum / n_core)
+    # ``anneal`` and ``trajectory_csv`` read the schedule's column: it must be this closed form.
+    assert temperatures == sched.temperatures.tolist()
     return Trajectory(
         instance=f.source_name,
         seed=seed,
         schedule=sched,
-        temperatures=np.array(temperatures),
         energy_h=np.array(energy_h),
         energy_logic=np.array(energy_logic, dtype=np.int32),
         magnetization=np.array(mags),
@@ -153,7 +154,7 @@ def test_recorded_temperature_matches_closed_form(uf20_compiled):
     sched = Schedule(steps=50)
     traj = anneal(H, f, sched, seed=1)
     for t in range(51):
-        assert traj.temperatures[t] == sched.t0 * sched.alpha**t
+        assert traj.schedule.temperatures[t] == sched.t0 * sched.alpha**t
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def test_metropolis_requires_positive_temperature():
     # 0.5**1074 is the smallest subnormal: still positive, and the kernel runs.
     H = single_spin_hamiltonian(-0.5)
     traj = anneal(H, free_spins(H), Schedule(t0=1.0, alpha=0.5, steps=1074), seed=0)
-    assert traj.temperatures[-1] == 5e-324
+    assert traj.schedule.temperatures[-1] == 5e-324
 
 
 # ---------------------------------------------------------------------------
@@ -355,9 +356,6 @@ def test_set_up_caches_follow_the_instance(uf20_formulas):
         assert_same_run(traj, reference_anneal(H, f, sched, 9))
         text = trajectory_csv(traj)
         assert text == rendered_rows(traj)
-        # A pooled ``run`` gets its trajectories back with copied columns.
-        copied = dataclasses.replace(traj, temperatures=traj.temperatures.copy())
-        assert trajectory_csv(copied) == text
     assert ising.export_csv(H1) == exported
 
 
@@ -701,7 +699,7 @@ def test_anneal_zero_steps(uf20_compiled):
     H, f = uf20_compiled
     traj = anneal(H, f, Schedule(steps=0), seed=5)
     assert len(traj) == 1
-    assert traj.temperatures[0] == 2.5
+    assert traj.schedule.temperatures[0] == 2.5
     assert trajectory_csv(traj).splitlines()[1].startswith("0,2.5,")
 
 
@@ -760,8 +758,8 @@ def test_runs_of_one_schedule_share_one_read_only_temperature_column(uf20_compil
     H, f = uf20_compiled
     sched = Schedule(steps=50)
     first, second = (anneal(H, f, sched, seed=seed) for seed in (1, 2))
-    assert first.temperatures is second.temperatures
-    assert not first.temperatures.flags.writeable
+    assert first.schedule.temperatures is second.schedule.temperatures
+    assert not first.schedule.temperatures.flags.writeable
 
 
 def test_anneal_sweeps_mode(uf20_compiled):
@@ -832,7 +830,7 @@ def rendered_rows(traj: Trajectory) -> str:
             ",".join(
                 (
                     str(t),
-                    format_float(traj.temperatures[t]),
+                    format_float(traj.schedule.temperature(t)),
                     format_float(traj.energy_h[t]),
                     str(int(traj.energy_logic[t])),
                     format_float(traj.magnetization[t]),
@@ -860,42 +858,46 @@ def test_trajectory_csv_matches_per_row_renderer(uf20_compiled):
 
 
 def test_trajectory_csv_keeps_signed_zeros_and_subnormals():
+    # The schedule's last temperature is the smallest subnormal, 0.5**1074.
+    sched = Schedule(t0=1.0, alpha=0.5, steps=1074)
     traj = Trajectory(
         instance="hand",
         seed=0,
-        schedule=Schedule(steps=4),
-        temperatures=np.array([2.5, 1.25, 1.25, 5e-324, 0.1]),
-        energy_h=np.array([0.0, -0.0, 5e-324, -0.0, 0.0]),
-        energy_logic=np.array([3, 0, 0, 1, 0], dtype=np.int32),
-        magnetization=np.array([-0.0, 0.0, -0.0, 2.2250738585072014e-309, 0.0]),
+        schedule=sched,
+        energy_h=np.tile([0.0, -0.0, 5e-324, -0.0, 0.0], 215),
+        energy_logic=np.tile(np.array([3, 0, 0, 1, 0], dtype=np.int32), 215),
+        magnetization=np.tile([-0.0, 0.0, -0.0, 2.2250738585072014e-309, 0.0], 215),
         final_state=np.array([1], dtype=np.int8),
     )
     text = trajectory_csv(traj)
     assert text == rendered_rows(traj)
-    assert text.splitlines()[2] == "1,1.25,-0,0,0"
+    lines = text.splitlines()
+    assert lines[2] == "1,0.5,-0,0,0"
+    assert lines[-2].startswith("1073,9.8813129168249309e-324,-0,1,2.22507385850720")
+    assert lines[-1] == "1074,4.9406564584124654e-324,0,0,0"
 
 
 def test_trajectory_csv_matches_per_row_renderer_on_repeated_rows():
     # Runs of equal rows, a run's values coming back after another, and rows
     # that differ only in the sign of a zero or in one column.
-    def hand_built(temperatures):
+    def hand_built(sched):
         return Trajectory(
             instance="hand",
             seed=0,
-            schedule=Schedule(steps=7),
-            temperatures=np.array(temperatures),
+            schedule=sched,
             energy_h=np.array([1.5, 1.5, 1.5, 0.0, -0.0, -0.0, -0.0, 1.5]),
             energy_logic=np.array([2, 2, 2, 0, 0, 0, 1, 2], dtype=np.int32),
             magnetization=np.array([0.25, 0.25, 0.25, 0.25, 0.25, -1.0, -1.0, 0.25]),
             final_state=np.array([1], dtype=np.int8),
         )
 
-    first = hand_built([2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.125])
-    runs = [first, hand_built([2.0, 1.5, 1.5, 1.0, 0.5, 0.5, 0.25, 0.0625]), first]
+    # Two schedules of the same length but other temperatures, back to back.
+    first = hand_built(Schedule(t0=8.0, alpha=0.5, steps=7))
+    runs = [first, hand_built(Schedule(t0=8.0, alpha=0.25, steps=7)), first]
     for traj in runs:
         assert trajectory_csv(traj) == rendered_rows(traj)
     assert trajectory_csv(first).splitlines()[4:7] == [
-        "3,1,0,0,0.25", "4,0.5,-0,0,0.25", "5,0.5,-0,0,-1"
+        "3,1,0,0,0.25", "4,0.5,-0,0,0.25", "5,0.25,-0,0,-1"
     ]
 
 

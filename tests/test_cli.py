@@ -731,15 +731,19 @@ def test_run_peak_memory_does_not_grow_with_the_batch(tmp_path, uf20_paths):
     assert large <= small + 1_000_000, (small, large)
 
 
-def test_pooled_run_keeps_at_most_twice_the_workers_in_flight(tmp_path, uf20_paths, monkeypatch):
+@pytest.fixture()
+def in_process_pool(monkeypatch):
+    """Replaces the process pool with one that runs each job in this process
+    when its result is taken. Records each pool's ``max_workers`` in
+    ``pools``, and the number of jobs in flight after each submit in ``sizes``."""
     pending: set = set()
-    sizes: list[int] = []
+    log = {"pools": [], "sizes": [], "pending": pending}
 
     class Future:
         def __init__(self, call):
             self.call = call
             pending.add(self)
-            sizes.append(len(pending))
+            log["sizes"].append(len(pending))
 
         def result(self):
             pending.remove(self)
@@ -747,7 +751,7 @@ def test_pooled_run_keeps_at_most_twice_the_workers_in_flight(tmp_path, uf20_pat
 
     class InProcessPool:
         def __init__(self, max_workers):
-            assert max_workers == 2
+            log["pools"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -759,6 +763,10 @@ def test_pooled_run_keeps_at_most_twice_the_workers_in_flight(tmp_path, uf20_pat
             return Future(functools.partial(fn, *args))
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return log
+
+
+def test_pooled_run_keeps_at_most_twice_the_workers_in_flight(tmp_path, uf20_paths, in_process_pool):
     corpus = copies(tmp_path / "corpus", uf20_paths, 20)
     out = tmp_path / "out"
     runs = []
@@ -766,12 +774,26 @@ def test_pooled_run_keeps_at_most_twice_the_workers_in_flight(tmp_path, uf20_pat
         assert run_cli(["run", str(corpus), "--steps", "40", "--outdir", str(out), "--workers", workers]) == 0
         runs.append(read_all_outputs(out))
         shutil.rmtree(out)
-    assert len(sizes) == 20 and max(sizes) == 4 and not pending
+    sizes = in_process_pool["sizes"]
+    assert in_process_pool["pools"] == [2]
+    assert len(sizes) == 20 and max(sizes) == 4 and not in_process_pool["pending"]
     manifests = [json.loads(run.pop("run_manifest.json")) for run in runs]
     assert runs[0] == runs[1] and len(runs[0]) == 62
     for manifest in manifests:
         del manifest["config"]["workers"]
     assert manifests[0] == manifests[1]
+
+
+def test_pooled_run_starts_no_more_workers_than_files(tmp_path, uf20_paths, in_process_pool):
+    # Under ``fork`` the pool starts all ``max_workers`` processes at the
+    # first submit, so 3 files with ``--workers 64`` must ask for 3.
+    corpus = copies(tmp_path / "corpus", uf20_paths, 3)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(corpus), "--steps", "40", "--outdir", str(out), "--workers", "64"]) == 0
+    assert in_process_pool["pools"] == [3] and len(in_process_pool["sizes"]) == 3
+    manifest = json.loads((out / "run_manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["workers"] == 64
+    assert len(manifest["instances"]) == 3 and not manifest["failures"]
 
 
 def test_run_streams_past_a_failed_file_alike_serial_and_pooled(tmp_path, uf20_paths):
