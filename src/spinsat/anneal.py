@@ -64,7 +64,7 @@ from itertools import islice
 import numpy as np
 
 from .cnf import Formula
-from .ising import Hamiltonian, SpinState, format_float
+from .ising import Hamiltonian, SpinState, format_float, format_floats
 
 __all__ = [
     "Schedule",
@@ -117,7 +117,8 @@ class Trajectory:
 
     ``energy_h`` is offset-normalized (raw Hamiltonian energy minus the
     compile-time floor constant), so it reads as residual constraint energy.
-    Row t ran at ``schedule.temperatures[t]``.
+    Row t ran at ``schedule.temperatures[t]``, so each series holds
+    ``schedule.steps + 1`` rows.
     """
 
     instance: str
@@ -127,6 +128,14 @@ class Trajectory:
     energy_logic: np.ndarray
     magnetization: np.ndarray
     final_state: SpinState
+
+    def __post_init__(self) -> None:
+        lengths = (len(self.energy_h), len(self.energy_logic), len(self.magnetization))
+        if lengths != (self.schedule.steps + 1,) * 3:
+            raise ValueError(
+                f"series lengths (energy_h, energy_logic, magnetization) = {lengths}"
+                f" must all equal schedule.steps + 1 = {self.schedule.steps + 1}"
+            )
 
     def __len__(self) -> int:
         return len(self.energy_h)
@@ -402,13 +411,6 @@ def anneal(
     )
 
 
-def _column_texts(patterns: np.ndarray) -> list[str]:
-    """``format_float`` of each float64 bit pattern, called once per distinct one."""
-    distinct, inverse = np.unique(patterns, return_inverse=True)
-    texts = np.array(list(map(format_float, distinct.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
 @functools.lru_cache(maxsize=1)
 def _row_prefixes(sched: Schedule) -> tuple[str, ...]:
     """The ``step,temperature,`` prefix of each row of a schedule."""
@@ -432,8 +434,8 @@ def trajectory_csv(traj: Trajectory) -> str:
         | (magnetization[1:] != magnetization[:-1])
     )
     starts = np.flatnonzero(changed)
-    texts = zip(_column_texts(energy[starts]), map(str, logic[starts].tolist()),
-                _column_texts(magnetization[starts]))
+    texts = zip(format_floats(energy[starts].view(np.float64)), map(str, logic[starts].tolist()),
+                format_floats(magnetization[starts].view(np.float64)))
     # A run covering rows a..b-1 is their prefixes joined by "<suffix>\n", then one more.
     bounds = [*starts.tolist(), len(energy)]
     parts = ["step,temperature,energy_h,energy_logic,magnetization\n"]

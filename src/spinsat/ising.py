@@ -67,6 +67,7 @@ __all__ = [
     "clause_polynomial",
     "compile",
     "format_float",
+    "format_floats",
     "export_csv",
 ]
 
@@ -79,6 +80,15 @@ SpinState = np.ndarray
 def format_float(x: float) -> str:
     """CSV text of a float: 17 significant digits, which round-trip float64."""
     return format(float(x), ".17g")
+
+
+def format_floats(values: np.ndarray | list[float] | tuple[float, ...]) -> list[str]:
+    """``format_float`` of each float64 value, called once per distinct bit
+    pattern, so -0.0 and 0.0 stay apart."""
+    patterns = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    distinct, inverse = np.unique(patterns, return_inverse=True)
+    texts = np.array(list(map(format_float, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 class GadgetRecord(NamedTuple):
@@ -360,14 +370,15 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
         f"# source = {H.source}",
         "spin_id,kind,label,h",
     ]
-    for idx in range(H.num_spins):
+    for idx, h in enumerate(format_floats(H.fields)):
         if idx < H.core_count:
             kind, label = "core", f"x{idx + 1}"
         else:
             parent_i, parent_j = H.ancillas[idx - H.core_count]
             kind, label = "ancilla", f"x{parent_i + 1}*x{parent_j + 1}"
-        node_lines.append(f"{idx + 1},{kind},{label},{format_float(H.fields[idx])}")
+        node_lines.append(f"{idx + 1},{kind},{label},{h}")
     edge_lines = ["spin_i,spin_j,J"]
-    for (i, j), coeff in sorted(H.couplings.items()):
-        edge_lines.append(f"{i + 1},{j + 1},{format_float(coeff)}")
+    pairs = sorted(H.couplings)
+    for (i, j), coeff in zip(pairs, format_floats([H.couplings[pair] for pair in pairs])):
+        edge_lines.append(f"{i + 1},{j + 1},{coeff}")
     return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"

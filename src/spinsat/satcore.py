@@ -21,7 +21,8 @@ reuses what the last rerun learnt about the states it resolved: a state
 inside a subtree that held no model is skipped, and a result the clause
 provably leaves unchanged is taken as it was (`enumerate_models` gives the
 rules and their proofs), as in incremental SAT solving (Eén & Sörensson, SAT
-2003). Given the exact model set, a rerun needs no search: it keeps per
+2003). Given an exact model set that fits the cap, enumeration returns it
+whole. Given a larger one, a rerun needs no search: it keeps per
 variable an int with bit k for each model k with the variable true, and walks
 one path from the root without a stack, into the branch that a model not yet
 found which agrees with the path's decisions takes, until one such model is
@@ -45,6 +46,8 @@ __all__ = [
 ]
 
 BRUTE_FORCE_MAX_VARS = 24
+# The most (clause, true-mask) pairs `_satisfying` tests at once.
+_SCAN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,10 +291,12 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
     the cap.
 
     ``exact``, the complete model set of ``f`` in ascending order of
-    true-mask (``brute_force_models``), lets each rerun walk one path from
-    the root with `_descend` instead of searching with `_solve_masks`, and
-    ``truncated`` is read off the models left over. The result is the same
-    as without it.
+    true-mask (``brute_force_models``), is itself the result when it holds
+    at most ``cap`` models: the same models as without it, in its own order.
+    Past the cap it lets each rerun walk one path from the root with
+    `_descend` instead of searching with `_solve_masks`, and ``truncated``
+    is read off the models left over; the result is then the same as
+    without it, in the same order.
 
     A rerun differs from the last only by the blocking clause C of the
     model m just found, which has a literal of every variable. The next
@@ -333,6 +338,8 @@ def enumerate_models(f: Formula, cap: int = 120, exact: ModelSet | None = None) 
         table = exact.models
         if table.shape[1] != f.num_vars:
             raise ValueError(f"exact model set width {table.shape[1]} != num_vars {f.num_vars}")
+        if len(table) <= cap:
+            return exact
         alive = (1 << len(table)) - 1
         # Row k, packed into bytes, is model k's true-mask, which fits a uint32
         # at up to 24 variables; the masks ascend, so a found model's index is
@@ -379,35 +386,58 @@ def backbone(ms: ModelSet) -> tuple[tuple[int, bool], ...]:
     return tuple((int(v), bool(always[v])) for v in np.flatnonzero(always | ~ever))
 
 
+def _satisfying(front: np.ndarray, clauses: list[tuple[int, int]]) -> np.ndarray:
+    """The true-masks in ``front`` that falsify none of ``clauses``.
+
+    A clause is a pair (mask, neg): a true-mask falsifies it iff its bits in
+    mask, the clause's variables, equal neg, those of its negative literals.
+    The (clause, true-mask) test runs over at most ``_SCAN_CELLS`` pairs at a
+    time, one row per clause, so the reduction runs along the long axis.
+    """
+    masks, negs = np.array(clauses, dtype=np.uint32).T[..., None]
+    keep = np.empty(len(front), dtype=bool)
+    step = max(1, _SCAN_CELLS // len(clauses))
+    for a in range(0, len(front), step):
+        (masks & front[a:a + step] != negs).all(axis=0, out=keep[a:a + step])
+    return front[keep]
+
+
 def brute_force_models(f: Formula) -> ModelSet:
     """Exact model set, listed in ascending order of assignment index.
 
     Assignment index bit v holds the value of variable v. The set is built
-    from an empty assignment by fixing variables n-1 down to 0: each step
-    doubles the frontier of partial assignments, then drops those that
-    falsify a clause whose lowest variable was just fixed, as all its
-    variables are now set. Every clause is tested once, against partial
-    assignments that satisfy all clauses tested before it.
+    from an empty assignment by fixing one variable at a time, those in the
+    most clauses first (ties by index), so that clauses are completed while
+    the frontier of partial assignments is small. Each step doubles the
+    frontier, then drops in one pass (`_satisfying`) the partial assignments
+    that falsify a clause the variable completes, as all its variables are
+    now set. Every clause is tested once, against partial assignments that
+    satisfy all clauses tested before it.
     """
     n = f.num_vars
     if n > BRUTE_FORCE_MAX_VARS:
         raise ValueError(f"exact enumeration limited to {BRUTE_FORCE_MAX_VARS} variables")
-    by_lowest: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    # A clause (pos, neg) is satisfied iff a variable in pos is true or one
-    # in neg is false; bit v stands for variable v.
-    for clause in f.clauses:
-        if not clause.is_tautological:
-            pos = neg = 0
-            for lit in clause.literals:
-                if lit.sign > 0:
-                    pos |= 1 << lit.var
-                else:
-                    neg |= 1 << lit.var
-            by_lowest[min(clause.variables)].append((pos, neg))
+    order = sorted(range(n), key=lambda v: (-len(f.occurrences[v]), v))
+    # Clause c holds +v for each bit v of pos[c] and -v for each of neg[c];
+    # its variables are all set at step last[c].
+    pos, neg, last = ([0] * len(f.clauses) for _ in range(3))
+    for k, v in enumerate(order):
+        bit = 1 << v
+        for c, sign in f.occurrences[v]:
+            if sign > 0:
+                pos[c] |= bit
+            else:
+                neg[c] |= bit
+            last[c] = k
+    # A tautology, with a variable in both pos and neg, is never falsified.
+    completes: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for p, q, k in zip(pos, neg, last):
+        if not p & q:
+            completes[k].append((p | q, q))
     front = np.zeros(1, dtype=np.uint32)
-    for v in range(n - 1, -1, -1):
+    for v, clauses in zip(order, completes):
         front = np.concatenate((front, front | np.uint32(1 << v)))
-        for pos, neg in by_lowest[v]:
-            front = front[((front & np.uint32(pos)) != 0) | ((~front & np.uint32(neg)) != 0)]
+        if clauses:
+            front = _satisfying(front, clauses)
     front.sort()
     return ModelSet(_table(front, n), truncated=False)

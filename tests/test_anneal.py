@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pickle
+import re
 import tracemalloc
 from functools import partial
 
@@ -899,6 +901,34 @@ def test_trajectory_csv_matches_per_row_renderer_on_repeated_rows():
     assert trajectory_csv(first).splitlines()[4:7] == [
         "3,1,0,0,0.25", "4,0.5,-0,0,0.25", "5,0.25,-0,0,-1"
     ]
+
+
+def test_trajectory_refuses_series_of_another_length():
+    # Row t ran at the schedule's temperature t, so each series holds
+    # steps + 1 rows; trajectory_csv rendered longer series as rows without a
+    # step or temperature, and shorter ones without their last rows.
+    sched = Schedule(t0=1.0, alpha=0.5, steps=2)
+    series = {
+        "energy_h": np.zeros(3),
+        "energy_logic": np.zeros(3, dtype=np.int32),
+        "magnetization": np.zeros(3),
+    }
+
+    def hand_built(**changed):
+        return Trajectory(instance="hand", seed=0, schedule=sched,
+                          final_state=np.array([1], dtype=np.int8), **{**series, **changed})
+
+    assert len(hand_built()) == 3
+    for k, name in enumerate(series):
+        for rows in (0, 2, 5):
+            lengths = tuple(rows if j == k else 3 for j in range(3))
+            with pytest.raises(ValueError, match=re.escape(f"{lengths} must all equal schedule.steps + 1 = 3")):
+                hand_built(**{name: np.zeros(rows)})
+    # A trajectory pickled back from a pool worker is rebuilt without the check.
+    f = generate_random_3sat(5, 10, seed=2)
+    traj = anneal(ising.compile(f), f, sched, seed=4)
+    copy = pickle.loads(pickle.dumps(traj))
+    assert trajectory_csv(copy) == trajectory_csv(traj)
 
 
 def test_anneal_rejects_empty_hamiltonian():

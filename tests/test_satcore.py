@@ -497,20 +497,36 @@ def test_solve_uf20_models_are_frozen(uf20_formulas):
 
 
 def test_small_family_decisions_are_frozen():
-    for pruned in (False, True):
-        lines = []
-        unsat = 0
-        for f in frozen_family():
-            model = solve(f)
-            unsat += model is None
-            lines.append("-" if model is None else bits(model))
-            exact = brute_force_models(f) if pruned else None
-            for cap in (1, 3, 50):
-                ms = enumerate_models(f, cap, exact)
-                lines.append(f"cap={cap} truncated={int(ms.truncated)} count={len(ms.models)}")
-                lines.extend(bits(m) for m in ms.models)
-        assert unsat > 0
-        assert digest(lines) == FAMILY_DIGEST
+    lines = []
+    unsat = 0
+    blocks = []
+    for f in frozen_family():
+        model = solve(f)
+        unsat += model is None
+        lines.append("-" if model is None else bits(model))
+        for cap in (1, 3, 50):
+            ms = enumerate_models(f, cap)
+            lines.append(f"cap={cap} truncated={int(ms.truncated)} count={len(ms.models)}")
+            lines.extend(bits(m) for m in ms.models)
+            blocks.append((f, cap, ms))
+    assert unsat > 0
+    assert digest(lines) == FAMILY_DIGEST
+    # Pruned by the exact set, a truncated block is the same line for line. A
+    # complete block is the exact table, in ascending true-mask order, and the
+    # unpruned block's models in another order.
+    complete = 0
+    for f, cap, unpruned in blocks:
+        exact = brute_force_models(f)
+        ms = enumerate_models(f, cap, exact)
+        if unpruned.truncated:
+            assert [bits(m) for m in ms.models] == [bits(m) for m in unpruned.models]
+            assert ms.truncated
+        else:
+            complete += 1
+            assert [bits(m) for m in ms.models] == [bits(m) for m in exact.models]
+            assert sorted(bits(m) for m in ms.models) == sorted(bits(m) for m in unpruned.models)
+            assert not ms.truncated
+    assert 0 < complete < len(blocks)
 
 
 def test_pruned_enumeration_matches_unpruned(uf20_formulas):
@@ -534,12 +550,25 @@ def test_pruned_enumeration_matches_unpruned(uf20_formulas):
         for alpha in (0.5, 1, 2):
             f = generate_random_3sat(n, max(1, int(alpha * n)), seed=int(rng.integers(10**6)))
             cases += [(f, cap) for cap in (1, 7, 120)]
+    outcomes = set()
     for f, cap in cases:
-        pruned = enumerate_models(f, cap, brute_force_models(f))
-        assert same(pruned, enumerate_models(f, cap))
-        # `spinsat run` reads satisfiability off the capped set instead of calling solve.
+        exact = brute_force_models(f)
+        pruned = enumerate_models(f, cap, exact)
+        unpruned = enumerate_models(f, cap)
         models = model_tuples(pruned)
-        assert (models[0] if models else None) == solve(f)
+        model = solve(f)
+        if pruned.truncated:
+            assert same(pruned, unpruned)
+            # `spinsat run` reads satisfiability off the capped set instead of calling solve.
+            assert models[0] == model
+        else:
+            # Within the cap the exact set is the result, in its own order.
+            assert pruned is exact and not unpruned.truncated
+            assert len(models) == len(unpruned.models) and set(models) == set(model_tuples(unpruned))
+            assert bool(models) == (model is not None)
+            assert model is None or model in models
+        outcomes.add((pruned.truncated, bool(models)))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_pruned_enumeration_never_backtracks(uf20_paths, search_log):
@@ -571,13 +600,15 @@ def test_pruned_enumeration_never_backtracks(uf20_paths, search_log):
 def test_exact_path_reruns_resolve_one_chain_from_the_root(uf20_formulas, search_log):
     # With the exact model set a rerun never backtracks: each state it
     # resolves extends the one resolved before it, and the first is the root.
-    sb005 = next(f for f in uf20_formulas if f.source_name == "uf20-sb-005")
+    # Each cap is below its set's size, as a set within the cap takes no rerun.
     sparse = parse_dimacs("p cnf 14 2\n1 2 3 0\n-4 5 0\n")
-    cases = [(f, 120) for f in uf20_formulas] + [(sb005, 200), (sparse, 120)]
+    cases = [(f, len(brute_force_models(f).models) - 1) for f in uf20_formulas]
+    cases = [(f, cap) for f, cap in cases if cap] + [(sparse, 120)]
     chains = 0
     for f, cap in cases:
         search_log.runs.clear()
         enumerate_models(f, cap, brute_force_models(f))
+        assert len(search_log.runs) == cap
         for run in search_log.runs:
             states = list(run.states)
             assert states[:1] in ([], [(0, 0)])
@@ -588,26 +619,94 @@ def test_exact_path_reruns_resolve_one_chain_from_the_root(uf20_formulas, search
 
 
 def test_one_alive_model_needs_no_propagation(uf20_paths, search_log):
-    # uf20-sb-002 has one model: the first run returns it at the root, and
-    # the second finds no model left, both without a call to _propagate.
-    f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-002"))
+    # A rerun returns a model without propagating once only one alive model
+    # agrees with its path, and takes what the last rerun returned for the
+    # states before. Below each set's size `_descend` runs: uf20-sb-004 has 4
+    # models, and at cap 3 its second rerun finds one without a call.
+    f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-004"))
     exact = brute_force_models(f)
-    assert len(exact.models) == 1
-    assert same(enumerate_models(f, cap=120, exact=exact), exact)
-    assert [(run.found, run.calls) for run in search_log.runs] == [
-        (sum(1 << v for v, value in enumerate(exact.models[0]) if value), 0),
-        (None, 0),
+    assert len(exact.models) == 4
+    assert same(enumerate_models(f, cap=3, exact=exact), enumerate_models(f, cap=3))
+    assert [(run.found, run.calls) for run in search_log.runs[:3]] == [
+        (369724, 5),
+        (386108, 0),
+        (369720, 6),
     ]
-    assert search_log.fresh == []
-    # uf20-sb-005 enumerated to the end: 47 of its 145 models, and the
-    # empty rest, are found without a call.
+    # uf20-sb-005 enumerated to 144 of its 145 models: 46 of them are found
+    # without a call, and the 144 runs make 198 calls.
     f = parse_dimacs_file(next(p for p in uf20_paths if p.stem == "uf20-sb-005"))
     exact = brute_force_models(f)
     search_log.runs.clear()
-    assert same(enumerate_models(f, cap=200, exact=exact), enumerate_models(f, cap=200))
-    pruned = search_log.runs[:len(exact.models) + 1]
-    assert pruned[-1].found is None and pruned[-1].calls == 0
-    assert [run.calls for run in pruned].count(0) == 48
+    assert same(enumerate_models(f, cap=144, exact=exact), enumerate_models(f, cap=144))
+    pruned = search_log.runs[:144]
+    assert all(run.found is not None for run in pruned)
+    assert [run.calls for run in pruned].count(0) == 46
+    assert sum(run.calls for run in pruned) == 198
+
+
+def test_exact_set_within_cap_is_returned_whole(uf20_formulas, search_log):
+    # An exact set of at most cap models is the whole capped enumeration: it
+    # is returned as it is, without a rerun or a call to _propagate. One
+    # model fewer than the set holds takes the pruned reruns, one per model.
+    unsat = parse_dimacs("p cnf 1 2\n1 0\n-1 0")
+    cases = list(uf20_formulas) + [parse_dimacs("p cnf 0 0"), unsat, Formula(4, ())]
+    sizes = []
+    for f in cases:
+        exact = brute_force_models(f)
+        size = len(exact.models)
+        sizes.append(size)
+        search_log.runs.clear()
+        search_log.fresh.clear()
+        assert enumerate_models(f, max(size, 1), exact) is exact
+        assert search_log.runs == [] and search_log.fresh == []
+        if size > 1:
+            below = enumerate_models(f, size - 1, exact)
+            assert len(search_log.runs) == size - 1 and search_log.fresh
+            assert below.truncated and same(below, enumerate_models(f, size - 1))
+    assert 0 in sizes and 1 in sizes and max(sizes) == 145
+
+
+def test_scan_matches_reference_on_mixed_clauses():
+    # The scan fixes variables by occurrence count, so ties, unused variables
+    # (fixed last), tautologies and short clauses meet it at different steps.
+    rng = np.random.default_rng(97)
+    cases = [parse_dimacs("p cnf 0 0"), parse_dimacs("p cnf 3 0")]
+    for _ in range(80):
+        n = int(rng.integers(1, 11))
+        f = mixed_formula(rng, n, int(rng.integers(1, 4 * n + 1)))
+        cases.append(Formula(n + int(rng.integers(0, 3)), f.clauses))
+    sizes = set()
+    for f in cases:
+        ms = brute_force_models(f)
+        assert model_tuples(ms) == reference_brute_force_models(f)
+        assert not ms.truncated and ms.models.shape == (len(ms.models), f.num_vars)
+        sizes.add(len(ms.models))
+    clauses = [c for f in cases for c in f.clauses]
+    assert any(c.is_tautological for c in clauses)
+    assert {1, 2, 3} <= {len(c) for c in clauses}
+    assert any(not occ for f in cases for occ in f.occurrences)
+    assert 0 in sizes and 1 in sizes
+
+
+def test_scan_memory_stays_beside_the_table_on_a_dense_set():
+    # Eight clauses over all 21 variables each falsify one assignment, and all
+    # are completed at the last step, when the frontier holds 2^21 rows.
+    # Tested at once, their (clause, row) pairs would take 24 bytes a row
+    # beside the table; the scan keeps a 4-byte frontier row per model and a
+    # test of at most `_SCAN_CELLS` pairs.
+    rng = np.random.default_rng(5)
+    f = Formula(21, tuple(
+        Clause(tuple(Literal(v, int(sign)) for v, sign in enumerate(rng.choice((-1, 1), 21))))
+        for _ in range(8)
+    ))
+    tracemalloc.start()
+    try:
+        exact = brute_force_models(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exact.models.shape == ((1 << 21) - 8, 21)
+    assert peak < exact.models.nbytes + 8 * len(exact.models), peak
 
 
 def test_enumerate_rejects_truncated_exact_set():
