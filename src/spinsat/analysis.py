@@ -284,9 +284,9 @@ def fit_beta(
 ) -> BetaFit:
     """Least-squares slope of log|M| vs log T; beta is the negated slope.
 
-    Points outside the window or with |M| = 0 are excluded; fewer than three
-    usable points is an error. The fit is invariant under rescaling |M|
-    (the amplitude only shifts the intercept).
+    Points outside the window or with |M| = 0 or NaN (an empty bin) are
+    excluded; fewer than three usable points is an error. The fit is
+    invariant under rescaling |M| (the amplitude only shifts the intercept).
     """
     lo, hi = window
     if not 0 < lo < hi:

@@ -22,9 +22,10 @@ test. With one attempt per step, attempt k is step k + 1, so the default
 schedule runs one flat loop over attempts; ``sweeps=True`` loops over steps
 and over each step's attempts. Both loops accept by the same test and hand
 the stream to ``_next_accept`` at the same attempt. The formula holds its
-occurrence index (``Formula.occurrences``) and the Hamiltonian its neighbour
-lists and coupling table, so runs over one instance build their set-up once,
-and each schedule owns its temperatures, built once as an array and a list.
+occurrence index (``Formula.occurrences``) and the Hamiltonian its coupling
+table, sorted once, with the neighbour lists cut from its rows, so runs over
+one instance build their set-up once, and each schedule owns its
+temperatures, built once as an array and a list.
 
 Compiled Hamiltonians, and any read back losslessly from ``export_csv``
 tables, have dyadic coefficients (see ``spinsat.ising``), so every kept cost

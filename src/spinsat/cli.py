@@ -383,7 +383,7 @@ def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
         f" backbone={size} normalized={normalized}"
     )
     if exact and exact_models is not None:
-        line += f" backbone_exact={len(backbone(exact_models))}"
+        line += f" backbone_exact={size if exact_models is models else len(backbone(exact_models))}"
     return line
 
 
@@ -413,7 +413,7 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
     if sat:
         capped_size = len(backbone(capped_models))
         if exact_models is not None:
-            exact_size = len(backbone(exact_models))
+            exact_size = capped_size if exact_models is capped_models else len(backbone(exact_models))
         slack_models = capped_models if exact_models is None else exact_models
         if formula.num_clauses:
             slack_value = mean_slack(formula, slack_models.models)
@@ -460,11 +460,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         curves = sums.curves()
         _atomic_write(outdir / "binned_curves.csv", curves.to_csv())
         try:
-            pooled = analysis.fit_beta(
-                curves.bin_t[curves.counts > 0],
-                curves.mean_abs_magnetization[curves.counts > 0],
-                config.beta_window,
-            )
+            pooled = analysis.fit_beta(curves.bin_t, curves.mean_abs_magnetization, config.beta_window)
             pooled_beta = {"beta": pooled.beta, "r_squared": pooled.r_squared}
         except ValueError:
             pooled_beta = None

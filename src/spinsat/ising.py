@@ -173,8 +173,9 @@ class Hamiltonian:
     """Pairwise spin energy: offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
 
     Core spins occupy indices [0, core_count); ancilla spins follow. The
-    object is immutable by convention after compile; the neighbor lists and
-    the coupling table are cached lazily.
+    object is immutable by convention after compile. ``coupling_table``, the
+    one sorted view of the couplings, is cached lazily, and the neighbor lists
+    and the edge CSV are read off it.
 
     ``energy_floor`` is the analytic minimum constant (sum of per-clause
     gadgetized minima), so energy - energy_floor is 0 exactly on satisfying
@@ -198,25 +199,25 @@ class Hamiltonian:
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, float], ...], ...]:
-        """Per-spin (neighbor, J) pairs in ascending neighbor order."""
-        neighbors: list[list[tuple[int, float]]] = [[] for _ in range(self.num_spins)]
-        for (i, j), coeff in self.couplings.items():
-            neighbors[i].append((j, coeff))
-            neighbors[j].append((i, coeff))
-        return tuple(tuple(sorted(entry)) for entry in neighbors)
+        """Per-spin (neighbor, J) pairs in ascending neighbor order: the rows
+        of ``coupling_table``."""
+        _, rows, cols, values = self.coupling_table
+        pairs = list(zip(cols.tolist(), values.tolist()))
+        ends = np.cumsum(np.bincount(rows, minlength=self.num_spins)).tolist()
+        return tuple(tuple(pairs[start:end]) for start, end in zip([0, *ends], ends))
 
     @cached_property
     def coupling_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(fields, rows, cols, values)``: the fields as an array, then each
-        coupling twice, as (i, j, J_ij) and (j, i, J_ij), with each row's
-        entries in ascending col order, the order of ``adjacency``."""
+        coupling twice, as (i, j, J_ij) and (j, i, J_ij), sorted by (row, col).
+        Keys have i < j, as ``compile`` builds them, so the entries with
+        row < col are the couplings in ``sorted(couplings)`` order."""
         m = len(self.couplings)
         first, second = np.array([*zip(*self.couplings)], dtype=np.intp).reshape(2, m)
         coeffs = np.fromiter(self.couplings.values(), np.float64, m)
-        cols = np.concatenate((second, first))
-        order = np.argsort(cols, kind="stable")
-        rows = np.concatenate((first, second))[order]
-        return np.array(self.fields), rows, cols[order], np.concatenate((coeffs, coeffs))[order]
+        rows, cols = np.concatenate((first, second)), np.concatenate((second, first))
+        order = np.lexsort((cols, rows))
+        return np.array(self.fields), rows[order], cols[order], np.concatenate((coeffs, coeffs))[order]
 
 
 @functools.lru_cache(maxsize=256)
@@ -377,8 +378,8 @@ def export_csv(H: Hamiltonian) -> tuple[str, str]:
             parent_i, parent_j = H.ancillas[idx - H.core_count]
             kind, label = "ancilla", f"x{parent_i + 1}*x{parent_j + 1}"
         node_lines.append(f"{idx + 1},{kind},{label},{h}")
-    edge_lines = ["spin_i,spin_j,J"]
-    pairs = sorted(H.couplings)
-    for (i, j), coeff in zip(pairs, format_floats([H.couplings[pair] for pair in pairs])):
-        edge_lines.append(f"{i + 1},{j + 1},{coeff}")
+    _, rows, cols, values = H.coupling_table
+    upper = rows < cols
+    edges = zip(rows[upper].tolist(), cols[upper].tolist(), format_floats(values[upper]))
+    edge_lines = ["spin_i,spin_j,J", *(f"{i + 1},{j + 1},{coeff}" for i, j, coeff in edges)]
     return "\n".join(node_lines) + "\n", "\n".join(edge_lines) + "\n"

@@ -9,6 +9,10 @@ every assignment directly, so tests can check the fast paths against them.
 ``reference_propagate`` propagates over, and ``reference_enumerate`` is the
 unpruned capped enumeration of the clause-major DPLL that preceded
 ``satcore``'s variable-major rows.
+``reference_adjacency`` walks the coupling dict and sorts each spin's list,
+and ``reference_edge_csv`` renders ``sorted(H.couplings)``, as
+``Hamiltonian.adjacency`` and ``ising.export_csv`` did before both were read
+off ``Hamiltonian.coupling_table``.
 ``reference_first_energy`` sums a run's first energy in the per-spin order
 ``anneal`` keeps, which inexact coefficients can tell apart from others.
 ``reference_core_minima`` and ``reference_boltzmann_unsat`` give the exact
@@ -32,7 +36,13 @@ import numpy as np
 from spinsat.analysis import BinnedCurves
 from spinsat.anneal import Trajectory
 from spinsat.cnf import Assignment, Clause, Formula, Literal
-from spinsat.ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, GadgetRecord, Hamiltonian
+from spinsat.ising import (
+    GADGET_CORRECTED,
+    GADGET_PAPER_LITERAL,
+    GadgetRecord,
+    Hamiltonian,
+    format_floats,
+)
 from spinsat.satcore import ModelSet
 
 
@@ -210,16 +220,37 @@ def reference_hamiltonian_energy(H: Hamiltonian, s: Sequence[int]) -> float:
     return total
 
 
+def reference_adjacency(H: Hamiltonian) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Per-spin (neighbor, J) pairs in ascending neighbor order, from a walk of
+    the coupling dict and one sort per spin."""
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in range(H.num_spins)]
+    for (i, j), coeff in H.couplings.items():
+        neighbors[i].append((j, coeff))
+        neighbors[j].append((i, coeff))
+    return tuple(tuple(sorted(entry)) for entry in neighbors)
+
+
+def reference_edge_csv(H: Hamiltonian) -> str:
+    """``ising.export_csv``'s edge table: one row per coupling in
+    ``sorted(H.couplings)`` order, 1-based ids, J as ``format_float`` text."""
+    edge_lines = ["spin_i,spin_j,J"]
+    pairs = sorted(H.couplings)
+    for (i, j), coeff in zip(pairs, format_floats([H.couplings[pair] for pair in pairs])):
+        edge_lines.append(f"{i + 1},{j + 1},{coeff}")
+    return "\n".join(edge_lines) + "\n"
+
+
 def reference_first_energy(H: Hamiltonian, spins: Sequence[int]) -> float:
     """Raw energy of ``spins`` added up in the order ``anneal`` adds its first energy.
 
     Each field h_i + sum_j J_ij s_j starts at h_i and adds the neighbours in
-    ``H.adjacency`` order; the energy is offset + sum_i s_i (h_i + field_i) / 2,
-    by the builtin ``sum`` in spin order. For dyadic coefficients this equals
-    ``reference_hamiltonian_energy``; for inexact ones it pins every rounding.
+    ascending index order (``reference_adjacency``); the energy is
+    offset + sum_i s_i (h_i + field_i) / 2, by the builtin ``sum`` in spin
+    order. For dyadic coefficients this equals ``reference_hamiltonian_energy``;
+    for inexact ones it pins every rounding.
     """
     field = list(H.fields)
-    for i, neighbors in enumerate(H.adjacency):
+    for i, neighbors in enumerate(reference_adjacency(H)):
         for j, jf in neighbors:
             field[i] += jf * spins[j]
     return H.offset + sum(s * (h + hf) for s, h, hf in zip(spins, H.fields, field)) / 2

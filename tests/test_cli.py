@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import spinsat
-from spinsat import analysis, cli, cnf
+from spinsat import analysis, cli, cnf, satcore
 from spinsat.anneal import Schedule, anneal, trajectory_csv, trajectory_filename
 from spinsat.cli import derive_seed, main
 from spinsat.cnf import ParseWarning, parse_dimacs_file
@@ -1018,6 +1018,22 @@ def test_run_computes_the_mean_slack_once_per_satisfiable_instance(tmp_path, uf2
     corpus = str(uf20_paths[0].parent)
     assert run_cli(["run", corpus, "--outdir", str(tmp_path / "out"), "--steps", "30"]) == 0
     assert calls == [p.stem for p in uf20_paths] and len(calls) == 12
+
+
+@pytest.mark.parametrize("command", [["run", "--steps", "30"], ["backbone", "--exact"]])
+def test_backbone_runs_once_per_model_set(tmp_path, uf20_paths, monkeypatch, command):
+    # 11 exact sets fit within the cap and are returned as the capped set;
+    # only uf20-sb-005 has an exact set apart from its capped one: 12 + 1.
+    calls = []
+
+    def counted(models):
+        calls.append(models)
+        return satcore.backbone(models)
+
+    monkeypatch.setattr(cli, "backbone", counted)
+    outdir = ["--outdir", str(tmp_path / "out")] if command[0] == "run" else []
+    assert run_cli([command[0], str(uf20_paths[0].parent), *command[1:], *outdir]) == 0
+    assert len(calls) == len({id(models) for models in calls}) == 13
 
 
 def test_report_too_few_rows(tmp_path, capsys):

@@ -18,8 +18,10 @@ from spinsat.ising import (
 )
 
 from reference import (
+    reference_adjacency,
     reference_assignment_to_spins,
     reference_core_minima,
+    reference_edge_csv,
     reference_hamiltonian_energy,
     reference_import_csv,
     reference_logical_energy,
@@ -421,6 +423,43 @@ def test_magnetization_validation():
         reference_magnetization([1, 1], 0)
     with pytest.raises(ValueError):
         reference_magnetization([1, 1], 3)
+
+
+# ---------------------------------------------------------------------------
+# Coupling order
+# ---------------------------------------------------------------------------
+
+
+def inexact_hamiltonian(rng, n: int, coupled: int) -> Hamiltonian:
+    """Spins ``coupled`` and up have no coupling; the keys go in shuffled order
+    and every coefficient is a multiple of 0.1, inexact in float64."""
+    pairs = [(i, j) for i in range(coupled) for j in range(i + 1, coupled) if rng.random() < 0.6]
+    rng.shuffle(pairs)
+    return Hamiltonian(
+        offset=int(rng.integers(-50, 51)) / 10,
+        fields=tuple(int(x) / 10 for x in rng.integers(-30, 31, size=n)),
+        couplings={pair: float(rng.integers(1, 31) * rng.choice([-0.1, 0.1])) for pair in pairs},
+        core_count=n,
+        ancillas=(),
+    )
+
+
+def test_adjacency_table_and_edge_csv_follow_the_sorted_couplings(uf20_formulas):
+    rng = np.random.default_rng(83)
+    modes = (GADGET_CORRECTED, GADGET_PAPER_LITERAL)
+    hamiltonians = [ising.compile(f, gadget_mode=mode) for f in uf20_formulas for mode in modes]
+    sizes = rng.integers(4, 16, size=30).tolist()
+    hamiltonians += [inexact_hamiltonian(rng, n, int(rng.integers(2, n - 1))) for n in sizes]
+    hamiltonians.append(inexact_hamiltonian(rng, 5, 0))
+    assert hamiltonians[-1].couplings == {}
+    assert sum(list(H.couplings) != sorted(H.couplings) for H in hamiltonians[24:-1]) > 20
+    for H in hamiltonians:
+        adjacency = reference_adjacency(H)
+        assert H.adjacency == adjacency
+        _, rows, cols, values = H.coupling_table
+        entries = [(i, j, coeff) for i, neighbors in enumerate(adjacency) for j, coeff in neighbors]
+        assert list(zip(rows.tolist(), cols.tolist(), values.tolist())) == entries
+        assert export_csv(H)[1] == reference_edge_csv(H)
 
 
 # ---------------------------------------------------------------------------
