@@ -30,8 +30,7 @@ from .anneal import Schedule, Trajectory, anneal, trajectory_csv, trajectory_fil
 from .cnf import Formula, generate_random_3sat, mean_slack, parse_dimacs_file, write_dimacs
 from .ising import GADGET_CORRECTED, GADGET_PAPER_LITERAL, compile as compile_hamiltonian
 from .ising import Hamiltonian, export_csv, format_float
-from .satcore import BRUTE_FORCE_MAX_VARS, ModelSet, backbone, brute_force_models
-from .satcore import enumerate_models, solve
+from .satcore import model_sets, solve
 from . import analysis
 
 DEFAULT_OUTDIR = "out"
@@ -334,13 +333,6 @@ def _print_lines(args: argparse.Namespace, work, writes: bool = False) -> int:
     return 1 if failed else 0
 
 
-def _model_sets(formula: Formula, cap: int) -> tuple[ModelSet | None, ModelSet]:
-    """The exact model set (None above ``BRUTE_FORCE_MAX_VARS`` variables),
-    and the first ``cap`` models found by DPLL, pruned by the exact set."""
-    exact = brute_force_models(formula) if formula.num_vars <= BRUTE_FORCE_MAX_VARS else None
-    return exact, enumerate_models(formula, cap, exact)
-
-
 def _write_hamiltonian(outdir: Path, H: Hamiltonian) -> None:
     nodes, edges = export_csv(H)
     _atomic_write(outdir / f"ising_nodes_{H.source}.csv", nodes)
@@ -372,18 +364,17 @@ def _solve_line(job: tuple[str, RunConfig]) -> str:
 def _backbone_line(job: tuple[str, RunConfig], exact: bool = False) -> str:
     path, config = job
     formula = parse_dimacs_file(path, lenient=config.lenient)
-    exact_models, models = _model_sets(formula, config.cap)
-    if not len(models.models):
+    models, _, size, exact_size = model_sets(formula, config.cap)
+    if size is None:
         return f"{formula.source_name}: sat=false"
-    size = len(backbone(models))
     normalized = f"{size / formula.num_vars:.3f}" if formula.num_vars else "n/a"
     line = (
         f"{formula.source_name}: models>={len(models.models)}"
         f" truncated={str(models.truncated).lower()}"
         f" backbone={size} normalized={normalized}"
     )
-    if exact and exact_models is not None:
-        line += f" backbone_exact={size if exact_models is models else len(backbone(exact_models))}"
+    if exact and exact_size is not None:
+        line += f" backbone_exact={exact_size}"
     return line
 
 
@@ -407,16 +398,12 @@ def _run_instance(job: tuple[str, RunConfig]) -> tuple:
     formula = parse_dimacs_file(path, lenient=config.lenient)
     H = compile_hamiltonian(formula, config.k_factor, config.gadget_mode)
 
-    exact_models, capped_models = _model_sets(formula, config.cap)
-    sat = len(capped_models.models) > 0
-    capped_size = exact_size = slack_value = None
-    if sat:
-        capped_size = len(backbone(capped_models))
-        if exact_models is not None:
-            exact_size = capped_size if exact_models is capped_models else len(backbone(exact_models))
+    capped_models, exact_models, capped_size, exact_size = model_sets(formula, config.cap)
+    sat = capped_size is not None
+    slack_value = None
+    if sat and formula.num_clauses:
         slack_models = capped_models if exact_models is None else exact_models
-        if formula.num_clauses:
-            slack_value = mean_slack(formula, slack_models.models)
+        slack_value = mean_slack(formula, slack_models.models)
 
     seed = derive_seed(config.seed, formula.source_name)
     traj = anneal(H, formula, config.schedule(), seed, sweeps=config.sweeps)

@@ -47,12 +47,6 @@ class Literal(NamedTuple):
         return self.sign * (self.var + 1)
 
 
-def literal_from_dimacs(lit: int) -> Literal:
-    if lit == 0:
-        raise DimacsError("literal 0 is reserved as the clause terminator")
-    return Literal(abs(lit) - 1, 1 if lit > 0 else -1)
-
-
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of distinct literals.
@@ -79,12 +73,8 @@ class Clause:
 
     @property
     def is_tautological(self) -> bool:
-        seen = {}
-        for lit in self.literals:
-            if seen.get(lit.var, lit.sign) != lit.sign:
-                return True
-            seen[lit.var] = lit.sign
-        return False
+        # The literals are distinct, so a repeated variable has both signs.
+        return len({lit.var for lit in self.literals}) < len(self.literals)
 
 
 @dataclass(frozen=True)
@@ -123,7 +113,7 @@ def _make_clause(dimacs_lits: list[int], num_vars: int) -> Clause:
     for raw in dimacs_lits:
         if abs(raw) > num_vars:
             raise DimacsError(f"literal {raw} exceeds declared variable count {num_vars}")
-        lit = literal_from_dimacs(raw)
+        lit = Literal(abs(raw) - 1, 1 if raw > 0 else -1)
         if lit not in seen:
             seen.add(lit)
             literals.append(lit)

@@ -172,10 +172,11 @@ def _paper_literal_substitution(
 class Hamiltonian:
     """Pairwise spin energy: offset + sum h_i s_i + sum_{i<j} J_ij s_i s_j.
 
-    Core spins occupy indices [0, core_count); ancilla spins follow. The
-    object is immutable by convention after compile. ``coupling_table``, the
-    one sorted view of the couplings, is cached lazily, and the neighbor lists
-    and the edge CSV are read off it.
+    Core spins occupy indices [0, core_count); ancilla spins follow. Every
+    coupling key (i, j) has 0 <= i < j < ``num_spins``, or construction raises
+    ValueError. The object is immutable by convention after compile.
+    ``coupling_table``, the one sorted view of the couplings, is cached
+    lazily, and the neighbor lists and the edge CSV are read off it.
 
     ``energy_floor`` is the analytic minimum constant (sum of per-clause
     gadgetized minima), so energy - energy_floor is 0 exactly on satisfying
@@ -192,6 +193,11 @@ class Hamiltonian:
     energy_floor: float = 0.0
     gadget_mode: str = GADGET_CORRECTED
     k_factor: float = 20.0
+
+    def __post_init__(self) -> None:
+        for i, j in self.couplings:
+            if not 0 <= i < j < len(self.fields):
+                raise ValueError(f"coupling key {(i, j)} breaks 0 <= i < j < {len(self.fields)}")
 
     @property
     def num_spins(self) -> int:
@@ -210,8 +216,8 @@ class Hamiltonian:
     def coupling_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(fields, rows, cols, values)``: the fields as an array, then each
         coupling twice, as (i, j, J_ij) and (j, i, J_ij), sorted by (row, col).
-        Keys have i < j, as ``compile`` builds them, so the entries with
-        row < col are the couplings in ``sorted(couplings)`` order."""
+        Every key has 0 <= i < j < ``num_spins`` (``__post_init__`` checks it),
+        so the entries with row < col are the couplings in ``sorted(couplings)`` order."""
         m = len(self.couplings)
         first, second = np.array([*zip(*self.couplings)], dtype=np.intp).reshape(2, m)
         coeffs = np.fromiter(self.couplings.values(), np.float64, m)

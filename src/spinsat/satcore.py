@@ -41,6 +41,7 @@ __all__ = [
     "solve",
     "enumerate_models",
     "backbone",
+    "model_sets",
     "brute_force_models",
     "BRUTE_FORCE_MAX_VARS",
 ]
@@ -384,6 +385,22 @@ def backbone(ms: ModelSet) -> tuple[tuple[int, bool], ...]:
         raise ValueError("backbone undefined for an empty model set (UNSAT)")
     always, ever = ms.models.all(axis=0), ms.models.any(axis=0)
     return tuple((int(v), bool(always[v])) for v in np.flatnonzero(always | ~ever))
+
+
+def model_sets(f: Formula, cap: int) -> tuple[ModelSet, ModelSet | None, int | None, int | None]:
+    """``(capped, exact, backbone_capped, backbone_exact)``: the first ``cap``
+    models (`enumerate_models`), the exact model set (`brute_force_models`,
+    None past ``BRUTE_FORCE_MAX_VARS`` variables) and the size of each one's
+    `backbone`. Both sizes are None when ``f`` is UNSAT, ``backbone_exact``
+    also when there is no exact set. An exact set within the cap is the
+    capped set itself, so its backbone is taken once."""
+    exact = brute_force_models(f) if f.num_vars <= BRUTE_FORCE_MAX_VARS else None
+    capped = enumerate_models(f, cap, exact)
+    if not len(capped.models):
+        return capped, exact, None, None
+    size = len(backbone(capped))
+    exact_size = size if exact is capped else None if exact is None else len(backbone(exact))
+    return capped, exact, size, exact_size
 
 
 def _satisfying(front: np.ndarray, clauses: list[tuple[int, int]]) -> np.ndarray:

@@ -344,7 +344,10 @@ def run_fuzz_commands(tmp_path: Path, corpus: Path, capsys, flags: list[str]):
     ``flags`` for backbone and run. Every error line must name a file and an
     expected error, and each command exits 1 iff it printed one. Returns per
     command the files that failed and the stdout lines as ``(stem, rest)``;
-    report, over the run's summary, must exit 0 or print one error line."""
+    report, over the run's summary, must exit 0 or print one error line.
+    For each stem both backbone and run handled, the printed ``backbone`` and
+    ``backbone_exact`` equal the summary row's ``backbone_capped`` and
+    ``backbone_exact``; an empty cell stands for an absent field."""
     failed, lines = {}, {}
     for command, args in [
         ("solve", []), ("backbone", ["--exact", *flags]),
@@ -360,6 +363,13 @@ def run_fuzz_commands(tmp_path: Path, corpus: Path, capsys, flags: list[str]):
         assert code == (1 if errors else 0)
         lines[command] = [line.partition(": ")[::2] for line in captured.out.splitlines()]
     summary = tmp_path / "run" / analysis.SUMMARY_FILENAME
+    rows = {row.instance: row for row in analysis.read_summary_csv(summary.read_text())}
+    printed = {name: dict(item.split("=") for item in rest.split()) for name, rest in lines["backbone"]}
+    assert rows.keys() & printed.keys()
+    for name in rows.keys() & printed.keys():
+        sizes = (rows[name].backbone_capped, rows[name].backbone_exact)
+        assert (printed[name].get("backbone"), printed[name].get("backbone_exact")) == tuple(
+            None if size is None else str(size) for size in sizes), name
     code = run_cli(["report", str(summary), "--outdir", str(tmp_path / "report")])
     err = capsys.readouterr().err.splitlines()
     assert (code, err) == (0, []) or code == 1 and len(err) == 1 and err[0].startswith("error: ")
@@ -441,7 +451,7 @@ def test_backbone_stdout_matches_unpruned_path(tmp_path, uf20_paths, monkeypatch
     assert run_cli(args) == 0
     pruned = capsys.readouterr().out
     # With no formula small enough for an exact model set, enumeration runs unpruned.
-    monkeypatch.setattr(cli, "BRUTE_FORCE_MAX_VARS", -1)
+    monkeypatch.setattr(satcore, "BRUTE_FORCE_MAX_VARS", -1)
     assert run_cli(args) == 0
     assert pruned == capsys.readouterr().out
     assert "backbone_exact=" not in pruned
@@ -1025,12 +1035,13 @@ def test_backbone_runs_once_per_model_set(tmp_path, uf20_paths, monkeypatch, com
     # 11 exact sets fit within the cap and are returned as the capped set;
     # only uf20-sb-005 has an exact set apart from its capped one: 12 + 1.
     calls = []
+    original = satcore.backbone
 
     def counted(models):
         calls.append(models)
-        return satcore.backbone(models)
+        return original(models)
 
-    monkeypatch.setattr(cli, "backbone", counted)
+    monkeypatch.setattr(satcore, "backbone", counted)
     outdir = ["--outdir", str(tmp_path / "out")] if command[0] == "run" else []
     assert run_cli([command[0], str(uf20_paths[0].parent), *command[1:], *outdir]) == 0
     assert len(calls) == len({id(models) for models in calls}) == 13

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import warnings
 from fractions import Fraction
 
@@ -398,6 +399,15 @@ def test_energy_invariant_under_coupling_storage_order():
     H2 = Hamiltonian(H.offset, H.fields, shuffled, H.core_count, H.ancillas)
     s = [1, -1] * (H.num_spins // 2)
     assert reference_hamiltonian_energy(H, s) == reference_hamiltonian_energy(H2, s)
+
+
+@pytest.mark.parametrize("key", [(0, 5), (2, 1), (1, 1), (-1, 2)],
+                         ids=["past-the-spins", "reversed", "self-loop", "negative"])
+def test_hamiltonian_refuses_a_coupling_key_outside_0_le_i_lt_j_lt_num_spins(key):
+    # A key past the spins, reversed, a self-loop or negative: the sorted
+    # coupling table, the neighbour lists and the edge CSV would be wrong.
+    with pytest.raises(ValueError, match=re.escape(f"coupling key {key}")):
+        Hamiltonian(0.0, (0.0,) * 3, {(0, 1): 1.0, key: 0.5}, 3, ())
 
 
 def test_energy_length_mismatch():

@@ -19,7 +19,8 @@ from spinsat.cnf import (
     parse_dimacs_file,
 )
 from spinsat import satcore
-from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, solve
+from spinsat.satcore import ModelSet, backbone, brute_force_models, enumerate_models, model_sets
+from spinsat.satcore import solve
 
 from reference import (
     model_tuples,
@@ -664,6 +665,36 @@ def test_exact_set_within_cap_is_returned_whole(uf20_formulas, search_log):
             assert len(search_log.runs) == size - 1 and search_log.fresh
             assert below.truncated and same(below, enumerate_models(f, size - 1))
     assert 0 in sizes and 1 in sizes and max(sizes) == 145
+
+
+def test_model_sets_give_both_sets_and_their_backbone_sizes(uf20_formulas):
+    # Within the cap the exact set is the capped one; uf20-sb-005 (145
+    # models) is the one instance past the cap of 120.
+    for f in uf20_formulas:
+        capped, exact, size, exact_size = model_sets(f, 120)
+        assert same(exact, brute_force_models(f))
+        assert size == len(backbone(capped)) and exact_size == len(backbone(exact))
+        if f.source_name == "uf20-sb-005":
+            assert same(capped, enumerate_models(f, 120)) and capped.truncated
+            assert size >= exact_size
+        else:
+            assert capped is exact and size == exact_size
+    # Past 24 variables there is no exact set: 28 models, 20 within the cap.
+    f = generate_random_3sat(25, 100, seed=1)
+    capped, exact, size, exact_size = model_sets(f, 20)
+    assert same(capped, enumerate_models(f, 20)) and capped.truncated
+    assert exact is None and exact_size is None and size == len(backbone(capped))
+    empty = parse_dimacs("p cnf 0 0")
+    capped, exact, size, exact_size = model_sets(empty, 120)
+    assert capped is exact and model_tuples(capped) == ((),) and size == exact_size == 0
+
+
+def test_model_sets_of_an_unsat_formula_have_no_backbone():
+    for f, has_exact in ((parse_dimacs("p cnf 1 2\n1 0\n-1 0"), True),
+                         (generate_random_3sat(25, 100, seed=2), False)):
+        capped, exact, size, exact_size = model_sets(f, 120)
+        assert not len(capped.models) and size is None and exact_size is None
+        assert (exact is capped) == has_exact and (exact is None) != has_exact
 
 
 def test_scan_matches_reference_on_mixed_clauses():
