@@ -297,8 +297,9 @@ def anneal(
                 slack[cj] += 1
     unsat = slack.count(0)
     core_sum = sum(spins[:n_core])
-    # sum_i s_i field_i counts each coupling twice, so this is the raw energy.
-    energy_raw = H.offset + sum((state * (fields + field)).tolist()) / 2
+    # sum_i s_i field_i counts each coupling twice, so this is the raw energy. Its
+    # terms are added left to right from 0: the builtin sum compensates since 3.12.
+    energy_raw = H.offset + functools.reduce(operator.add, (state * (fields + field)).tolist(), 0) / 2
     # cost[i] = -2 s_i field[i], the energy change of flipping spin i.
     cost = ((-2.0 * state) * field).tolist()
 

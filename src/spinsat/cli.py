@@ -125,13 +125,26 @@ def _check_outdir(outdir: str | Path) -> Path:
     return path
 
 
+def _check_stem(stem: str, source: str) -> None:
+    """InputError unless ``stem`` can name an instance in the UTF-8 run
+    manifest and in a row of the summary CSV, whose cells are not quoted."""
+    try:
+        stem.encode("utf-8")
+    except UnicodeEncodeError:
+        raise InputError(f"{source!r}: the stem {stem!r} is not valid UTF-8") from None
+    if any(c in stem for c in ',"\r\n'):
+        raise InputError(
+            f"{source}: the stem {stem!r} holds a comma, a double quote "
+            "or a line break, which the summary CSV cannot hold"
+        )
+
+
 def _collect_inputs(paths: list[str]) -> list[Path]:
     """Input files in stem order, one per stem; a directory gives its regular ``*.cnf`` files.
 
     Every output name is keyed on the file stem, so two different files with
     the same stem would overwrite each other's artifacts: that is an error.
-    So is a stem with a comma, a double quote or a line break, which would
-    split or break its row of the summary CSV, whose cells are not quoted.
+    So is a stem ``_check_stem`` refuses.
     """
     files: dict[str, Path] = {}
     for raw in paths:
@@ -143,11 +156,7 @@ def _collect_inputs(paths: list[str]) -> list[Path]:
         else:
             raise FileNotFoundError(raw)
         for path in found:
-            if any(c in path.stem for c in ',"\r\n'):
-                raise InputError(
-                    f"{path}: the stem {path.stem!r} holds a comma, a double quote "
-                    "or a line break, which the summary CSV cannot hold"
-                )
+            _check_stem(path.stem, str(path))
             first = files.setdefault(path.stem, path)
             if not first.samefile(path):
                 raise InputError(
@@ -232,6 +241,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise InputError(f"count must be at least 1, got {args.count}")
     if Path(args.prefix).name != args.prefix:
         raise InputError(f"prefix must be a plain file name, got {args.prefix!r}")
+    _check_stem(f"{args.prefix}-001", "--prefix")
     outdir = _check_outdir(_outdir(args.outdir, DEFAULT_OUTDIR))
     written = attempts = 0
     max_attempts = max(1000, 200 * args.count)

@@ -36,22 +36,23 @@ Clause templates
 A clause's contribution depends only on its literals' signs in literal
 order, k_factor and the gadget mode; its variables only name the spins. So
 ``compile`` expands, gadgetizes and minimizes each such pattern once, on a
-canonical clause whose literals are roles 0, 1, 2 and whose ancilla is role
-3, and then renames the roles to the clause's variables and its ancilla.
-Roles follow literal order because the ancilla binds to the first two
-literals. Renaming keeps every term's coefficient, the order the terms are
-added in, and the clause floor (the same minimum over a relabelled set of
-configurations), and every coefficient is dyadic, so the Hamiltonian equals
-the one a per-clause expansion builds bit for bit.
+canonical clause whose literals are roles 0, 1, 2 (literal order, as the
+ancilla binds to the first two) and whose ancilla is role 3, keeping the
+constant, the field terms and the coupling terms apart; it then only renames
+roles to the clause's variables and ancilla. Each kind's term order and the
+floor survive renaming, each key gets one addend per clause and every
+coefficient is dyadic, so the Hamiltonian equals a per-clause expansion's
+bit for bit. ``_SUBSTITUTIONS`` holds each gadget mode's cubic substitution.
 """
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from typing import NamedTuple
 
 import numpy as np
@@ -102,31 +103,24 @@ def clause_polynomial(c: Clause) -> dict[tuple[int, ...], float]:
     """Multilinear expansion of the clause-violation indicator.
 
     For literals with polarities t_1..t_k over distinct variables the
-    product of (1 - t_i s_i)/2 factors expands to a degree-k polynomial; for
-    k=3 the constant is 1/8, linear terms -t_i/8, quadratic +t_i t_j/8 and
-    the cubic -t_1 t_2 t_3 / 8. Clauses longer than 3 literals or with a
-    repeated variable are rejected.
+    product of (1 - t_r s_r)/2 factors is the sum, over the subsets S of the
+    literals, of (-1)^|S| prod_{r in S} t_r s_r / 2^k. Clauses longer than 3
+    literals or with a repeated variable are rejected.
 
-    Returns a fresh dict from each term's sorted tuple of spin indices
-    (degree 0..3) to its nonzero coefficient, a multiple of 1/8. Spins square
-    to 1, so products of factors sharing a variable reduce by symmetric
-    difference of index sets.
+    Returns a fresh dict from each term's sorted tuple of spin indices to its
+    coefficient, nonzero and a multiple of 1/8, with the subsets taken in
+    ``product((False, True), repeat=k)`` order, last literal fastest.
     """
     k = len(c.literals)
     if k > 3:
         raise ValueError(f"clause length {k} > 3 not supported")
     if len(set(c.variables)) != k:
         raise ValueError("clause repeats a variable; expansion would not be multilinear")
-    terms: dict[tuple[int, ...], float] = {(): 1.0}
-    for lit in c.literals:
-        factor = {(): 0.5, (lit.var,): -0.5 * lit.sign}
-        merged: dict[tuple[int, ...], float] = {}
-        for key_a, coeff_a in terms.items():
-            for key_b, coeff_b in factor.items():
-                key = tuple(sorted(set(key_a) ^ set(key_b)))
-                merged[key] = merged.get(key, 0.0) + coeff_a * coeff_b
-        terms = {key: coeff for key, coeff in merged.items() if coeff != 0}
-    return terms
+    subsets = (tuple(compress(c.literals, chosen)) for chosen in product((False, True), repeat=k))
+    return {
+        tuple(sorted(lit.var for lit in s)): math.prod(-lit.sign for lit in s) / 2**k
+        for s in subsets
+    }
 
 
 def _corrected_substitution(
@@ -139,7 +133,7 @@ def _corrected_substitution(
     """
     quarter = penalty / 4
     half = penalty / 2
-    terms = {
+    return {
         (): c + 3 * quarter,
         (a,): 2 * c + half,
         (i,): -c - quarter,
@@ -152,7 +146,6 @@ def _corrected_substitution(
         tuple(sorted((a, i))): -half,
         tuple(sorted((a, p))): -half,
     }
-    return terms
 
 
 def _paper_literal_substitution(
@@ -166,6 +159,12 @@ def _paper_literal_substitution(
         tuple(sorted((a, p))): -penalty,
         tuple(sorted((i, p))): -penalty,
     }
+
+
+_SUBSTITUTIONS = {
+    GADGET_CORRECTED: _corrected_substitution,
+    GADGET_PAPER_LITERAL: _paper_literal_substitution,
+}
 
 
 @dataclass(eq=True)
@@ -229,26 +228,22 @@ class Hamiltonian:
 @functools.lru_cache(maxsize=256)
 def _clause_template(
     signs: tuple[int, ...], k: float, gadget_mode: str
-) -> tuple[tuple[tuple[tuple[int, ...], float], ...], float, bool]:
+) -> tuple[float, tuple[tuple[int, float], ...], tuple[tuple[tuple[int, int], float], ...], float, bool]:
     """Gadgetized terms of the clause with literal signs ``signs``, over roles.
 
     Literal r of the clause is role r and its ancilla, if any, role 3.
-    Returns the nonzero ``(roles, coefficient)`` terms in insertion order,
-    the clause floor, and whether the clause has an ancilla (a cubic term).
+    Returns the constant, the nonzero ``(role, h)`` and ``((r, q), J)`` terms
+    each in insertion order, the clause floor, and whether the clause has an
+    ancilla (a cubic term).
     """
-    clause = Clause(tuple(Literal(role, sign) for role, sign in enumerate(signs)))
-    local = clause_polynomial(clause)
+    local = clause_polynomial(Clause(tuple(Literal(role, sign) for role, sign in enumerate(signs))))
     c = local.pop((0, 1, 2), None)
     if c is not None:
-        substitute = (
-            _corrected_substitution
-            if gadget_mode == GADGET_CORRECTED
-            else _paper_literal_substitution
-        )
-        for key, coeff in substitute(c, 0, 1, 2, 3, k * abs(c)).items():
+        for key, coeff in _SUBSTITUTIONS[gadget_mode](c, 0, 1, 2, 3, k * abs(c)).items():
             local[key] = local.get(key, 0.0) + coeff
-    terms = tuple((key, coeff) for key, coeff in local.items() if coeff != 0)
-    return terms, _local_minimum(local), c is not None
+    fields = tuple((key[0], h) for key, h in local.items() if len(key) == 1 and h != 0)
+    couplings = tuple((key, J) for key, J in local.items() if len(key) == 2 and J != 0)
+    return local[()], fields, couplings, _local_minimum(local), c is not None
 
 
 def compile(
@@ -264,23 +259,20 @@ def compile(
     three-literal clause). Tautological clauses expand to the zero
     polynomial and contribute nothing.
 
-    Each clause's terms come from the template of its sign pattern (see the
-    module docstring), renamed from roles to its variables and ancilla, with
-    each pair key ordered (min, max). Terms are added in the order a
-    per-clause expansion adds them, so the coupling order is the same too.
+    Each clause adds the constant, the field terms and the coupling terms of
+    its sign pattern's template (see the module docstring), renamed from roles
+    to its variables and ancilla, each pair key ordered (min, max).
 
     ``k_factor`` must be a multiple of 1/1024 in (0, 2**20); any other value
     raises ValueError, because its coefficients would not all be exact in
     float64. Energies are exact for formulas with fewer than about 2**19
     clauses.
     """
-    if gadget_mode not in (GADGET_CORRECTED, GADGET_PAPER_LITERAL):
+    if gadget_mode not in _SUBSTITUTIONS:
         raise ValueError(f"unknown gadget mode {gadget_mode!r}")
     k = float(k_factor)
     if not 0 < k < 2**20 or (Fraction(k_factor) * 1024).denominator != 1:
-        raise ValueError(
-            f"k_factor must be a multiple of 1/1024 in (0, 2**20), got {k_factor!r}"
-        )
+        raise ValueError(f"k_factor must be a multiple of 1/1024 in (0, 2**20), got {k_factor!r}")
     if gadget_mode == GADGET_CORRECTED and k < 8:
         warnings.warn(
             "k_factor below 8 cannot pin ancillas to the spin product; "
@@ -289,11 +281,10 @@ def compile(
         )
 
     n = f.num_vars
-    offset = 0.0
+    offset = floor = 0.0
     fields: dict[int, float] = {}
     couplings: dict[tuple[int, int], float] = {}
     gadgets: list[GadgetRecord] = []
-    floor = 0.0
 
     for clause in f.clauses:
         literals = clause.literals
@@ -301,27 +292,24 @@ def compile(
             raise ValueError(f"clause length {len(literals)} > 3 not supported")
         if clause.is_tautological:
             continue
-        terms, clause_floor, has_ancilla = _clause_template(
+        constant, field_terms, coupling_terms, clause_floor, has_ancilla = _clause_template(
             tuple(lit.sign for lit in literals), k, gadget_mode
         )
         spins = [lit.var for lit in literals]
         if has_ancilla:
             spins.append(n + len(gadgets))
             gadgets.append(GadgetRecord(spins[0], spins[1]))
+        offset += constant
         floor += clause_floor
-        for roles, coeff in terms:
-            if len(roles) == 0:
-                offset += coeff
-            elif len(roles) == 1:
-                i = spins[roles[0]]
-                fields[i] = fields.get(i, 0.0) + coeff
-            else:
-                i, j = spins[roles[0]], spins[roles[1]]
-                key = (i, j) if i < j else (j, i)
-                couplings[key] = couplings.get(key, 0.0) + coeff
+        for role, h in field_terms:
+            i = spins[role]
+            fields[i] = fields.get(i, 0.0) + h
+        for (r, q), J in coupling_terms:
+            i, j = spins[r], spins[q]
+            key = (i, j) if i < j else (j, i)
+            couplings[key] = couplings.get(key, 0.0) + J
 
-    num_spins = n + len(gadgets)
-    field_vec = tuple(fields.get(i, 0.0) for i in range(num_spins))
+    field_vec = tuple(fields.get(i, 0.0) for i in range(n + len(gadgets)))
     couplings = {key: coeff for key, coeff in couplings.items() if coeff != 0}
     return Hamiltonian(
         offset=offset,

@@ -245,15 +245,19 @@ def reference_first_energy(H: Hamiltonian, spins: Sequence[int]) -> float:
 
     Each field h_i + sum_j J_ij s_j starts at h_i and adds the neighbours in
     ascending index order (``reference_adjacency``); the energy is
-    offset + sum_i s_i (h_i + field_i) / 2, by the builtin ``sum`` in spin
-    order. For dyadic coefficients this equals ``reference_hamiltonian_energy``;
-    for inexact ones it pins every rounding.
+    offset + sum_i s_i (h_i + field_i) / 2, the terms added left to right
+    from 0 in spin order, as the builtin ``sum`` did before Python 3.12. For
+    dyadic coefficients this equals ``reference_hamiltonian_energy``; for
+    inexact ones it pins every rounding, on every interpreter.
     """
     field = list(H.fields)
     for i, neighbors in enumerate(reference_adjacency(H)):
         for j, jf in neighbors:
             field[i] += jf * spins[j]
-    return H.offset + sum(s * (h + hf) for s, h, hf in zip(spins, H.fields, field)) / 2
+    total = 0
+    for s, h, hf in zip(spins, H.fields, field):
+        total += s * (h + hf)
+    return H.offset + total / 2
 
 
 def reference_magnetization(s: Sequence[int], core_count: int) -> float:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import builtins
 import dataclasses
 import math
+import operator
 import pickle
 import re
 import tracemalloc
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from reference import (
     reference_magnetization,
     reference_spins_to_assignment,
 )
+from test_cnf import neumaier_sum
 
 
 _TINY = float(np.finfo(np.float64).tiny)
@@ -412,6 +415,30 @@ def test_first_energy_adds_inexact_coefficients_in_the_per_spin_order():
         traj = anneal(H, free_spins(H), Schedule(steps=0), seed)
         expected = reference_first_energy(H, traj.final_state.tolist()) - H.energy_floor
         assert float(traj.energy_h[0]).hex() == expected.hex(), seed
+
+
+def test_trajectories_do_not_depend_on_the_interpreters_sum(monkeypatch):
+    # 0.1 is inexact, so a compensated sum (the builtin since Python 3.12)
+    # rounds 8 of these 20 first energies differently from a left-to-right one.
+    H = Hamiltonian(offset=0.0, fields=(0.1,) * 12, couplings={}, core_count=12, ancillas=())
+    first_terms = [
+        (0.2 * (2 * np.random.Generator(np.random.PCG64(seed)).integers(0, 2, size=12) - 1)).tolist()
+        for seed in range(20)
+    ]
+    assert sum(neumaier_sum(terms) != reduce(operator.add, terms, 0) for terms in first_terms) == 8
+
+    def runs() -> list[bytes]:
+        trajectories = [
+            anneal(H, free_spins(H), Schedule(steps=40), seed, sweeps)
+            for seed in range(20)
+            for sweeps in (False, True)
+        ]
+        series = ("energy_h", "energy_logic", "magnetization", "final_state")
+        return [b"".join(getattr(t, name).tobytes() for name in series) for t in trajectories]
+
+    left_to_right = runs()
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    assert runs() == left_to_right
 
 
 def test_kernel_matches_reference_on_random_hamiltonians():

@@ -101,6 +101,29 @@ def test_gen_satisfiable_only(tmp_path):
         assert satcore.solve(cnf.parse_dimacs_file(p)) is not None
 
 
+def test_gen_recipe_reproduces_the_bundled_uf20_set(tmp_path, uf20_paths):
+    # The README "Benchmark data" recipe; it also pins --satlib-footer and the
+    # generator's PCG64 stream on every NumPy the suite runs on.
+    out = tmp_path / "uf20"
+    assert run_cli([
+        "gen", "--n", "20", "--m", "91", "--count", "12", "--seed", "1", "--satisfiable-only",
+        "--satlib-footer", "--prefix", "uf20-sb", "--outdir", str(out),
+    ]) == 0
+    assert read_all_outputs(out) == read_all_outputs(uf20_paths[0].parent)
+
+
+def test_gen_satisfiable_only_gives_up_cleanly(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "generate_random_3sat", lambda n, m, seed: cnf.parse_dimacs(UNSAT_CNF))
+    out = tmp_path / "out"
+    args = ["gen", "--n", "5", "--m", "2", "--count", "2", "--satisfiable-only", "--outdir", str(out)]
+    assert run_cli(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: gave up after 1000 attempts; only 0/2 satisfiable instances found"
+    ]
+    assert captured.out == "" and not out.exists()
+
+
 def test_compile_uf20_node_rows(tmp_path, uf20_paths):
     out = tmp_path / "out"
     assert run_cli(["compile", str(uf20_paths[0]), "--outdir", str(out)]) == 0
@@ -251,6 +274,29 @@ def test_run_rejects_a_stem_the_summary_csv_cannot_hold(tmp_path, uf20_paths, ca
         assert run_cli(["run", str(tmp_path / f"{stem}.cnf"), "--outdir", str(out)]) == 1
         assert "summary CSV" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["compile", "solve", "backbone", "anneal", "run"])
+def test_a_stem_that_is_not_valid_utf8_fails_before_any_work(tmp_path, uf20_paths, capsys, command):
+    # The UTF-8 run manifest cannot hold such a stem and other commands would
+    # print it as a raw byte, so every per-file command refuses it before any
+    # work, as it refuses a comma.
+    corpus = tmp_path / "in"
+    corpus.mkdir()
+    (corpus / uf20_paths[0].name).write_bytes(uf20_paths[0].read_bytes())
+    try:
+        with open(os.path.join(os.fsencode(corpus), b"\xff.cnf"), "wb") as handle:
+            handle.write(uf20_paths[0].read_bytes())
+    except OSError:
+        pytest.skip("the filesystem refuses a file name that is not valid UTF-8")
+    out = tmp_path / "out"
+    flags = [] if command in ("solve", "backbone") else ["--outdir", str(out)]
+    flags += ["--steps", "40"] if command in ("anneal", "run") else []
+    assert run_cli([command, str(corpus), *flags]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "'\\udcff' is not valid UTF-8" in err[0]
+    assert captured.out == "" and not out.exists()
 
 
 def test_directory_skips_subdirectories_named_cnf(tmp_path, uf20_paths, capsys):
@@ -1074,6 +1120,17 @@ def test_gen_rejects_a_negative_clause_count(tmp_path, capsys, flags):
 
 @pytest.mark.parametrize("prefix", ["../escaped", "sub/x", "x/"])
 def test_gen_rejects_a_prefix_that_is_not_a_file_name(tmp_path, capsys, prefix):
+    work = tmp_path / "work"
+    work.mkdir()
+    args = ["gen", "--n", "5", "--m", "3", "--count", "1", "--prefix", prefix]
+    assert_fails_once_before_any_work(args, work / "out", capsys)
+    assert list(work.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "prefix", ["a,b", 'a"b', "a\nb", os.fsdecode(b"\xff")], ids=["comma", "quote", "newline", "not-utf8"]
+)
+def test_gen_rejects_a_prefix_whose_stems_inputs_would_refuse(tmp_path, capsys, prefix):
     work = tmp_path / "work"
     work.mkdir()
     args = ["gen", "--n", "5", "--m", "3", "--count", "1", "--prefix", prefix]
